@@ -18,7 +18,7 @@ class NotHermitianError(KgMetricError):
 
 
 class NoConvergenceError(KgMetricError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """The LAPACK eigensolver failed to converge."""
 
 
 class NonPositiveSpectrumError(KgMetricError):

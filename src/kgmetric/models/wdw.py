@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import NonPositiveSpectrumError, UnresolvedBasisError
-from ..spectral import SpectralDecomposition, hermitian_eigendecompose
+from ..errors import NonPositiveSpectrumError, NotHermitianError, UnresolvedBasisError
+from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
 
 ALL_POSITIVE = "all_positive"
@@ -199,9 +199,22 @@ def wdw_instantaneous_inner(
 ) -> complex:
     """Same form as wdw_invariant_inner but with D read off at `alpha`
     (expressed in the anchor basis). Not invariant; the drift of this value
-    against the frozen one is exactly what the frozen construction removes."""
+    against the frozen one is exactly what the frozen construction removes.
+
+    Raises NonPositiveSpectrumError where D(alpha) has a zero mode, or where
+    the anchored operator is singular.
+    """
+    if wdw_positivity(model, alpha) == HAS_ZERO_MODE:
+        raise NonPositiveSpectrumError(
+            f"D has a zero mode at alpha={alpha}; the product needs D^-1 there"
+        )
     d = model.d_anchored(alpha, anchor=anchor)
-    sol = np.linalg.solve(d, f2.psi_dot)
+    try:
+        sol = np.linalg.solve(d, f2.psi_dot)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveSpectrumError(
+            f"anchored operator at alpha={alpha} is singular: {exc}"
+        ) from exc
     return complex(0.5 * (np.vdot(f1.psi, f2.psi) + np.vdot(f1.psi_dot, sol)))
 
 
@@ -225,8 +238,11 @@ def wdw_numeric_crosscheck(
 
     Second-order central differences on the interior points of
     |phi| <= box_half_width with Dirichlet walls. The lowest `modes`
-    eigenvalues are compared to the exact ones; if the top compared mode is
-    off by more than 5% the basis is declared unresolved at this grid.
+    eigenvalues of the real tridiagonal stencil are compared to the exact
+    ones, each relative to its own size; a mode whose exact eigenvalue is
+    zero is measured against the largest exact eigenvalue in magnitude. If
+    the top compared mode is off by more than 5% the basis is declared
+    unresolved at this grid.
     """
     if alpha is None:
         alpha = model.alpha0
@@ -240,12 +256,15 @@ def wdw_numeric_crosscheck(
     diag = 2.0 / h**2 + (model.mass**2) * np.exp(6.0 * alpha) * phi**2 - (
         model.kappa * np.exp(4.0 * alpha)
     )
+    if not np.all(np.isfinite(diag)):
+        raise NotHermitianError(f"grid stencil at alpha={alpha} has non-finite entries")
     fd = np.diag(diag) + np.diag(np.full(grid - 1, -1.0 / h**2), 1) + np.diag(
         np.full(grid - 1, -1.0 / h**2), -1
     )
-    numeric = hermitian_eigendecompose(fd).eigenvalues[: model.modes]
+    numeric = np.linalg.eigvalsh(fd)[: model.modes]
     analytic = model.omega_sq(alpha)
-    scale = np.maximum(np.abs(analytic), 1e-300)
+    scale = np.abs(analytic)
+    scale = np.maximum(np.where(scale == 0.0, np.max(scale), scale), 1e-300)
     rel = np.abs(numeric - analytic) / scale
     report = WdwCrosscheckReport(
         analytic=analytic,

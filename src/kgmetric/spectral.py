@@ -3,10 +3,9 @@
 Everything downstream (two-component Hamiltonians, metric operators,
 invariant inner products) is built from the spectral resolution of the
 spatial operator D, so this module owns the eigensolver and the
-fractional-power calculus. The eigensolver is a cyclic complex Jacobi
-iteration: at desk scale (dimensions up to a few hundred) it is robust,
-deterministic, and keeps eigenvector orthonormality at machine level by
-construction.
+fractional-power calculus. The eigensolver is LAPACK's Hermitian driver
+(``numpy.linalg.eigh``) with fixed conventions for ordering and eigenvector
+phase, so results do not depend on the BLAS/LAPACK build.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-MAX_SWEEPS = 100
 # eigenvalues closer than this (relative to the spectral radius) are treated
 # as one degenerate cluster and re-orthonormalized together
 DEGENERACY_GAP = 1e-8
@@ -88,81 +86,34 @@ def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _offdiag_frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray, thresh: float) -> None:
-    """One cyclic pass of complex Jacobi rotations over all p < q.
-
-    Rotations with |a_pq| <= thresh are skipped. The 2x2 subproblem is
-    reduced to the real case by factoring out the phase of a_pq; the
-    rotation annihilates a_pq exactly and keeps the diagonal real.
-    """
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            absapq = abs(apq)
-            if absapq <= thresh or absapq == 0.0:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            ph = apq / absapq
-            tau = (aqq - app) / (2.0 * absapq)
-            if tau == 0.0:
-                t = 1.0
-            else:
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            sph = s * ph
-            colp = a[:, p].copy()
-            colq = a[:, q].copy()
-            a[:, p] = c * colp - np.conj(sph) * colq
-            a[:, q] = s * colp + c * np.conj(ph) * colq
-            rowp = a[p, :].copy()
-            rowq = a[q, :].copy()
-            a[p, :] = c * rowp - sph * rowq
-            a[q, :] = s * rowp + c * ph * rowq
-            # closed-form values for the rotated 2x2 block: exact zeros on the
-            # off-diagonal, exactly real diagonal
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = app - t * absapq
-            a[q, q] = aqq + t * absapq
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = c * vp - np.conj(sph) * vq
-            v[:, q] = s * vp + c * np.conj(ph) * vq
-
-
 def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Parameters
     ----------
     matrix : (n, n) array_like
         Hermitian up to ``tol`` in max norm.
     tol : float
-        Hermiticity test tolerance and relative convergence target: the
-        iteration stops once the off-diagonal Frobenius mass drops below
-        ``tol`` times the Frobenius norm of the input.
+        Hermiticity test tolerance. The input is symmetrized before solving,
+        so a defect within ``tol`` does not reach the solver.
 
     Returns
     -------
     SpectralDecomposition
-        Eigenvalues ascending (ties keep the solver's column order);
-        eigenvector columns orthonormal. Degenerate clusters (relative gap
-        below 1e-8) are re-orthonormalized by modified Gram-Schmidt so the
-        returned basis is deterministic.
+        Eigenvalues ascending; equal eigenvalues keep LAPACK's column order.
+        Eigenvector columns are orthonormal. Degenerate clusters (relative
+        gap below 1e-8) are re-orthonormalized by modified Gram-Schmidt.
+        Each column's phase is fixed so that its largest-magnitude entry
+        (the first one, among entries of equal magnitude) is real and
+        positive, which keeps the result independent of the BLAS/LAPACK
+        build. A zero matrix returns the identity basis.
 
     Raises
     ------
     NotHermitianError
         If the input is not square/finite/Hermitian at ``tol``.
     NoConvergenceError
-        If 100 sweeps do not reach the convergence target.
+        If LAPACK reports that the eigenvalue iteration failed.
     """
     a = _as_square_complex(matrix)
     if not np.all(np.isfinite(a.view(float))):
@@ -174,39 +125,17 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
         )
     n = a.shape[0]
     a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    norm0 = float(np.linalg.norm(a))
-    if norm0 == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-    target = tol * norm0
-    converged = False
-    for sweep in range(MAX_SWEEPS):
-        off = _offdiag_frobenius(a)
-        if off <= target:
-            converged = True
-            break
-        # threshold strategy: early sweeps skip entries that cannot matter yet
-        thresh = 0.2 * off * off / (n * n) if sweep < 4 else 0.0
-        _jacobi_sweep(a, v, thresh)
-    else:
-        converged = _offdiag_frobenius(a) <= target
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi iteration did not reach off-norm {target:.3e} "
-            f"within {MAX_SWEEPS} sweeps"
-        )
-    # one polish sweep pushes residuals from "just under target" to machine
-    # level; on an already-diagonal matrix it is a no-op
-    _jacobi_sweep(a, v, 0.0)
-
-    diag = np.diagonal(a)
-    if float(np.max(np.abs(diag.imag))) > 1e-12 * max(norm0, 1.0):
-        raise NoConvergenceError("diagonal failed to stay real")
-    w = diag.real.copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    if not np.any(a):
+        return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
     _reorthonormalize_clusters(w, v)
+    # phase convention: each column's largest-magnitude entry real, positive
+    peak = (np.argmax(np.abs(v), axis=0), np.arange(n))
+    v *= np.conj(v[peak]) / np.abs(v[peak])
+    v[peak] = v[peak].real  # drop the rounding residue of the rescale
     return SpectralDecomposition(w, v)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 from kgmetric.cli import main
 
@@ -105,3 +106,12 @@ def test_wdw_run_passes(capsys):
     assert "positivity-classifier" in names
     assert "spectrum-grid-crosscheck" in names
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_wdw_zero_mode_crosscheck_is_finite(capsys):
+    code, out = run(["wdw", "--kappa", "1", "--alpha0", "0"], capsys)
+    report = json.loads(out)
+    (check,) = [c for c in report["checks"] if c["name"] == "spectrum-grid-crosscheck"]
+    assert math.isfinite(check["measured"])
+    assert check["measured"] <= 0.05
+    assert check["pass"]

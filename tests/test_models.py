@@ -17,6 +17,7 @@ from kgmetric import (
 from kgmetric.errors import (
     NonPositiveAError,
     NonPositiveSpectrumError,
+    NotHermitianError,
     OutOfFamilyError,
     UnresolvedBasisError,
 )
@@ -383,6 +384,43 @@ def test_wdw_invariant_refuses_sign_crossing():
     f = FieldState(psi=np.zeros(4, dtype=complex), psi_dot=np.zeros(4, dtype=complex))
     with pytest.raises(NonPositiveSpectrumError):
         wdw_invariant_inner(f, f, model, alpha=0.5)
+
+
+def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
+    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
+    rng = generator(9, "models:wdw-zero-mode")
+    f = FieldState(
+        psi=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+        psi_dot=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+    )
+    assert wdw_positivity(model, 0.0) == HAS_ZERO_MODE
+    with pytest.raises(NonPositiveSpectrumError):
+        wdw_instantaneous_inner(f, f, model, 0.0)
+    # a singular anchored operator where the spectrum is positive still raises
+    monkeypatch.setattr(
+        WdwFrwModel, "d_anchored", lambda self, alpha, anchor=None: np.zeros((8, 8))
+    )
+    with pytest.raises(NonPositiveSpectrumError):
+        wdw_instantaneous_inner(f, f, model, -0.5)
+
+
+def test_wdw_crosscheck_zero_mode_is_measured_against_block_scale():
+    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
+    report = wdw_numeric_crosscheck(model)
+    assert report.analytic[0] == 0.0
+    assert np.isfinite(report.max_rel_error)
+    scale = maxabs(report.analytic)
+    assert report.rel_errors[0] == abs(report.numeric[0]) / scale
+    np.testing.assert_array_equal(
+        report.rel_errors[1:],
+        np.abs(report.numeric[1:] - report.analytic[1:]) / np.abs(report.analytic[1:]),
+    )
+
+
+def test_wdw_crosscheck_rejects_overflowing_stencil():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotHermitianError):
+            wdw_numeric_crosscheck(WdwFrwModel(), alpha=200.0)
 
 
 def test_wdw_frozen_product_constant_along_flow():

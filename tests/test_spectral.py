@@ -53,6 +53,39 @@ def test_random_hermitian_residuals(n):
     assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
 
+def test_known_spectrum_at_grid_size():
+    rng = generator(6, "spectral:known-256")
+    from kgmetric.rng import random_unitary
+
+    n = 256
+    u = random_unitary(rng, n)
+    w = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    m = (u * w) @ u.conj().T
+    spec = hermitian_eigendecompose(0.5 * (m + m.conj().T))
+    # backward-stable solver: errors of order n * eps * ||m|| (~6e-13 here)
+    np.testing.assert_allclose(spec.eigenvalues, w, rtol=0.0, atol=1e-12 * maxabs(w))
+    assert maxabs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues) <= 1e-12 * maxabs(w)
+    assert maxabs(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(n)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_phase_convention_largest_entry_real_positive(n):
+    rng = generator(7, f"spectral:phase:{n}")
+    v = hermitian_eigendecompose(random_hermitian(rng, n)).eigenvectors
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    assert np.all(peak.imag == 0.0)
+    assert np.all(peak.real > 0.0)
+
+
+def test_lapack_failure_maps_to_no_convergence(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergenceError):
+        hermitian_eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
 def test_degenerate_cluster_stays_orthonormal():
     rng = generator(1, "spectral:degenerate")
     from kgmetric.rng import random_unitary
