@@ -73,6 +73,7 @@ from .evolution import (
     MonitorSeries,
     drift_report,
     evolve_field,
+    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
 )

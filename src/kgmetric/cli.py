@@ -11,7 +11,9 @@ timestamp}, where each check is {name, paper_anchor, measured, bound, pass}
 and pass means measured <= bound. Numbers are emitted with 17 significant
 digits so they round-trip bit-exactly; reports are byte-identical for equal
 configs except for the timestamp. Exit code 0 when every check passes, 1 on
-any failure, 2 on a configuration or usage error.
+any failure, 2 on a configuration or usage error. A run aborted by a
+computational error still prints a report, holding one failing check named
+after the error class; no data file is written then.
 
 --out writes the run's data file (sho: the time series, csv by default;
 kg/wdw: the detail tables, json by default; verify: a copy of the report).
@@ -31,6 +33,7 @@ from .errors import ConfigError, KgMetricError, UnresolvedBasisError
 from .evolution import (
     drift_report,
     evolve_field,
+    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
 )
@@ -209,6 +212,11 @@ def _check(name: str, anchor: str, measured: float, bound: float) -> dict:
         "bound": float(bound),
         "pass": bool(np.isfinite(measured) and measured <= bound),
     }
+
+
+def _abort_check(exc: Exception) -> dict:
+    """Failing check for a run cut short by `exc`: one abort against none allowed."""
+    return _check(type(exc).__name__, "run-aborted", 1.0, 0.0)
 
 
 def _assemble(cfg: RunConfig, checks: list) -> dict:
@@ -417,8 +425,7 @@ def battery_verify(cfg: RunConfig) -> list:
     d_small = hermitian_eigendecompose(random_positive_hermitian(rng, n), tol)
     g1 = _random_field(rng, n)
     g2 = _random_field(rng, n)
-    traj1 = evolve_field(d_small.matrix(), g1, 0.0, 10.0, 5000, sample_every=100)
-    traj2 = evolve_field(d_small.matrix(), g2, 0.0, 10.0, 5000, sample_every=100)
+    traj1, traj2 = evolve_fields(d_small.matrix(), [g1, g2], 0.0, 10.0, 5000, sample_every=100)
     table = drift_report(
         traj1, d_small, cspec, ("solution_inner", "kg_inner"), traj2=traj2, lam=lam
     )
@@ -440,8 +447,7 @@ def battery_verify(cfg: RunConfig) -> list:
     def spec_of_t(t):
         return hermitian_eigendecompose(d_of_t(t), tol)
 
-    traj1t = evolve_field(d_of_t, g1, 0.0, 5.0, 2000, sample_every=100)
-    traj2t = evolve_field(d_of_t, g2, 0.0, 5.0, 2000, sample_every=100)
+    traj1t, traj2t = evolve_fields(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
     table_t = drift_report(
         traj1t,
         spec_of_t,
@@ -775,11 +781,8 @@ def run_wdw(cfg: RunConfig) -> tuple:
         alpha_end = cfg.alpha0 + 0.3
         if wdw_positivity(model, alpha_end) == ALL_POSITIVE:
             steps = 1500
-            traj1 = evolve_field(
-                model.d_source(), f1, cfg.alpha0, alpha_end, steps, sample_every=150
-            )
-            traj2 = evolve_field(
-                model.d_source(), f2, cfg.alpha0, alpha_end, steps, sample_every=150
+            traj1, traj2 = evolve_fields(
+                model.d_source(), [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
             )
             inst = np.array(
                 [
@@ -983,6 +986,7 @@ def main(argv=None) -> int:
         return 2
     except KgMetricError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        print(_render_json(_assemble(cfg, [_abort_check(exc)])))
         return 1
 
     report = _assemble(cfg, checks)

@@ -2,14 +2,17 @@
 
 Two integrators:
 
-* ``evolve_schrodinger`` steps i dPsi/dt = H(t) Psi with midpoint-rule
-  propagators exp(-i dt H(t_mid)). Each step exponential comes from the
-  closed-form eigensystem of H built out of the spectral data of D(t_mid),
-  so for constant D the step is exact and the only error source is the
-  midpoint sampling of a time-dependent D (second order).
+* ``evolve_schrodinger`` solves i dPsi/dt = H(t) Psi. For constant D it
+  samples the exact propagator U(t) = R diag(e^{-iEt}) L^dagger from the
+  closed-form biorthonormal eigensystem of H at every recorded time, with no
+  stepping. Only a time-dependent D is stepped, with midpoint-rule
+  propagators exp(-i dt H(t_mid)) built the same way from the spectral data
+  of D(t_mid); the midpoint sampling is the only error source (second
+  order).
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
   RK4 on (psi, psi_dot), an independent route used to cross-check the
-  doubled evolution and to feed the drift monitors.
+  doubled evolution and to feed the drift monitors. ``evolve_fields`` runs
+  several initial states through the same loop, building each D(t) once.
 
 Both guard against blow-up (pseudo-real spectra can grow exponentially) and
 record samples along the way.
@@ -17,7 +20,8 @@ record samples along the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +30,12 @@ from .errors import (
     NonFiniteStateError,
     ZeroStepsError,
 )
-from .spectral import DEFAULT_TOL, SpectralDecomposition, hermitian_eigendecompose
+from .spectral import (
+    DEFAULT_TOL,
+    BiorthonormalSystem,
+    SpectralDecomposition,
+    hermitian_eigendecompose,
+)
 from .two_component import FieldState, TwoComponentState, eigen_system
 
 BLOWUP_LIMIT = 1e12
@@ -41,12 +50,20 @@ class EvolutionResult:
     times: np.ndarray
     state_matrix: np.ndarray  # (n_samples, 2n)
     lam: float
-    propagator: np.ndarray  # (2n, 2n), full-interval U
     propagator_samples: np.ndarray | None = None  # (n_samples, 2n, 2n)
     drift: dict | None = None
+    # full-interval U: an array, or a zero-argument builder run on first read
+    _propagator: object = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def propagator(self) -> np.ndarray:
+        """Full-interval propagator U(t1, t0), shape (2n, 2n)."""
+        if callable(self._propagator):
+            self._propagator = self._propagator()
+        return self._propagator
 
     def state(self, i: int) -> TwoComponentState:
         return TwoComponentState.from_vector(self.state_matrix[i], self.lam)
@@ -130,10 +147,10 @@ def _spectral_source(d_of_t, tol: float):
 
 
 def _matrix_source(d_of_t):
-    """Normalize a D source to (t -> ndarray, is_constant)."""
+    """Normalize a D source to t -> ndarray."""
     if isinstance(d_of_t, SpectralDecomposition):
         mat = d_of_t.matrix()
-        return (lambda t: mat), True
+        return lambda t: mat
     if callable(d_of_t):
         def query(t: float) -> np.ndarray:
             out = d_of_t(t)
@@ -141,9 +158,9 @@ def _matrix_source(d_of_t):
                 return out.matrix()
             return np.asarray(out, dtype=complex)
 
-        return query, False
+        return query
     mat = np.asarray(d_of_t, dtype=complex)
-    return (lambda t: mat), True
+    return lambda t: mat
 
 
 def _guard(vec: np.ndarray, t: float) -> None:
@@ -154,13 +171,80 @@ def _guard(vec: np.ndarray, t: float) -> None:
         )
 
 
+def _propagators(system: BiorthonormalSystem, elapsed) -> np.ndarray:
+    """exp(-i t H) = R diag(e^{-iEt}) L^dagger for a time t or an array of them
+    (stacked along the leading axis)."""
+    phases = np.exp(-1j * np.multiply.outer(elapsed, system.energies))
+    return (system.right_vectors * phases[..., None, :]) @ system.left_vectors.conj().T
+
+
 def _step_propagator(
     spec: SpectralDecomposition, lam: float, dt: float, allow_complex: bool
 ) -> np.ndarray:
     """exp(-i dt H) from the closed-form eigensystem of H."""
-    sys = eigen_system(spec, lam, allow_complex=allow_complex)
-    phases = np.exp(-1j * dt * sys.energies)
-    return (sys.right_vectors * phases) @ sys.left_vectors.conj().T
+    return _propagators(eigen_system(spec, lam, allow_complex=allow_complex), dt)
+
+
+def _recorded(k, steps: int, sample_every: int):
+    """Whether step k is recorded: every sample_every-th step and the last."""
+    return (k % sample_every == 0) | (k == steps)
+
+
+# rows of sampled states formed per batch, so a long run's work array stays
+# near 2**16 complex entries whatever the step count
+_BATCH_ENTRIES = 2**16
+
+
+def _evolve_closed_form(
+    spec: SpectralDecomposition,
+    psi0: TwoComponentState,
+    t0: float,
+    dt: float,
+    steps: int,
+    sample_every: int,
+    store_propagators: bool,
+    allow_complex: bool,
+) -> EvolutionResult:
+    """Constant D: Psi(t0 + k dt) = R (c * e^{-iE k dt}) with c = L^dagger Psi0.
+
+    Every step's state is formed, in batches, so the blow-up guard sees the
+    same states the stepping loop would; only the recorded ones are kept.
+    """
+    system = eigen_system(spec, psi0.lam, allow_complex=allow_complex)
+    coeff = system.left_vectors.conj().T @ psi0.vector
+    right_t = system.right_vectors.T
+    recorded = [np.zeros(1, dtype=int)]
+    rows = [psi0.vector[None, :]]
+    batch = max(1, _BATCH_ENTRIES // right_t.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(1, steps + 1, batch):
+            k = np.arange(lo, min(lo + batch, steps + 1))
+            phases = np.exp(-1j * np.multiply.outer(k * dt, system.energies))
+            block = (phases * coeff) @ right_t
+            peaks = np.max(np.abs(block), axis=1)
+            bad = np.nonzero(~(peaks <= BLOWUP_LIMIT))[0]
+            if bad.size:
+                _guard(block[bad[0]], t0 + k[bad[0]] * dt)
+            keep = _recorded(k, steps, sample_every)
+            recorded.append(k[keep])
+            rows.append(block[keep])
+    recorded = np.concatenate(recorded)
+
+    # built on first read unless the samples already hold it
+    full = partial(_step_propagator, spec, psi0.lam, steps * dt, allow_complex)
+    props = None
+    if store_propagators:
+        props = _propagators(system, recorded * dt)
+        props[0] = np.eye(2 * psi0.n, dtype=complex)
+        full = props[-1]
+
+    return EvolutionResult(
+        times=t0 + recorded * dt,
+        state_matrix=np.concatenate(rows),
+        lam=psi0.lam,
+        propagator_samples=props,
+        _propagator=full,
+    )
 
 
 def evolve_schrodinger(
@@ -174,14 +258,17 @@ def evolve_schrodinger(
     store_propagators: bool = False,
     allow_complex: bool = False,
 ) -> EvolutionResult:
-    """Midpoint-rule propagation of the doubled system.
+    """Propagate the doubled system over the grid t0 + k (t1 - t0) / steps.
 
     Parameters
     ----------
     d_of_t : matrix, SpectralDecomposition, or callable t -> either
-        The spatial operator source. Callables are re-diagonalized at each
-        step midpoint; constant sources are diagonalized once and reuse a
-        single exact step exponential.
+        The spatial operator source. A constant source (matrix or
+        SpectralDecomposition) is diagonalized once and every recorded state
+        is sampled from the exact propagator R diag(e^{-iEt}) L^dagger, with
+        no stepping. A callable is treated as time-dependent: it is
+        re-diagonalized at each step midpoint and stepped with the midpoint
+        rule.
     psi0 : TwoComponentState
         Initial doubled state; its lam fixes the Hamiltonian packing.
     steps : int
@@ -189,38 +276,41 @@ def evolve_schrodinger(
     sample_every : int
         Record every k-th step (the endpoint is always recorded).
     store_propagators : bool
-        Also record the accumulated propagator at each sample.
+        Also record the propagator from t0 at each sample.
 
     Returns
     -------
     EvolutionResult
-        samples, the full-interval propagator U(t1, t0) as an ordered
-        product of step exponentials, and optionally per-sample propagators.
+        samples (the first is psi0 itself), the full-interval propagator
+        U(t1, t0) and optionally per-sample propagators. For constant D the
+        propagator is exact and is built on first read; for time-dependent D
+        it is the ordered product of the step exponentials.
+
+    Raises NonFiniteStateError as soon as the state at any step (recorded
+    or not) leaves the blow-up bound.
     """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
     source, constant = _spectral_source(d_of_t, tol)
     dt = (t1 - t0) / steps
-    n2 = 2 * psi0.n
+    if constant:
+        return _evolve_closed_form(
+            source(t0), psi0, t0, dt, steps, sample_every, store_propagators, allow_complex
+        )
 
-    u_total = np.eye(n2, dtype=complex)
+    u_total = np.eye(2 * psi0.n, dtype=complex)
     vec = psi0.vector.copy()
     times = [t0]
     states = [vec.copy()]
     props = [u_total.copy()] if store_propagators else None
-
-    u_step = None
-    if constant:
-        u_step = _step_propagator(source(t0), psi0.lam, dt, allow_complex)
     for k in range(1, steps + 1):
-        if not constant:
-            t_mid = t0 + (k - 0.5) * dt
-            u_step = _step_propagator(source(t_mid), psi0.lam, dt, allow_complex)
+        t_mid = t0 + (k - 0.5) * dt
+        u_step = _step_propagator(source(t_mid), psi0.lam, dt, allow_complex)
         vec = u_step @ vec
         u_total = u_step @ u_total
         t_k = t0 + k * dt
         _guard(vec, t_k)
-        if k % sample_every == 0 or k == steps:
+        if _recorded(k, steps, sample_every):
             times.append(t_k)
             states.append(vec.copy())
             if props is not None:
@@ -230,8 +320,8 @@ def evolve_schrodinger(
         times=np.asarray(times, dtype=float),
         state_matrix=np.asarray(states),
         lam=psi0.lam,
-        propagator=u_total,
         propagator_samples=np.asarray(props) if props is not None else None,
+        _propagator=u_total,
     )
 
 
@@ -249,26 +339,41 @@ def evolve_field(
     data is used, only D(t) matrix-vector products at the RK4 stage times.
     Fourth-order accurate in the step; blow-up guarded at 1e12.
     """
+    return evolve_fields(d_of_t, [f0], t0, t1, steps, sample_every)[0]
+
+
+def evolve_fields(
+    d_of_t,
+    states,
+    t0: float,
+    t1: float,
+    steps: int,
+    sample_every: int = 1,
+) -> list:
+    """``evolve_field`` for several initial FieldStates on one time grid.
+
+    The states ride as the columns of one (n, k) block, so each D(t) is
+    built once per RK4 stage time for all of them, and the end-of-step
+    operator is reused as the start of the next step. Returns one
+    FieldTrajectory per state, in order.
+    """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
-    source, constant = _matrix_source(d_of_t)
+    source = _matrix_source(d_of_t)
     dt = (t1 - t0) / steps
 
-    psi = f0.psi.astype(complex).copy()
-    dot = f0.psi_dot.astype(complex).copy()
+    psi = np.stack([f.psi for f in states], axis=1).astype(complex)
+    dot = np.stack([f.psi_dot for f in states], axis=1).astype(complex)
     times = [t0]
-    psis = [psi.copy()]
-    dots = [dot.copy()]
+    psis = [psi]
+    dots = [dot]
 
-    d_lo = source(t0) if constant else None
+    d0 = source(t0)
     for k in range(1, steps + 1):
         t_prev = t0 + (k - 1) * dt
-        if constant:
-            d0 = d_mid = d1 = d_lo
-        else:
-            d0 = source(t_prev)
-            d_mid = source(t_prev + 0.5 * dt)
-            d1 = source(t_prev + dt)
+        t_k = t0 + k * dt
+        d_mid = source(t_prev + 0.5 * dt)
+        d1 = source(t_k)
         # k1..k4 on y = (psi, dot), y' = (dot, -D(t) psi)
         k1p = dot
         k1d = -(d0 @ psi)
@@ -280,19 +385,25 @@ def evolve_field(
         k4d = -(d1 @ (psi + dt * k3p))
         psi = psi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         dot = dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        t_k = t0 + k * dt
+        d0 = d1
         _guard(psi, t_k)
         _guard(dot, t_k)
-        if k % sample_every == 0 or k == steps:
+        if _recorded(k, steps, sample_every):
             times.append(t_k)
-            psis.append(psi.copy())
-            dots.append(dot.copy())
+            psis.append(psi)
+            dots.append(dot)
 
-    return FieldTrajectory(
-        times=np.asarray(times, dtype=float),
-        psis=np.asarray(psis),
-        psi_dots=np.asarray(dots),
-    )
+    times = np.asarray(times, dtype=float)
+    psis = np.asarray(psis)  # (n_samples, n, k)
+    dots = np.asarray(dots)
+    return [
+        FieldTrajectory(
+            times=times,
+            psis=np.ascontiguousarray(psis[:, :, j]),
+            psi_dots=np.ascontiguousarray(dots[:, :, j]),
+        )
+        for j in range(psis.shape[2])
+    ]
 
 
 def field_trajectory(result: EvolutionResult) -> FieldTrajectory:

@@ -94,8 +94,8 @@ class WdwFrwModel:
         s_a = self.basis_scale(alpha_a)
         s_b = self.basis_scale(alpha_b)
         sigma = np.sqrt(0.5 * (s_a * s_a + s_b * s_b))
-        pa = _hermite_poly_table(self.modes, s_a * nodes / sigma)
-        pb = _hermite_poly_table(self.modes, s_b * nodes / sigma)
+        table = _hermite_poly_table(self.modes, np.stack([s_a * nodes, s_b * nodes]) / sigma)
+        pa, pb = table[:, 0], table[:, 1]
         return (np.sqrt(s_a * s_b) / sigma) * ((pa * weights) @ pb.T)
 
     def d_anchored(self, alpha: float, anchor: float | None = None) -> np.ndarray:
@@ -118,9 +118,10 @@ class WdwFrwModel:
 
 def _hermite_poly_table(n_max: int, u: np.ndarray) -> np.ndarray:
     """Rows p_n(u) with h_n(u) = p_n(u) exp(-u^2/2) the normalized Hermite
-    functions; the normalized recurrence keeps values O(1)."""
+    functions; the normalized recurrence keeps values O(1). u may have any
+    shape; the table has shape (n_max,) + u.shape."""
     u = np.asarray(u, dtype=float)
-    table = np.empty((n_max, u.shape[0]))
+    table = np.empty((n_max,) + u.shape)
     table[0] = np.pi**-0.25
     if n_max > 1:
         table[1] = np.sqrt(2.0) * u * table[0]

@@ -115,3 +115,26 @@ def test_wdw_zero_mode_crosscheck_is_finite(capsys):
     assert math.isfinite(check["measured"])
     assert check["measured"] <= 0.05
     assert check["pass"]
+
+
+def test_kg_rare_seed_evolution_invariance(capsys):
+    # this seed once drifted to 1.08e-10 over 200 multiplied step propagators
+    code, out = run(["kg", "--sites", "128", "--a", "0.5", "--seed", "1598254737"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    (check,) = [c for c in report["checks"] if c["name"] == "evolution-invariance"]
+    assert check["measured"] <= 1e-11
+
+
+def test_aborted_run_still_reports(capsys):
+    code = main(["sho", "--omega", "1000", "--steps", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("run failed: state blew past")
+    report = json.loads(captured.out)
+    assert set(report) == REPORT_KEYS
+    (check,) = report["checks"]
+    assert set(check) == CHECK_KEYS
+    assert check["name"] == "NonFiniteStateError"
+    assert check["pass"] is False
+    assert report["summary"] == {"total": 1, "passed": 0}

@@ -10,6 +10,7 @@ from kgmetric import (
     drift_report,
     eta_plus,
     evolve_field,
+    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
     pack,
@@ -33,7 +34,7 @@ def test_unit_operator_half_period_is_minus_identity():
 
 
 def test_constant_operator_propagation_is_exact():
-    # constant sources use one exact step exponential: cos(2 t) to roundoff
+    # constant sources are sampled from the exact propagator: cos(2 t) to roundoff
     omega = 2.0
     f0 = FieldState(psi=np.array([1.0 + 0j]), psi_dot=np.array([0.0 + 0j]))
     result = evolve_schrodinger(
@@ -240,3 +241,67 @@ def test_solution_product_conserved_by_doubled_route():
     r2 = evolve_schrodinger(d, pack(f2, 1.0), 0.0, 7.0, 700)
     v1 = solution_inner(unpack(r1.state(-1)), unpack(r2.state(-1)), d_spec, spec)
     assert abs(v1 - v0) <= 1e-10 * max(abs(v0), 1.0)
+
+
+def test_closed_form_matches_stepped_constant_operator():
+    # the same operator as a callable is re-diagonalized and stepped
+    rng = generator(6, "evo:closed-form")
+    n = 3
+    d = random_positive_hermitian(rng, n)
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+    s0 = pack(f0, 0.7)
+    kwargs = dict(sample_every=7, store_propagators=True)
+    closed = evolve_schrodinger(d, s0, 0.5, 4.5, 60, **kwargs)
+    stepped = evolve_schrodinger(lambda t: d, s0, 0.5, 4.5, 60, **kwargs)
+    np.testing.assert_array_equal(closed.times, stepped.times)
+    np.testing.assert_array_equal(closed.state_matrix[0], s0.vector)
+    assert maxabs(closed.state_matrix - stepped.state_matrix) <= 1e-12
+    assert maxabs(closed.propagator - stepped.propagator) <= 1e-12
+    assert maxabs(closed.propagator_samples - stepped.propagator_samples) <= 1e-12
+    # without stored samples the full-interval propagator is built on read
+    lazy = evolve_schrodinger(d, s0, 0.5, 4.5, 60)
+    assert lazy.propagator_samples is None
+    assert maxabs(lazy.propagator - stepped.propagator) <= 1e-12
+
+
+def test_closed_form_propagator_is_pseudo_unitary():
+    rng = generator(7, "evo:closed-pu")
+    n = 8
+    d_spec = hermitian_eigendecompose(random_positive_hermitian(rng, n))
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+    result = evolve_schrodinger(d_spec, pack(f0, 1.0), 0.0, 10.0, 100)
+    eta0 = eta_plus(d_spec, 1.0)
+    assert check_pseudo_unitary(result.propagator, eta0).defect <= 1e-13
+
+
+def test_blowup_guard_sees_unrecorded_steps():
+    # the closed form trips at the same step as stepping, between samples
+    f0 = FieldState(psi=np.array([1.0 + 0j]), psi_dot=np.array([0.0 + 0j]))
+    messages = []
+    for source in (np.array([[-1.0]]), lambda t: np.array([[-1.0]])):
+        with pytest.raises(NonFiniteStateError) as err:
+            evolve_schrodinger(
+                source, pack(f0, 1.0), 0.0, 40.0, 400, sample_every=1000, allow_complex=True
+            )
+        messages.append(str(err.value).split(" (max")[0])
+    assert messages[0] == messages[1]
+
+
+def test_batched_field_route_matches_single_runs():
+    rng = generator(8, "evo:batch")
+    n = 3
+    d0 = random_positive_hermitian(rng, n)
+
+    def d_of_t(t):
+        return (1.0 + 0.3 * np.sin(t)) * d0
+
+    states = [
+        FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)) for _ in range(3)
+    ]
+    batch = evolve_fields(d_of_t, states, 0.0, 2.0, 400, sample_every=40)
+    assert len(batch) == len(states)
+    for f0, traj in zip(states, batch):
+        single = evolve_field(d_of_t, f0, 0.0, 2.0, 400, sample_every=40)
+        np.testing.assert_array_equal(traj.times, single.times)
+        assert maxabs(traj.psis - single.psis) <= 1e-13
+        assert maxabs(traj.psi_dots - single.psi_dots) <= 1e-13

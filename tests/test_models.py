@@ -348,6 +348,15 @@ def test_wdw_hermite_functions_match_numpy():
         assert maxabs(table[n] - want) <= 1e-10
 
 
+def test_wdw_hermite_table_takes_stacked_arguments():
+    # the overlap builds both bases' tables in one recurrence over a (2, Q) stack
+    u = np.stack([np.linspace(-3.0, 3.0, 41), np.linspace(-1.0, 5.0, 41)])
+    table = hermite_function_table(6, u)
+    assert table.shape == (6, 2, 41)
+    for row in range(2):
+        np.testing.assert_array_equal(table[:, row], hermite_function_table(6, u[row]))
+
+
 def test_wdw_anchored_operator_is_diagonal_at_anchor():
     model = WdwFrwModel(mass=1.0, kappa=-1, alpha0=0.2, modes=6)
     d = model.d_anchored(0.2)
