@@ -22,9 +22,10 @@ kg/wdw: the detail tables, json by default; verify: a copy of the report).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -69,6 +70,7 @@ from .models.wdw import ALL_POSITIVE
 from .rng import generator, random_positive_hermitian
 from .spectral import (
     SpectralDecomposition,
+    check_biorthonormal,
     hermitian_eigendecompose,
     operator_power,
 )
@@ -113,27 +115,14 @@ class RunConfig:
     fmt: str = "json"
 
     def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "dim": self.dim,
-            "modes": self.modes,
-            "sites": self.sites,
-            "seed": self.seed,
-            "tol": self.tol,
-            "omega": self.omega,
-            "mu": self.mu,
-            "mass": self.mass,
-            "kappa": self.kappa,
-            "alpha0": self.alpha0,
-            "a": self.a,
-            "lplus": self.lplus,
-            "lminus": self.lminus,
-            "lambda": self.lam,
-            "t_final": self.t_final,
-            "steps": self.steps,
-            "out": self.out,
-            "format": self.fmt,
-        }
+        return {_RENAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+
+
+# The fields of RunConfig after `subcommand` are the flags, in order; their
+# defaults are the flag defaults and their names the flag and report-key
+# names, except for these renames and these restricted choices.
+_RENAMES = {"lam": "lambda", "fmt": "format"}
+_CHOICES = {"kappa": (-1, 0, 1), "fmt": ("json", "csv")}
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -153,8 +142,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"need lplus +- lminus > 0, got lplus={cfg.lplus}, lminus={cfg.lminus}"
         )
-    if cfg.fmt not in ("json", "csv"):
-        raise ConfigError(f"--format must be json or csv, got {cfg.fmt}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +290,8 @@ def battery_verify(cfg: RunConfig) -> list:
         )
     )
     system = eigen_system(d_spec, lam)
-    defect = max(
-        _maxabs(system.left_vectors.conj().T @ system.right_vectors - np.eye(2 * n)),
-        _maxabs(system.right_vectors @ system.left_vectors.conj().T - np.eye(2 * n)),
-    )
+    bio = check_biorthonormal(system, tol)
+    defect = max(bio.max_orthonormality_defect, bio.max_completeness_defect)
     checks.append(_check("doubled-eigensystem-biorthonormality", "doubled-system", defect, tol))
 
     closed = eta_plus(d_spec, lam)
@@ -743,18 +728,13 @@ def run_wdw(cfg: RunConfig) -> tuple:
             )
         )
 
-    crosscheck_detail = None
     try:
         report = wdw_numeric_crosscheck(model, cfg.alpha0)
     except UnresolvedBasisError as exc:
         report = exc.report
-        checks.append(
-            _check("spectrum-grid-crosscheck", "wdw-spectrum", report.max_rel_error, 0.05)
-        )
-    else:
-        checks.append(
-            _check("spectrum-grid-crosscheck", "wdw-spectrum", report.max_rel_error, 0.05)
-        )
+    checks.append(
+        _check("spectrum-grid-crosscheck", "wdw-spectrum", report.max_rel_error, 0.05)
+    )
     crosscheck_detail = {
         "grid": report.grid,
         "analytic": report.analytic,
@@ -832,16 +812,13 @@ def run_wdw(cfg: RunConfig) -> tuple:
 # data files
 
 
-def _write_csv(path: str, series: dict) -> None:
-    import csv as _csv
-
-    keys = list(series)
-    rows = len(next(iter(series.values())))
+def _write_csv(path: str, header: list, rows) -> None:
+    """CSV with a header row; floats are written with 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(keys)
-        for i in range(rows):
-            writer.writerow(_fmt17(float(series[k][i])) for k in keys)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(_fmt17(v) if isinstance(v, float) else v for v in row)
 
 
 def _flatten_for_csv(detail: dict, prefix: str = "") -> list:
@@ -869,27 +846,13 @@ def _flatten_for_csv(detail: dict, prefix: str = "") -> list:
 def _write_data(cfg: RunConfig, payload, report: dict) -> None:
     if cfg.out is None:
         return
-    if cfg.subcommand == "verify" or payload is None:
-        body = _render_json(report) + "\n"
+    if payload is None or cfg.fmt == "json":  # verify's data file is its report
         with open(cfg.out, "w") as fh:
-            fh.write(body)
-        return
-    if cfg.fmt == "csv":
-        if cfg.subcommand == "sho":
-            _write_csv(cfg.out, payload)
-        else:
-            import csv as _csv
-
-            with open(cfg.out, "w", newline="") as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(["name", "value"])
-                for name, val in _flatten_for_csv(payload):
-                    if isinstance(val, float):
-                        val = _fmt17(val)
-                    writer.writerow([name, val])
+            fh.write(_render_json(report if payload is None else payload) + "\n")
+    elif cfg.subcommand == "sho":
+        _write_csv(cfg.out, list(payload), zip(*payload.values()))
     else:
-        with open(cfg.out, "w") as fh:
-            fh.write(_render_json(payload) + "\n")
+        _write_csv(cfg.out, ["name", "value"], _flatten_for_csv(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +866,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verification batteries and model runs.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    defaults = RunConfig(subcommand="")
     for name, help_text in (
         ("verify", "cross-module property battery"),
         ("sho", "harmonic oscillator run with a monitored time series"),
@@ -911,24 +873,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("wdw", "minisuperspace battery"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dim", type=int, default=defaults.dim)
-        p.add_argument("--modes", type=int, default=defaults.modes)
-        p.add_argument("--sites", type=int, default=defaults.sites)
-        p.add_argument("--seed", type=int, default=defaults.seed)
-        p.add_argument("--tol", type=float, default=defaults.tol)
-        p.add_argument("--omega", type=float, default=defaults.omega)
-        p.add_argument("--mu", type=float, default=defaults.mu)
-        p.add_argument("--mass", type=float, default=defaults.mass)
-        p.add_argument("--kappa", type=int, choices=(-1, 0, 1), default=defaults.kappa)
-        p.add_argument("--alpha0", type=float, default=defaults.alpha0)
-        p.add_argument("--a", type=float, default=defaults.a)
-        p.add_argument("--lplus", type=float, default=defaults.lplus)
-        p.add_argument("--lminus", type=float, default=defaults.lminus)
-        p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
-        p.add_argument("--t-final", dest="t_final", type=float, default=defaults.t_final)
-        p.add_argument("--steps", type=int, default=defaults.steps)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        for f in fields(RunConfig)[1:]:
+            flag = "--" + _RENAMES.get(f.name, f.name).replace("_", "-")
+            kind = str if f.default is None else type(f.default)
+            p.add_argument(
+                flag, dest=f.name, type=kind, choices=_CHOICES.get(f.name), default=f.default
+            )
+        if name == "sho":
+            p.set_defaults(fmt="csv")  # the oscillator's data file is a series
     return parser
 
 
@@ -943,28 +895,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    fmt = ns.fmt if ns.fmt is not None else ("csv" if ns.subcommand == "sho" else "json")
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        dim=ns.dim,
-        modes=ns.modes,
-        sites=ns.sites,
-        seed=ns.seed,
-        tol=ns.tol,
-        omega=ns.omega,
-        mu=ns.mu,
-        mass=ns.mass,
-        kappa=ns.kappa,
-        alpha0=ns.alpha0,
-        a=ns.a,
-        lplus=ns.lplus,
-        lminus=ns.lminus,
-        lam=ns.lam,
-        t_final=ns.t_final,
-        steps=ns.steps,
-        out=ns.out,
-        fmt=fmt,
-    )
+    cfg = RunConfig(**vars(ns))
     try:
         _validate(cfg)
     except ConfigError as exc:

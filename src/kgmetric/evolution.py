@@ -16,6 +16,10 @@ Two integrators:
 
 Both guard against blow-up (pseudo-real spectra can grow exponentially) and
 record samples along the way.
+
+Every operator source here (integrators and ``drift_report`` alike) is a
+matrix or a SpectralDecomposition, which is constant and converted once, or
+a callable t -> either, which is time-dependent and queried as needed.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .spectral import (
     SpectralDecomposition,
     hermitian_eigendecompose,
 )
-from .two_component import FieldState, TwoComponentState, eigen_system
+from .inner_products import _field_inner
+from .two_component import FieldState, TwoComponentState, _field_data, eigen_system
 
 BLOWUP_LIMIT = 1e12
 
@@ -130,37 +135,30 @@ def _check_steps(steps) -> int:
     return int(steps)
 
 
-def _spectral_source(d_of_t, tol: float):
-    """Normalize a D source to (t -> SpectralDecomposition, is_constant)."""
-    if isinstance(d_of_t, SpectralDecomposition):
-        return (lambda t: d_of_t), True
+def _as_spectral(d, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """Spectral data of one D value (matrix or SpectralDecomposition)."""
+    if isinstance(d, SpectralDecomposition):
+        return d
+    return hermitian_eigendecompose(np.asarray(d, dtype=complex), tol)
+
+
+def _as_matrix(d) -> np.ndarray:
+    """Dense matrix of one D value (matrix or SpectralDecomposition)."""
+    if isinstance(d, SpectralDecomposition):
+        return d.matrix()
+    return np.asarray(d, dtype=complex)
+
+
+def _source(d_of_t, convert):
+    """Normalize a D source to (t -> convert(D(t)), is_constant).
+
+    A callable is time-dependent and converted at every query; any other
+    source is constant and converted once.
+    """
     if callable(d_of_t):
-        def query(t: float) -> SpectralDecomposition:
-            out = d_of_t(t)
-            if isinstance(out, SpectralDecomposition):
-                return out
-            return hermitian_eigendecompose(np.asarray(out, dtype=complex), tol)
-
-        return query, False
-    spec = hermitian_eigendecompose(np.asarray(d_of_t, dtype=complex), tol)
-    return (lambda t: spec), True
-
-
-def _matrix_source(d_of_t):
-    """Normalize a D source to t -> ndarray."""
-    if isinstance(d_of_t, SpectralDecomposition):
-        mat = d_of_t.matrix()
-        return lambda t: mat
-    if callable(d_of_t):
-        def query(t: float) -> np.ndarray:
-            out = d_of_t(t)
-            if isinstance(out, SpectralDecomposition):
-                return out.matrix()
-            return np.asarray(out, dtype=complex)
-
-        return query
-    mat = np.asarray(d_of_t, dtype=complex)
-    return lambda t: mat
+        return (lambda t: convert(d_of_t(t))), False
+    const = convert(d_of_t)
+    return (lambda t: const), True
 
 
 def _guard(vec: np.ndarray, t: float) -> None:
@@ -291,7 +289,7 @@ def evolve_schrodinger(
     """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
-    source, constant = _spectral_source(d_of_t, tol)
+    source, constant = _source(d_of_t, partial(_as_spectral, tol=tol))
     dt = (t1 - t0) / steps
     if constant:
         return _evolve_closed_form(
@@ -359,7 +357,7 @@ def evolve_fields(
     """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
-    source = _matrix_source(d_of_t)
+    source, _ = _source(d_of_t, _as_matrix)
     dt = (t1 - t0) / steps
 
     psi = np.stack([f.psi for f in states], axis=1).astype(complex)
@@ -409,13 +407,10 @@ def evolve_fields(
 def field_trajectory(result: EvolutionResult) -> FieldTrajectory:
     """Unpack a doubled-system run into field samples."""
     n = result.state_matrix.shape[1] // 2
-    upper = result.state_matrix[:, :n]
-    lower = result.state_matrix[:, n:]
-    return FieldTrajectory(
-        times=result.times,
-        psis=0.5 * (upper + lower),
-        psi_dots=(upper - lower) / (2j * result.lam),
+    psis, psi_dots = _field_data(
+        result.state_matrix[:, :n], result.state_matrix[:, n:], result.lam
     )
+    return FieldTrajectory(times=result.times, psis=psis, psi_dots=psi_dots)
 
 
 def _deviations(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -439,17 +434,18 @@ def drift_report(
     ----------
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
-    d_spec : SpectralDecomposition or callable t -> SpectralDecomposition
-        Constant sources evaluate every monitor vectorized; a callable makes
-        ``solution_inner`` instantaneous (re-evaluated at each sample time)
-        while ``frozen_inner`` stays pinned to the t0 operator.
+    d_spec : matrix, SpectralDecomposition, or callable t -> either
+        The operator source, in the same forms the integrators take. A
+        constant source is diagonalized once and every sample is evaluated
+        in one batch; a callable makes ``solution_inner`` instantaneous
+        (re-evaluated at each sample time) while ``frozen_inner`` stays
+        pinned to the t0 operator.
     monitors : iterable of {"solution_inner", "kg_inner", "frozen_inner"}
 
     Deviation is relative to the t0 value, falling back to absolute when the
-    t0 value is below 1e-12 in magnitude.
+    t0 value is below 1e-12 in magnitude. Raises the errors of
+    ``solution_inner`` (size, spec length, non-positive spectrum).
     """
-    from .inner_products import solution_inner  # local import avoids a cycle
-
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
@@ -458,17 +454,16 @@ def drift_report(
         if name not in MONITOR_NAMES:
             raise ValueError(f"unknown monitor {name!r}; pick from {MONITOR_NAMES}")
 
-    constant = isinstance(d_spec, SpectralDecomposition)
-    spec_at = (lambda t: d_spec) if constant else d_spec
-
+    spec_at, constant = _source(d_spec, _as_spectral)
+    data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
     table = {}
     if "solution_inner" in names or "frozen_inner" in names:
         if constant:
-            sol_values = _pair_inner_vectorized(traj, other, d_spec, spec)
+            sol_values = _field_inner(*data, spec_at(traj.times[0]), spec)
         else:
             sol_values = np.array(
                 [
-                    solution_inner(traj.state(i), other.state(i), spec_at(t), spec)
+                    _field_inner(*(x[i] for x in data), spec_at(t), spec)
                     for i, t in enumerate(traj.times)
                 ]
             )
@@ -487,22 +482,3 @@ def drift_report(
         dev, peak = _deviations(kg_values)
         table["kg_inner"] = MonitorSeries(kg_values, dev, peak)
     return DriftTable(table)
-
-
-def _pair_inner_vectorized(traj, other, d_spec, spec) -> np.ndarray:
-    """solution_inner across all samples at once (constant D)."""
-    w = d_spec.eigenvalues
-    v = d_spec.eigenvectors
-    c1 = traj.psis @ np.conj(v)
-    d1 = traj.psi_dots @ np.conj(v)
-    c2 = other.psis @ np.conj(v)
-    d2 = other.psi_dots @ np.conj(v)
-    lp = spec.l_plus_coeff
-    lm = spec.l_minus_coeff
-    root_w = np.sqrt(w)
-    total = (
-        (np.conj(c1) * c2) @ lp
-        + (np.conj(d1) * d2) @ (lp / w)
-        + 1j * ((np.conj(c1) * d2 - np.conj(d1) * c2) @ (lm / root_w))
-    )
-    return 0.5 * total

@@ -252,6 +252,50 @@ def two_component_inner(
     return complex(np.vdot(s1.vector, mat @ s2.vector))
 
 
+def _field_inner(
+    psi1: np.ndarray,
+    dot1: np.ndarray,
+    psi2: np.ndarray,
+    dot2: np.ndarray,
+    d_spec: SpectralDecomposition,
+    spec: InnerProductSpec,
+) -> np.ndarray:
+    """solution_inner on field data stacked along leading axes.
+
+    Each of psi1, dot1, psi2, dot2 is (..., n) and the pairs must share
+    their leading shape; the result carries that leading shape.
+    """
+    n1, n2 = psi1.shape[-1], psi2.shape[-1]
+    if n1 != n2:
+        raise DimensionMismatchError(f"state sizes differ: {n1} vs {n2}")
+    if n1 != d_spec.n:
+        raise DimensionMismatchError(
+            f"state size {n1} does not match operator size {d_spec.n}"
+        )
+    if spec.n != d_spec.n:
+        raise LengthMismatchError(
+            f"spec length {spec.n} does not match mode count {d_spec.n}"
+        )
+    w = d_spec.eigenvalues
+    if np.min(w) <= 0.0:
+        raise NonPositiveSpectrumError(
+            f"inner product needs a strictly positive spectrum "
+            f"(min eigenvalue {np.min(w):.3e})"
+        )
+    # rows times conj(V) are the rows' coordinates V^dagger psi in the eigenbasis
+    vc = np.conj(d_spec.eigenvectors)
+    c1, c2 = psi1 @ vc, psi2 @ vc
+    d1, d2 = dot1 @ vc, dot2 @ vc
+    lp = spec.l_plus_coeff
+    lm = spec.l_minus_coeff
+    total = (
+        np.sum(lp * np.conj(c1) * c2, axis=-1)
+        + np.sum((lp / w) * np.conj(d1) * d2, axis=-1)
+        + 1j * np.sum((lm / np.sqrt(w)) * (np.conj(c1) * d2 - np.conj(d1) * c2), axis=-1)
+    )
+    return 0.5 * total
+
+
 def solution_inner(
     f1: FieldState,
     f2: FieldState,
@@ -266,34 +310,7 @@ def solution_inner(
     evaluated in the eigenbasis of D, where all the coefficient operators
     are diagonal. Equal to lam^-2 <Psi1|eta_tilde_plus Psi2> for any lam.
     """
-    if f1.n != f2.n:
-        raise DimensionMismatchError(f"state sizes differ: {f1.n} vs {f2.n}")
-    if f1.n != d_spec.n:
-        raise DimensionMismatchError(
-            f"state size {f1.n} does not match operator size {d_spec.n}"
-        )
-    if spec.n != d_spec.n:
-        raise LengthMismatchError(
-            f"spec length {spec.n} does not match mode count {d_spec.n}"
-        )
-    w = d_spec.eigenvalues
-    if np.min(w) <= 0.0:
-        raise NonPositiveSpectrumError(
-            f"inner product needs a strictly positive spectrum "
-            f"(min eigenvalue {np.min(w):.3e})"
-        )
-    vh = d_spec.eigenvectors.conj().T
-    c1, c2 = vh @ f1.psi, vh @ f2.psi
-    d1, d2 = vh @ f1.psi_dot, vh @ f2.psi_dot
-    lp = spec.l_plus_coeff
-    lm = spec.l_minus_coeff
-    root_w = np.sqrt(w)
-    total = (
-        np.sum(lp * np.conj(c1) * c2)
-        + np.sum((lp / w) * np.conj(d1) * d2)
-        + 1j * np.sum((lm / root_w) * (np.conj(c1) * d2 - np.conj(d1) * c2))
-    )
-    return complex(0.5 * total)
+    return complex(_field_inner(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, d_spec, spec))
 
 
 def invariant_inner_frozen(

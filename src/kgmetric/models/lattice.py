@@ -112,6 +112,18 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
+def _lattice_solution(
+    lattice: KleinGordonLattice, cols, eps, amps, t: float
+) -> FieldState:
+    """Solution sum_m amps[m] exp(-i eps[m] omega t) phi at time t, one term per
+    (canonical column, branch, amplitude) triple, with its velocity."""
+    cols = np.asarray(cols, dtype=int)
+    freq = np.asarray(eps) * lattice.omegas[cols]
+    coeff = np.asarray(amps, dtype=complex) * np.exp(-1j * freq * t)
+    v = lattice.modes[:, cols]
+    return FieldState(psi=v @ coeff, psi_dot=v @ (-1j * freq * coeff))
+
+
 def kg_mode_solution(
     lattice: KleinGordonLattice,
     eps: int,
@@ -120,11 +132,7 @@ def kg_mode_solution(
     normalization: complex = 1.0,
 ) -> FieldState:
     """Basic solution N exp(-i eps omega_j t) phi_j sampled at time t."""
-    _check_eps(eps)
-    col = lattice.column_of(j)
-    omega = lattice.omegas[col]
-    psi = normalization * np.exp(-1j * eps * omega * t) * lattice.modes[:, col]
-    return FieldState(psi=psi, psi_dot=-1j * eps * omega * psi)
+    return kg_superposition(lattice, {(eps, j): normalization}, t)
 
 
 def kg_superposition(lattice: KleinGordonLattice, coeffs: dict, t: float = 0.0) -> FieldState:
@@ -132,13 +140,9 @@ def kg_superposition(lattice: KleinGordonLattice, coeffs: dict, t: float = 0.0) 
 
     coeffs maps (eps, j) pairs to complex amplitudes.
     """
-    psi = np.zeros(lattice.sites, dtype=complex)
-    dot = np.zeros(lattice.sites, dtype=complex)
-    for (eps, j), c in coeffs.items():
-        part = kg_mode_solution(lattice, eps, j, t, normalization=c)
-        psi += part.psi
-        dot += part.psi_dot
-    return FieldState(psi=psi, psi_dot=dot)
+    eps = [_check_eps(e) for e, _ in coeffs]
+    cols = [lattice.column_of(j) for _, j in coeffs]
+    return _lattice_solution(lattice, cols, eps, list(coeffs.values()), t)
 
 
 def kg_band_limited_solution(
@@ -152,17 +156,19 @@ def kg_band_limited_solution(
 
     k = 0 is always in band, so the result is never empty. Restricting to
     the positive-energy branch is the default (the nonrelativistic-limit
-    comparisons assume it).
+    comparisons assume it). Amplitudes are standard complex normals drawn
+    in (column, branch) order, branch +1 before -1.
     """
     in_band = np.nonzero(np.abs(lattice.wavenumbers) <= k_max)[0]
-    coeffs = {}
     branches = (1,) if positive_energy else (1, -1)
-    for col in in_band:
-        j = int(lattice.mode_indices[col])
-        for eps in branches:
-            re, im = rng.normal(size=2)
-            coeffs[(eps, j)] = re + 1j * im
-    return kg_superposition(lattice, coeffs, t)
+    draws = rng.normal(size=(in_band.size, len(branches), 2))
+    return _lattice_solution(
+        lattice,
+        np.repeat(in_band, len(branches)),
+        np.tile(branches, in_band.size),
+        (draws[..., 0] + 1j * draws[..., 1]).ravel(),
+        t,
+    )
 
 
 def kg_relativistic_spec(

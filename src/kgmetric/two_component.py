@@ -102,17 +102,18 @@ class TwoComponentHamiltonian:
 
 def pack(state: FieldState, lam: float) -> TwoComponentState:
     """Fold field data into the doubled representation."""
-    if lam == 0.0:
-        raise ZeroLambdaError("packing constant lam must be nonzero")
     shift = 1j * lam * state.psi_dot
     return TwoComponentState(state.psi + shift, state.psi - shift, lam)
 
 
+def _field_data(upper: np.ndarray, lower: np.ndarray, lam: float) -> tuple:
+    """(psi, psi_dot) from doubled components; any leading (sample) axes ride along."""
+    return 0.5 * (upper + lower), (upper - lower) / (2j * lam)
+
+
 def unpack(state: TwoComponentState) -> FieldState:
     """Invert pack(); exact round trip up to rounding."""
-    psi = 0.5 * (state.upper + state.lower)
-    psi_dot = (state.upper - state.lower) / (2j * state.lam)
-    return FieldState(psi, psi_dot)
+    return FieldState(*_field_data(state.upper, state.lower, state.lam))
 
 
 def build_hamiltonian(

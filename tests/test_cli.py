@@ -138,3 +138,21 @@ def test_aborted_run_still_reports(capsys):
     assert check["name"] == "NonFiniteStateError"
     assert check["pass"] is False
     assert report["summary"] == {"total": 1, "passed": 0}
+
+
+def test_config_keys_and_format_defaults(capsys):
+    # the report's config echoes every flag, in flag order, under its flag name
+    _, out = run(["kg", "--sites", "8", "--lambda", "2.0", "--t-final", "1.5"], capsys)
+    config = json.loads(out)["config"]
+    assert list(config) == [
+        "subcommand", "dim", "modes", "sites", "seed", "tol", "omega", "mu",
+        "mass", "kappa", "alpha0", "a", "lplus", "lminus", "lambda", "t_final",
+        "steps", "out", "format",
+    ]
+    assert (config["sites"], config["lambda"], config["t_final"]) == (8, 2.0, 1.5)
+    assert config["format"] == "json"
+    _, out = run(["sho", "--steps", "100"], capsys)
+    assert json.loads(out)["config"]["format"] == "csv"
+    _, out = run(["sho", "--steps", "100", "--format", "json"], capsys)
+    assert json.loads(out)["config"]["format"] == "json"
+    assert run(["wdw", "--kappa", "2"], capsys)[0] == 2

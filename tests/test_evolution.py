@@ -17,10 +17,15 @@ from kgmetric import (
     solution_inner,
     unpack,
 )
-from kgmetric.errors import NonFiniteStateError, ZeroStepsError
+from kgmetric.errors import (
+    LengthMismatchError,
+    NonFiniteStateError,
+    NonPositiveSpectrumError,
+    ZeroStepsError,
+)
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.rng import generator, random_positive_hermitian, random_state
-from kgmetric.spectral import hermitian_eigendecompose
+from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
 
 
 def maxabs(a):
@@ -108,6 +113,42 @@ def test_drift_constant_operator_stays_flat():
     assert table.max_deviation <= 1e-8
     assert table.monitors["solution_inner"].max_deviation <= 1e-8
     assert table.monitors["kg_inner"].max_deviation <= 1e-8
+
+
+def test_drift_constant_operator_guards():
+    # the batch over samples raises what solution_inner raises, never NaN
+    rng = generator(4, "evo:drift-guards")
+    f0 = FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2))
+    traj = evolve_field(np.diag([1.0, 2.0]), f0, 0.0, 1.0, 10)
+    for w in ([-1.0, 2.0], [0.0, 2.0]):
+        d_spec = SpectralDecomposition(np.array(w), np.eye(2, dtype=complex))
+        with pytest.raises(NonPositiveSpectrumError):
+            drift_report(traj, d_spec, InnerProductSpec.uniform(2))
+    d_spec = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+    with pytest.raises(LengthMismatchError):
+        drift_report(traj, d_spec, InnerProductSpec.uniform(3))
+
+
+def test_operator_source_forms_agree():
+    # matrix, SpectralDecomposition and callables returning either are one source
+    rng = generator(5, "evo:source-forms")
+    n = 3
+    d = random_positive_hermitian(rng, n)
+    d_spec = hermitian_eigendecompose(d)
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+    spec = InnerProductSpec.uniform(n)
+    forms = (d, d_spec, lambda t: d, lambda t: d_spec)
+    trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
+    for traj in trajs[1:]:
+        assert maxabs(traj.psis - trajs[0].psis) <= 1e-12
+    values = [drift_report(trajs[0], src, spec).monitors["solution_inner"].values
+              for src in forms]
+    for v in values[1:]:
+        assert maxabs(v - values[0]) <= 1e-12
+    psi0 = pack(f0, 1.0)
+    states = [evolve_schrodinger(src, psi0, 0.0, 2.0, 50).state_matrix for src in forms]
+    for m in states[1:]:
+        assert maxabs(m - states[0]) <= 1e-10
 
 
 def test_drift_time_dependent_instantaneous_vs_frozen():

@@ -219,6 +219,34 @@ def test_lattice_product_time_independent():
         assert abs(vt - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
+def test_lattice_band_limited_draw_order():
+    # one batched draw equals per-mode size-2 draws in (column, eps) order
+    lattice = KleinGordonLattice(sites=16, mu=1.5)
+    for k_max in (np.inf, 2.0):
+        for positive_energy in (True, False):
+            got = kg_band_limited_solution(
+                lattice, k_max, generator(7, "models:draws"), t=0.8,
+                positive_energy=positive_energy,
+            )
+            rng = generator(7, "models:draws")
+            coeffs = {}
+            for col in np.nonzero(np.abs(lattice.wavenumbers) <= k_max)[0]:
+                for eps in (1,) if positive_energy else (1, -1):
+                    re, im = rng.normal(size=2)
+                    coeffs[(eps, int(lattice.mode_indices[col]))] = re + 1j * im
+            want = kg_superposition(lattice, coeffs, t=0.8)
+            assert maxabs(got.psi - want.psi) <= 1e-13
+            assert maxabs(got.psi_dot - want.psi_dot) <= 1e-13
+
+
+def test_lattice_superposition_rejects_bad_labels():
+    lattice = KleinGordonLattice(sites=16, mu=1.5)
+    with pytest.raises(ValueError):
+        kg_superposition(lattice, {(2, 0): 1.0})
+    with pytest.raises(ValueError):
+        kg_superposition(lattice, {(1, 99): 1.0})
+
+
 def test_lattice_family_matches_weighted_spec():
     lattice = KleinGordonLattice(sites=8, mu=2.0)
     rng = generator(2, "models:kg-family")
