@@ -66,8 +66,9 @@ from .models import (
     wdw_positivity,
     woodard_inner,
 )
+from .models.lattice import MIN_SITES
 from .models.wdw import ALL_POSITIVE
-from .rng import generator, random_positive_hermitian
+from .rng import generator, random_coefficients, random_positive_hermitian, random_state
 from .spectral import (
     SpectralDecomposition,
     check_biorthonormal,
@@ -123,12 +124,14 @@ class RunConfig:
 # names, except for these renames and these restricted choices.
 _RENAMES = {"lam": "lambda", "fmt": "format"}
 _CHOICES = {"kappa": (-1, 0, 1), "fmt": ("json", "csv")}
+# least value of each integer flag
+_MINIMA = {"dim": 1, "modes": 1, "sites": MIN_SITES, "steps": 1}
 
 
 def _validate(cfg: RunConfig) -> None:
-    for name in ("dim", "modes", "sites", "steps"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"--{name} must be at least 1, got {getattr(cfg, name)}")
+    for name, least in _MINIMA.items():
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"--{name} must be at least {least}, got {getattr(cfg, name)}")
     if not cfg.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {cfg.tol}")
     for name in ("omega", "mu", "mass", "t_final"):
@@ -223,16 +226,12 @@ def _maxabs(m) -> float:
 
 
 def _random_spec(rng, n: int) -> InnerProductSpec:
-    return InnerProductSpec(
-        a_plus_sq=rng.uniform(0.2, 3.0, size=n),
-        a_minus_sq=rng.uniform(0.2, 3.0, size=n),
-    )
+    return InnerProductSpec(random_coefficients(rng, n), random_coefficients(rng, n))
 
 
 def _random_field(rng, n: int) -> FieldState:
     return FieldState(
-        psi=rng.normal(size=n) + 1j * rng.normal(size=n),
-        psi_dot=rng.normal(size=n) + 1j * rng.normal(size=n),
+        random_state(rng, n, normalize=False), random_state(rng, n, normalize=False)
     )
 
 

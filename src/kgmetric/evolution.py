@@ -35,12 +35,11 @@ from .errors import (
     ZeroStepsError,
 )
 from .spectral import (
-    DEFAULT_TOL,
     BiorthonormalSystem,
     SpectralDecomposition,
     hermitian_eigendecompose,
 )
-from .inner_products import _field_inner
+from .inner_products import _check_state_size, _field_inner
 from .two_component import FieldState, TwoComponentState, _field_data, eigen_system
 
 BLOWUP_LIMIT = 1e12
@@ -56,7 +55,6 @@ class EvolutionResult:
     state_matrix: np.ndarray  # (n_samples, 2n)
     lam: float
     propagator_samples: np.ndarray | None = None  # (n_samples, 2n, 2n)
-    drift: dict | None = None
     # full-interval U: an array, or a zero-argument builder run on first read
     _propagator: object = field(default=None, repr=False)
 
@@ -97,13 +95,11 @@ class FieldTrajectory:
     def state(self, i: int) -> FieldState:
         return FieldState(self.psis[i], self.psi_dots[i])
 
-    def at_time(self, t: float, atol: float = 1e-9) -> FieldState:
-        """Sample closest to t; raises if none lies within atol."""
+    def at_time(self, t: float) -> FieldState:
+        """Sample closest to t; raises if none lies within 1e-9."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > atol:
-            raise ValueError(
-                f"no sample at t={t} (closest is {self.times[i]}, atol {atol})"
-            )
+        if abs(self.times[i] - t) > 1e-9:
+            raise ValueError(f"no sample at t={t} (closest is {self.times[i]}, atol 1e-9)")
         return self.state(i)
 
 
@@ -135,11 +131,11 @@ def _check_steps(steps) -> int:
     return int(steps)
 
 
-def _as_spectral(d, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+def _as_spectral(d) -> SpectralDecomposition:
     """Spectral data of one D value (matrix or SpectralDecomposition)."""
     if isinstance(d, SpectralDecomposition):
         return d
-    return hermitian_eigendecompose(np.asarray(d, dtype=complex), tol)
+    return hermitian_eigendecompose(np.asarray(d, dtype=complex))
 
 
 def _as_matrix(d) -> np.ndarray:
@@ -251,7 +247,6 @@ def evolve_schrodinger(
     t0: float,
     t1: float,
     steps: int,
-    tol: float = DEFAULT_TOL,
     sample_every: int = 1,
     store_propagators: bool = False,
     allow_complex: bool = False,
@@ -284,16 +279,19 @@ def evolve_schrodinger(
         propagator is exact and is built on first read; for time-dependent D
         it is the ordered product of the step exponentials.
 
-    Raises NonFiniteStateError as soon as the state at any step (recorded
-    or not) leaves the blow-up bound.
+    Raises DimensionMismatchError if psi0 does not match the size of D, and
+    NonFiniteStateError as soon as the state at any step (recorded or not)
+    leaves the blow-up bound.
     """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
-    source, constant = _source(d_of_t, partial(_as_spectral, tol=tol))
+    source, constant = _source(d_of_t, _as_spectral)
     dt = (t1 - t0) / steps
     if constant:
+        spec = source(t0)
+        _check_state_size(psi0.n, spec.n)
         return _evolve_closed_form(
-            source(t0), psi0, t0, dt, steps, sample_every, store_propagators, allow_complex
+            spec, psi0, t0, dt, steps, sample_every, store_propagators, allow_complex
         )
 
     u_total = np.eye(2 * psi0.n, dtype=complex)
@@ -302,8 +300,10 @@ def evolve_schrodinger(
     states = [vec.copy()]
     props = [u_total.copy()] if store_propagators else None
     for k in range(1, steps + 1):
-        t_mid = t0 + (k - 0.5) * dt
-        u_step = _step_propagator(source(t_mid), psi0.lam, dt, allow_complex)
+        spec = source(t0 + (k - 0.5) * dt)
+        if k == 1:
+            _check_state_size(psi0.n, spec.n)
+        u_step = _step_propagator(spec, psi0.lam, dt, allow_complex)
         vec = u_step @ vec
         u_total = u_step @ u_total
         t_k = t0 + k * dt
@@ -353,20 +353,25 @@ def evolve_fields(
     The states ride as the columns of one (n, k) block, so each D(t) is
     built once per RK4 stage time for all of them, and the end-of-step
     operator is reused as the start of the next step. Returns one
-    FieldTrajectory per state, in order.
+    FieldTrajectory per state, in order. Raises DimensionMismatchError for
+    an empty list or a state whose size does not match D.
     """
     steps = _check_steps(steps)
     sample_every = max(1, int(sample_every))
     source, _ = _source(d_of_t, _as_matrix)
     dt = (t1 - t0) / steps
 
+    d0 = source(t0)
+    if not states:
+        raise DimensionMismatchError("no states to evolve")
+    for f in states:
+        _check_state_size(f.n, d0.shape[0])
     psi = np.stack([f.psi for f in states], axis=1).astype(complex)
     dot = np.stack([f.psi_dot for f in states], axis=1).astype(complex)
     times = [t0]
     psis = [psi]
     dots = [dot]
 
-    d0 = source(t0)
     for k in range(1, steps + 1):
         t_prev = t0 + (k - 1) * dt
         t_k = t0 + k * dt

@@ -18,22 +18,24 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    LambdaMismatchError,
     LengthMismatchError,
     MissingSignError,
     NonPositiveCoefficientError,
-    NonPositiveSpectrumError,
     SingularPropagatorError,
     UnpairedComplexEigenvalueError,
-    ZeroLambdaError,
 )
 from .spectral import (
-    DEFAULT_TOL,
     BiorthonormalSystem,
     SpectralDecomposition,
+    _as_square_complex,
+    _require_positive,
     operator_power,
 )
-from .two_component import FieldState, TwoComponentState
+from .two_component import FieldState, TwoComponentState, _check_pair, _nonzero_lam
+
+# relative gap below which eta_general treats an eigenvalue as real, and two
+# eigenvalues as a conjugate pair
+PAIRING_TOL = 1e-12
 
 
 @dataclass
@@ -109,17 +111,12 @@ class EtaOperator:
     positive: bool
     lam: float
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass
 class PseudoUnitaryReport:
     """Defect of eta0^-1 U^dag eta0 U against the identity."""
 
     defect: float
-    tol: float
     passed: bool
 
 
@@ -153,13 +150,8 @@ def eta_tilde_plus(
     function of D, so the blocks are Hermitian and the whole operator is a
     positive, invertible metric for H.
     """
-    if lam == 0.0:
-        raise ZeroLambdaError("packing constant lam must be nonzero")
-    if np.min(d_spec.eigenvalues) <= 0.0:
-        raise NonPositiveSpectrumError(
-            "the positive family needs a strictly positive spectrum "
-            f"(min eigenvalue {np.min(d_spec.eigenvalues):.3e})"
-        )
+    _nonzero_lam(lam)
+    _require_positive(d_spec.eigenvalues, "the positive family")
     n = d_spec.n
     l_plus, l_minus = build_L(spec, d_spec)
     dinv = operator_power(d_spec, -1.0)
@@ -172,11 +164,7 @@ def eta_tilde_plus(
     return EtaOperator(block, positive=True, lam=lam)
 
 
-def eta_general(
-    system: BiorthonormalSystem,
-    signs: SignAssignment,
-    tol: float = 1e-12,
-) -> EtaOperator:
+def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> EtaOperator:
     """Sign-classified metric from a biorthonormal eigensystem.
 
     Real-eigenvalue columns contribute sigma_j |phi_j><phi_j| with the
@@ -194,7 +182,7 @@ def eta_general(
     e = np.asarray(system.energies, dtype=complex)
     m = system.size
     scale = max(float(np.max(np.abs(e))), 1.0)
-    is_real = np.abs(e.imag) <= tol * scale
+    is_real = np.abs(e.imag) <= PAIRING_TOL * scale
 
     real_idx = [j for j in range(m) if is_real[j]]
     complex_idx = [j for j in range(m) if not is_real[j]]
@@ -211,7 +199,7 @@ def eta_general(
         unused.discard(j)
         partner = None
         for k in sorted(unused):
-            if abs(e[k] - np.conj(e[j])) <= tol * scale:
+            if abs(e[k] - np.conj(e[j])) <= PAIRING_TOL * scale:
                 partner = k
                 break
         if partner is None:
@@ -240,16 +228,21 @@ def two_component_inner(
     s1: TwoComponentState, s2: TwoComponentState, eta
 ) -> complex:
     """<Psi1|eta Psi2> on doubled states; eta may be EtaOperator or matrix."""
-    if s1.n != s2.n:
-        raise DimensionMismatchError(f"state sizes differ: {s1.n} vs {s2.n}")
-    if s1.lam != s2.lam:
-        raise LambdaMismatchError(f"packing constants differ: {s1.lam} vs {s2.lam}")
+    _check_pair(s1, s2)
     mat = _eta_matrix(eta)
     if mat.shape != (2 * s1.n, 2 * s1.n):
         raise DimensionMismatchError(
             f"metric shape {mat.shape} does not match doubled size {2 * s1.n}"
         )
     return complex(np.vdot(s1.vector, mat @ s2.vector))
+
+
+def _check_state_size(n: int, operator_n: int) -> None:
+    """States fed to an operator must have its size (DimensionMismatchError)."""
+    if n != operator_n:
+        raise DimensionMismatchError(
+            f"state size {n} does not match operator size {operator_n}"
+        )
 
 
 def _field_inner(
@@ -268,20 +261,12 @@ def _field_inner(
     n1, n2 = psi1.shape[-1], psi2.shape[-1]
     if n1 != n2:
         raise DimensionMismatchError(f"state sizes differ: {n1} vs {n2}")
-    if n1 != d_spec.n:
-        raise DimensionMismatchError(
-            f"state size {n1} does not match operator size {d_spec.n}"
-        )
+    _check_state_size(n1, d_spec.n)
     if spec.n != d_spec.n:
         raise LengthMismatchError(
             f"spec length {spec.n} does not match mode count {d_spec.n}"
         )
-    w = d_spec.eigenvalues
-    if np.min(w) <= 0.0:
-        raise NonPositiveSpectrumError(
-            f"inner product needs a strictly positive spectrum "
-            f"(min eigenvalue {np.min(w):.3e})"
-        )
+    w = _require_positive(d_spec.eigenvalues, "inner product")
     # rows times conj(V) are the rows' coordinates V^dagger psi in the eigenbasis
     vc = np.conj(d_spec.eigenvectors)
     c1, c2 = psi1 @ vc, psi2 @ vc
@@ -332,6 +317,17 @@ def invariant_inner_frozen(
     return solution_inner(f1, f2, d_spec_at_t0, spec)
 
 
+def _propagator_and_metric(u, eta0) -> tuple[np.ndarray, np.ndarray]:
+    """Square propagator U and metric matrix of eta0, which must match U."""
+    u = _as_square_complex(u, "propagator")
+    m0 = _eta_matrix(eta0)
+    if m0.shape != u.shape:
+        raise DimensionMismatchError(
+            f"metric shape {m0.shape} does not match propagator shape {u.shape}"
+        )
+    return u, m0
+
+
 def eta_inv(u: np.ndarray, eta0) -> EtaOperator:
     """Transport the initial metric along a propagator.
 
@@ -340,14 +336,7 @@ def eta_inv(u: np.ndarray, eta0) -> EtaOperator:
     evolve with U. Positivity is inherited from eta0 (congruence preserves
     signature).
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"propagator must be square, got {u.shape}")
-    m0 = _eta_matrix(eta0)
-    if m0.shape != u.shape:
-        raise DimensionMismatchError(
-            f"metric shape {m0.shape} does not match propagator shape {u.shape}"
-        )
+    u, m0 = _propagator_and_metric(u, eta0)
     try:
         uinv = np.linalg.inv(u)
     except np.linalg.LinAlgError as exc:
@@ -369,16 +358,11 @@ def check_pseudo_unitary(u: np.ndarray, eta0, tol: float = 1e-9) -> PseudoUnitar
     defect = max |eta0^-1 U^dag eta0 U - 1|; for a constant pseudo-Hermitian
     generator the exact propagator satisfies this identically.
     """
-    u = np.asarray(u, dtype=complex)
-    m0 = _eta_matrix(eta0)
-    if u.shape != m0.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(
-            f"propagator {u.shape} and metric {m0.shape} must be square and matching"
-        )
+    u, m0 = _propagator_and_metric(u, eta0)
     rhs = u.conj().T @ m0 @ u
     try:
         prod = np.linalg.solve(m0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularPropagatorError(f"metric not invertible: {exc}") from exc
     defect = float(np.max(np.abs(prod - np.eye(u.shape[0]))))
-    return PseudoUnitaryReport(defect=defect, tol=tol, passed=bool(defect <= tol))
+    return PseudoUnitaryReport(defect=defect, passed=bool(defect <= tol))

@@ -1,10 +1,11 @@
 """Free Klein-Gordon field on a periodic 1-D lattice.
 
-The continuum field in a box of length l becomes a finite problem by keeping
-the discrete Fourier modes k_j = 2 pi j / l, j in {-floor(N/2), ...,
-ceil(N/2)-1}, with the spectral dispersion omega_k^2 = k^2 + mu^2 (not the
-finite-difference one, so every mode frequency is exact). Modes carry
-Kronecker normalization: sum_m conj(phi_k[m]) phi_k'[m] = delta_kk'.
+The continuum field in a box of length l (BOX_LENGTH, 2 pi) becomes a finite
+problem by keeping the discrete Fourier modes k_j = 2 pi j / l, j in
+{-floor(N/2), ..., ceil(N/2)-1}, with the spectral dispersion
+omega_k^2 = k^2 + mu^2 (not the finite-difference one, so every mode
+frequency is exact). Modes carry Kronecker normalization:
+sum_m conj(phi_k[m]) phi_k'[m] = delta_kk'.
 
 Besides the operator itself, this module provides the one-parameter family
 of invariant positive inner products on the solution space, the gauge-fixed
@@ -25,11 +26,15 @@ from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
 
 TWO_PI = 2.0 * np.pi
+BOX_LENGTH = TWO_PI
+# fewest sites a lattice may have
+MIN_SITES = 2
 
 
 @dataclass(frozen=True)
 class KleinGordonLattice:
-    """Periodic lattice with sites points, mass parameter mu, box length l.
+    """Periodic lattice with `sites` points (at least MIN_SITES) and mass
+    parameter mu > 0, in a box of length BOX_LENGTH.
 
     Mode data is exposed in canonical order: ascending omega^2 with ties
     (the +-j pairs) kept in ascending-j order.
@@ -37,28 +42,25 @@ class KleinGordonLattice:
 
     sites: int
     mu: float
-    box_length: float = TWO_PI
 
     def __post_init__(self):
-        if self.sites < 2:
-            raise ValueError(f"need at least 2 sites, got {self.sites}")
+        if self.sites < MIN_SITES:
+            raise ValueError(f"need at least {MIN_SITES} sites, got {self.sites}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.box_length > 0.0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
 
     @cached_property
     def mode_indices(self) -> np.ndarray:
         """Integer labels j in canonical (ascending-frequency) order."""
         n = self.sites
         j = np.arange(-(n // 2), (n + 1) // 2)
-        k = TWO_PI * j / self.box_length
+        k = TWO_PI * j / BOX_LENGTH
         order = np.argsort(k * k + self.mu * self.mu, kind="stable")
         return j[order]
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return TWO_PI * self.mode_indices / self.box_length
+        return TWO_PI * self.mode_indices / BOX_LENGTH
 
     @cached_property
     def omega_sq(self) -> np.ndarray:
@@ -72,7 +74,7 @@ class KleinGordonLattice:
     def modes(self) -> np.ndarray:
         """Mode vectors as columns, canonical order, Kronecker-normalized."""
         m = np.arange(self.sites)
-        x = m * (self.box_length / self.sites)
+        x = m * (BOX_LENGTH / self.sites)
         return np.exp(1j * np.outer(x, self.wavenumbers)) / np.sqrt(self.sites)
 
     @cached_property

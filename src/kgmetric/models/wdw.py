@@ -12,7 +12,7 @@ spectrum loses positivity once e^alpha reaches m, which is what limits the
 invariant-product construction to the e^alpha < m regime.
 
 The truncated basis is re-anchored: the model works in the N lowest
-eigenfunctions of D(anchor) and expresses D(alpha) there through the
+eigenfunctions of D(alpha0) and expresses D(alpha) there through the
 change-of-basis overlaps, computed by Gauss-Hermite quadrature (exact for
 the polynomial degrees a desk-scale truncation meets).
 """
@@ -32,27 +32,32 @@ ALL_POSITIVE = "all_positive"
 HAS_ZERO_MODE = "has_zero_mode"
 HAS_NEGATIVE = "has_negative"
 
+# phi-grid size of the finite-difference cross-check (wdw_numeric_crosscheck
+# takes another size as an argument), and the half-width of its box
+GRID = 256
+BOX_HALF_WIDTH = 10.0
+# Gauss-Hermite node count of the overlap integrals
+QUAD_NODES = 64
+
 
 @dataclass(frozen=True)
 class WdwFrwModel:
-    """FRW minisuperspace parameters and numerical knobs.
+    """FRW minisuperspace parameters and basis truncation.
 
     mass: scalar-field mass m > 0 (natural units).
     kappa: spatial curvature, -1, 0, or +1.
-    alpha0: anchor value of alpha (the initial "time").
+    alpha0: anchor value of alpha (the initial "time"); the truncated basis
+        is the eigenbasis of D(alpha0).
     modes: truncation count N of the Hermite basis.
-    grid: phi-grid size for the finite-difference cross-check.
-    box_half_width: the cross-check grid spans |phi| <= this.
-    quad_nodes: Gauss-Hermite node count for overlap integrals.
+
+    The cross-check grid (GRID, BOX_HALF_WIDTH) and the quadrature order
+    (QUAD_NODES) are module constants.
     """
 
     mass: float = 1.0
     kappa: int = 0
     alpha0: float = 0.0
     modes: int = 8
-    grid: int = 256
-    box_half_width: float = 10.0
-    quad_nodes: int = 64
 
     def __post_init__(self):
         if not self.mass > 0.0:
@@ -61,12 +66,6 @@ class WdwFrwModel:
             raise ValueError(f"kappa must be -1, 0, or +1, got {self.kappa}")
         if self.modes < 1:
             raise ValueError(f"need at least one mode, got {self.modes}")
-        if self.grid < 3:
-            raise ValueError(f"grid must be at least 3, got {self.grid}")
-        if self.quad_nodes < 1:
-            raise ValueError(f"quad_nodes must be positive, got {self.quad_nodes}")
-        if not self.box_half_width > 0.0:
-            raise ValueError(f"box_half_width must be positive, got {self.box_half_width}")
 
     def basis_scale(self, alpha: float) -> float:
         """Width parameter s of the instantaneous Hermite basis h_n(s phi)."""
@@ -80,7 +79,7 @@ class WdwFrwModel:
 
     @cached_property
     def _quad(self) -> tuple:
-        return np.polynomial.hermite.hermgauss(self.quad_nodes)
+        return np.polynomial.hermite.hermgauss(QUAD_NODES)
 
     def overlap_matrix(self, alpha_a: float, alpha_b: float) -> np.ndarray:
         """Overlaps B[m, n] = <basis_m(alpha_a) | basis_n(alpha_b)>.
@@ -98,22 +97,19 @@ class WdwFrwModel:
         pa, pb = table[:, 0], table[:, 1]
         return (np.sqrt(s_a * s_b) / sigma) * ((pa * weights) @ pb.T)
 
-    def d_anchored(self, alpha: float, anchor: float | None = None) -> np.ndarray:
-        """D(alpha) in the truncated basis anchored at `anchor` (alpha0).
+    def d_anchored(self, alpha: float) -> np.ndarray:
+        """D(alpha) in the truncated basis anchored at alpha0.
 
-        B diag(w(alpha)) B^T, symmetrized; exact at alpha = anchor and a
+        B diag(w(alpha)) B^T, symmetrized; exact at alpha = alpha0 and a
         truncation of the true operator elsewhere.
         """
-        if anchor is None:
-            anchor = self.alpha0
-        b = self.overlap_matrix(anchor, alpha)
+        b = self.overlap_matrix(self.alpha0, alpha)
         d = (b * self.omega_sq(alpha)) @ b.T
         return 0.5 * (d + d.T)
 
-    def d_source(self, anchor: float | None = None):
+    def d_source(self):
         """Operator source alpha -> D(alpha) for the integrators."""
-        pin = self.alpha0 if anchor is None else anchor
-        return lambda a: self.d_anchored(a, anchor=pin)
+        return lambda a: self.d_anchored(a)
 
 
 def _hermite_poly_table(n_max: int, u: np.ndarray) -> np.ndarray:
@@ -161,6 +157,14 @@ def wdw_positivity(model: WdwFrwModel, alpha: float) -> str:
     return HAS_NEGATIVE
 
 
+def _check_modes(f1: FieldState, f2: FieldState, model: WdwFrwModel) -> None:
+    """Both states must have one component per basis mode (ValueError)."""
+    if f1.n != model.modes or f2.n != model.modes:
+        raise ValueError(
+            f"states have {f1.n} and {f2.n} components, model holds {model.modes}"
+        )
+
+
 def wdw_invariant_inner(
     f1: FieldState, f2: FieldState, model: WdwFrwModel, alpha: float | None = None
 ) -> complex:
@@ -177,10 +181,7 @@ def wdw_invariant_inner(
             f"spectrum at alpha={alpha} is not positive "
             f"({wdw_positivity(model, alpha)}); no positive product exists there"
         )
-    if f1.n != model.modes or f2.n != model.modes:
-        raise ValueError(
-            f"states have {f1.n} and {f2.n} components, model holds {model.modes}"
-        )
+    _check_modes(f1, f2, model)
     w = model.omega_sq(alpha)
     return complex(
         0.5
@@ -192,24 +193,22 @@ def wdw_invariant_inner(
 
 
 def wdw_instantaneous_inner(
-    f1: FieldState,
-    f2: FieldState,
-    model: WdwFrwModel,
-    alpha: float,
-    anchor: float | None = None,
+    f1: FieldState, f2: FieldState, model: WdwFrwModel, alpha: float
 ) -> complex:
     """Same form as wdw_invariant_inner but with D read off at `alpha`
-    (expressed in the anchor basis). Not invariant; the drift of this value
+    (expressed in the alpha0 basis). Not invariant; the drift of this value
     against the frozen one is exactly what the frozen construction removes.
 
     Raises NonPositiveSpectrumError where D(alpha) has a zero mode, or where
-    the anchored operator is singular.
+    the anchored operator is singular, and ValueError if a state does not
+    have `modes` components.
     """
     if wdw_positivity(model, alpha) == HAS_ZERO_MODE:
         raise NonPositiveSpectrumError(
             f"D has a zero mode at alpha={alpha}; the product needs D^-1 there"
         )
-    d = model.d_anchored(alpha, anchor=anchor)
+    _check_modes(f1, f2, model)
+    d = model.d_anchored(alpha)
     try:
         sol = np.linalg.solve(d, f2.psi_dot)
     except np.linalg.LinAlgError as exc:
@@ -238,20 +237,20 @@ def wdw_numeric_crosscheck(
     """Diagonalize the phi-grid discretization of D(alpha) and compare.
 
     Second-order central differences on the interior points of
-    |phi| <= box_half_width with Dirichlet walls. The lowest `modes`
-    eigenvalues of the real tridiagonal stencil are compared to the exact
-    ones, each relative to its own size; a mode whose exact eigenvalue is
-    zero is measured against the largest exact eigenvalue in magnitude. If
-    the top compared mode is off by more than 5% the basis is declared
-    unresolved at this grid.
+    |phi| <= BOX_HALF_WIDTH with Dirichlet walls, on `grid` points (GRID by
+    default). The lowest `modes` eigenvalues of the real tridiagonal stencil
+    are compared to the exact ones, each relative to its own size; a mode
+    whose exact eigenvalue is zero is measured against the largest exact
+    eigenvalue in magnitude. If the top compared mode is off by more than 5%
+    the basis is declared unresolved at this grid.
     """
     if alpha is None:
         alpha = model.alpha0
     if grid is None:
-        grid = model.grid
+        grid = GRID
     if grid < model.modes:
         raise ValueError(f"grid {grid} cannot resolve {model.modes} modes")
-    box = model.box_half_width
+    box = BOX_HALF_WIDTH
     h = 2.0 * box / (grid + 1)
     phi = -box + h * np.arange(1, grid + 1)
     diag = 2.0 / h**2 + (model.mass**2) * np.exp(6.0 * alpha) * phi**2 - (

@@ -75,7 +75,6 @@ class BiorthoReport:
 
     max_orthonormality_defect: float
     max_completeness_defect: float
-    tol: float
     passed: bool
 
 
@@ -84,6 +83,30 @@ def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
     return a
+
+
+def _as_hermitian(matrix, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+    """Square complex array of `matrix`, which must be finite and Hermitian
+    up to ``tol`` in max norm (NotHermitianError otherwise)."""
+    a = _as_square_complex(matrix, what)
+    if not np.all(np.isfinite(a)):
+        raise NotHermitianError(f"{what} has non-finite entries")
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if defect > tol:
+        raise NotHermitianError(
+            f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.3e})"
+        )
+    return a
+
+
+def _require_positive(eigenvalues, what: str) -> np.ndarray:
+    """Eigenvalues as floats; NonPositiveSpectrumError unless all are > 0."""
+    w = np.asarray(eigenvalues, dtype=float)
+    if np.min(w) <= 0.0:
+        raise NonPositiveSpectrumError(
+            f"{what} needs a strictly positive spectrum (min eigenvalue {np.min(w):.3e})"
+        )
+    return w
 
 
 def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
@@ -115,14 +138,7 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
     NoConvergenceError
         If LAPACK reports that the eigenvalue iteration failed.
     """
-    a = _as_square_complex(matrix)
-    if not np.all(np.isfinite(a.view(float))):
-        raise NotHermitianError("matrix has non-finite entries")
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol:
-        raise NotHermitianError(
-            f"matrix deviates from Hermiticity by {defect:.3e} (tol {tol:.3e})"
-        )
+    a = _as_hermitian(matrix, tol)
     n = a.shape[0]
     a = 0.5 * (a + a.conj().T)
     if not np.any(a):
@@ -169,12 +185,8 @@ def operator_power(spec: SpectralDecomposition, gamma: float) -> np.ndarray:
     v = spec.eigenvectors
     if gamma == 0:
         return np.eye(v.shape[0], dtype=complex)
-    is_integer = float(gamma) == int(gamma)
-    if (gamma < 0 or not is_integer) and np.min(w) <= 0.0:
-        raise NonPositiveSpectrumError(
-            f"power {gamma} needs a strictly positive spectrum "
-            f"(min eigenvalue {np.min(w):.3e})"
-        )
+    if gamma < 0 or float(gamma) != int(gamma):
+        _require_positive(w, f"power {gamma}")
     powered = w.astype(float) ** gamma
     return (v * powered) @ v.conj().T
 
@@ -194,6 +206,5 @@ def check_biorthonormal(system: BiorthonormalSystem, tol: float = DEFAULT_TOL) -
     return BiorthoReport(
         max_orthonormality_defect=ortho,
         max_completeness_defect=complete,
-        tol=tol,
         passed=bool(ortho <= tol and complete <= tol),
     )

@@ -17,17 +17,22 @@ from .errors import (
     DimensionMismatchError,
     LambdaMismatchError,
     NonPositiveSpectrumError,
-    NotHermitianError,
     SingularGaugeError,
     ZeroLambdaError,
 )
 from .spectral import (
-    DEFAULT_TOL,
     BiorthonormalSystem,
     SpectralDecomposition,
-    _as_square_complex,
+    _as_hermitian,
+    _require_positive,
     operator_power,
 )
+
+
+def _nonzero_lam(lam: float) -> None:
+    """Raise ZeroLambdaError unless the packing constant is nonzero."""
+    if lam == 0.0:
+        raise ZeroLambdaError("packing constant lam must be nonzero")
 
 
 @dataclass
@@ -67,8 +72,7 @@ class TwoComponentState:
                 f"upper and lower components must be matching vectors, "
                 f"got {self.upper.shape} and {self.lower.shape}"
             )
-        if self.lam == 0.0:
-            raise ZeroLambdaError("packing constant lam must be nonzero")
+        _nonzero_lam(self.lam)
 
     @property
     def n(self) -> int:
@@ -116,24 +120,17 @@ def unpack(state: TwoComponentState) -> FieldState:
     return FieldState(*_field_data(state.upper, state.lower, state.lam))
 
 
-def build_hamiltonian(
-    d_matrix, lam: float, tol: float = DEFAULT_TOL
-) -> TwoComponentHamiltonian:
+def build_hamiltonian(d_matrix, lam: float) -> TwoComponentHamiltonian:
     """Assemble H from the spatial operator D.
 
     Blocks are (1/2) [[lam*D + 1/lam, lam*D - 1/lam],
                       [-lam*D + 1/lam, -lam*D - 1/lam]] with the scalar
     terms understood as multiples of the identity. H is sigma3-pseudo-
-    Hermitian whenever D is Hermitian; D is checked at ``tol``.
+    Hermitian whenever D is Hermitian; D is checked at the default
+    Hermiticity tolerance.
     """
-    if lam == 0.0:
-        raise ZeroLambdaError("packing constant lam must be nonzero")
-    d = _as_square_complex(d_matrix, "D")
-    defect = float(np.max(np.abs(d - d.conj().T))) if d.size else 0.0
-    if not np.all(np.isfinite(d.view(float))) or defect > tol:
-        raise NotHermitianError(
-            f"D deviates from Hermiticity by {defect:.3e} (tol {tol:.3e})"
-        )
+    _nonzero_lam(lam)
+    d = _as_hermitian(d_matrix, what="D")
     n = d.shape[0]
     eye = np.eye(n, dtype=complex)
     a = lam * d + eye / lam
@@ -174,18 +171,14 @@ def gauge_transform(
 def _mode_frequencies(
     d_spec: SpectralDecomposition, allow_complex: bool
 ) -> np.ndarray:
+    if not allow_complex:
+        w = _require_positive(d_spec.eigenvalues, "eigen_system without allow_complex")
+        return np.sqrt(w).astype(complex)
     w = np.asarray(d_spec.eigenvalues, dtype=float)
     if np.any(np.abs(w) <= 1e-300):
         raise NonPositiveSpectrumError(
             "zero eigenvalue of D: the doubled block is not diagonalizable"
         )
-    if not allow_complex:
-        if np.min(w) <= 0.0:
-            raise NonPositiveSpectrumError(
-                f"negative eigenvalue of D ({np.min(w):.3e}); "
-                "pass allow_complex=True to build the pseudo-real pair system"
-            )
-        return np.sqrt(w).astype(complex)
     return np.sqrt(w.astype(complex))
 
 
@@ -206,8 +199,7 @@ def eigen_system(
     algebra yields the biorthonormal pair system (the left vectors pick up
     a conjugation). Zero modes are always an error.
     """
-    if lam == 0.0:
-        raise ZeroLambdaError("packing constant lam must be nonzero")
+    _nonzero_lam(lam)
     omega = _mode_frequencies(d_spec, allow_complex)
     phi = d_spec.eigenvectors
     n = d_spec.n
@@ -239,13 +231,8 @@ def eta_plus(d_spec: SpectralDecomposition, lam: float) -> np.ndarray:
     which equals the sum of left-eigenvector outer products over both
     branches. Requires a strictly positive spectrum.
     """
-    if lam == 0.0:
-        raise ZeroLambdaError("packing constant lam must be nonzero")
-    if np.min(d_spec.eigenvalues) <= 0.0:
-        raise NonPositiveSpectrumError(
-            "eta_plus needs a strictly positive spectrum "
-            f"(min eigenvalue {np.min(d_spec.eigenvalues):.3e})"
-        )
+    _nonzero_lam(lam)
+    _require_positive(d_spec.eigenvalues, "eta_plus")
     n = d_spec.n
     dinv = operator_power(d_spec, -1.0)
     lam2 = lam * lam * np.eye(n, dtype=complex)
@@ -254,14 +241,20 @@ def eta_plus(d_spec: SpectralDecomposition, lam: float) -> np.ndarray:
     return 0.125 * np.block([[plus, minus], [minus, plus]])
 
 
+def _check_pair(s1: TwoComponentState, s2: TwoComponentState) -> None:
+    """Doubled states paired in a product must share size and packing constant."""
+    if s1.n != s2.n:
+        raise DimensionMismatchError(f"state sizes differ: {s1.n} vs {s2.n}")
+    if s1.lam != s2.lam:
+        raise LambdaMismatchError(f"packing constants differ: {s1.lam} vs {s2.lam}")
+
+
 def kg_inner(s1: TwoComponentState, s2: TwoComponentState) -> complex:
     """Indefinite sigma3 product <Psi1|sigma3 Psi2>.
 
     Equals 2i*lam*(<psi1|psi2_dot> - <psi1_dot|psi2>) in field data; it is
     the conserved Klein-Gordon pairing, Hermitian but not positive.
     """
-    if s1.n != s2.n:
-        raise DimensionMismatchError(f"state sizes differ: {s1.n} vs {s2.n}")
-    if s1.lam != s2.lam:
-        raise LambdaMismatchError(f"packing constants differ: {s1.lam} vs {s2.lam}")
+    _check_pair(s1, s2)
     return complex(np.vdot(s1.upper, s2.upper) - np.vdot(s1.lower, s2.lower))
+

@@ -24,6 +24,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["sho", "--lplus", "1.0", "--lminus", "1.5"], capsys)[0] == 2
     assert run(["sho", "--t-final", "-1.0"], capsys)[0] == 2
     assert run(["kg", "--a", "1.0"], capsys)[0] == 2
+    assert run(["kg", "--sites", "1"], capsys)[0] == 2
     assert run(["verify", "--lambda", "0.0"], capsys)[0] == 2
     assert run(["wdw", "--format", "yaml"], capsys)[0] == 2
 

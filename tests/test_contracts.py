@@ -1,0 +1,110 @@
+"""Each input contract raises its own error class from every entry point.
+
+The paper's positive products need a nonzero packing constant, a Hermitian
+D and a strictly positive spectrum; doubled states must pair up, and states
+must match the operator they are fed to. One row per entry point and
+contract.
+"""
+
+import numpy as np
+import pytest
+
+from kgmetric import (
+    FieldState,
+    InnerProductSpec,
+    SpectralDecomposition,
+    TwoComponentState,
+    build_hamiltonian,
+    check_pseudo_unitary,
+    drift_report,
+    eigen_system,
+    eta_inv,
+    eta_plus,
+    eta_tilde_plus,
+    evolve_field,
+    evolve_fields,
+    evolve_schrodinger,
+    hermitian_eigendecompose,
+    kg_inner,
+    operator_power,
+    pack,
+    solution_inner,
+    two_component_inner,
+)
+from kgmetric.errors import (
+    DimensionMismatchError,
+    LambdaMismatchError,
+    NonPositiveSpectrumError,
+    NotHermitianError,
+    ZeroLambdaError,
+)
+from kgmetric.evolution import FieldTrajectory
+
+D2 = np.diag([1.0, 2.0])
+POSITIVE = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+NON_POSITIVE = SpectralDecomposition(np.array([-1.0, 2.0]), np.eye(2, dtype=complex))
+SPEC = InnerProductSpec.uniform(2)
+F2 = FieldState(psi=np.ones(2), psi_dot=np.ones(2))
+F3 = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
+TRAJ3 = FieldTrajectory(times=np.zeros(1), psis=np.ones((1, 3)), psi_dots=np.ones((1, 3)))
+NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
+NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def row(name, error, call):
+    return pytest.param(error, call, id=f"{name}-{error.__name__}")
+
+
+CASES = [
+    # lambda = 0
+    row("TwoComponentState", ZeroLambdaError,
+        lambda: TwoComponentState(np.ones(2), np.ones(2), 0.0)),
+    row("build_hamiltonian", ZeroLambdaError, lambda: build_hamiltonian(D2, 0.0)),
+    row("eigen_system", ZeroLambdaError, lambda: eigen_system(POSITIVE, 0.0)),
+    row("eta_plus", ZeroLambdaError, lambda: eta_plus(POSITIVE, 0.0)),
+    row("eta_tilde_plus", ZeroLambdaError, lambda: eta_tilde_plus(POSITIVE, 0.0, SPEC)),
+    # a non-positive spectrum
+    row("eta_plus", NonPositiveSpectrumError, lambda: eta_plus(NON_POSITIVE, 1.0)),
+    row("eta_tilde_plus", NonPositiveSpectrumError,
+        lambda: eta_tilde_plus(NON_POSITIVE, 1.0, SPEC)),
+    row("solution_inner", NonPositiveSpectrumError,
+        lambda: solution_inner(F2, F2, NON_POSITIVE, SPEC)),
+    row("operator_power", NonPositiveSpectrumError,
+        lambda: operator_power(NON_POSITIVE, -0.5)),
+    row("eigen_system", NonPositiveSpectrumError, lambda: eigen_system(NON_POSITIVE, 1.0)),
+    # a non-Hermitian or non-finite D
+    row("hermitian_eigendecompose", NotHermitianError,
+        lambda: hermitian_eigendecompose(NON_HERMITIAN)),
+    row("hermitian_eigendecompose-nan", NotHermitianError,
+        lambda: hermitian_eigendecompose(NON_FINITE)),
+    row("build_hamiltonian", NotHermitianError, lambda: build_hamiltonian(NON_HERMITIAN, 1.0)),
+    row("build_hamiltonian-nan", NotHermitianError, lambda: build_hamiltonian(NON_FINITE, 1.0)),
+    # doubled pairs of different size or packing constant
+    row("kg_inner", DimensionMismatchError, lambda: kg_inner(pack(F2, 1.0), pack(F3, 1.0))),
+    row("kg_inner", LambdaMismatchError, lambda: kg_inner(pack(F2, 1.0), pack(F2, 2.0))),
+    row("two_component_inner", DimensionMismatchError,
+        lambda: two_component_inner(pack(F2, 1.0), pack(F3, 1.0), np.eye(4))),
+    row("two_component_inner", LambdaMismatchError,
+        lambda: two_component_inner(pack(F2, 1.0), pack(F2, 2.0), np.eye(4))),
+    # a non-square propagator
+    row("eta_inv", DimensionMismatchError, lambda: eta_inv(np.ones((4, 2)), np.eye(4))),
+    row("check_pseudo_unitary", DimensionMismatchError,
+        lambda: check_pseudo_unitary(np.ones((4, 2)), np.eye(4))),
+    # state size against operator size
+    row("evolve_schrodinger-constant", DimensionMismatchError,
+        lambda: evolve_schrodinger(D2, pack(F3, 1.0), 0.0, 1.0, 4)),
+    row("evolve_schrodinger-callable", DimensionMismatchError,
+        lambda: evolve_schrodinger(lambda t: D2, pack(F3, 1.0), 0.0, 1.0, 4)),
+    row("evolve_field", DimensionMismatchError, lambda: evolve_field(D2, F3, 0.0, 1.0, 4)),
+    row("evolve_fields-mixed", DimensionMismatchError,
+        lambda: evolve_fields(D2, [F2, F3], 0.0, 1.0, 4)),
+    row("evolve_fields-empty", DimensionMismatchError,
+        lambda: evolve_fields(D2, [], 0.0, 1.0, 4)),
+    row("drift_report", DimensionMismatchError, lambda: drift_report(TRAJ3, POSITIVE, SPEC)),
+]
+
+
+@pytest.mark.parametrize("error, call", CASES)
+def test_input_contract_raises_its_error(error, call):
+    with pytest.raises(error):
+        call()

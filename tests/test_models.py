@@ -520,3 +520,13 @@ def test_wdw_model_validation():
     model = WdwFrwModel(modes=16)
     with pytest.raises(ValueError):
         wdw_numeric_crosscheck(model, grid=8)
+
+
+@pytest.mark.parametrize("product", [wdw_invariant_inner, wdw_instantaneous_inner])
+def test_wdw_products_reject_wrong_mode_count(product):
+    model = WdwFrwModel(mass=1.0, kappa=0, alpha0=0.0, modes=4)
+    good = FieldState(psi=np.ones(4), psi_dot=np.ones(4))
+    short = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
+    for f1, f2 in ((short, good), (good, short)):
+        with pytest.raises(ValueError, match="states have .* model holds 4"):
+            product(f1, f2, model, 0.1)
