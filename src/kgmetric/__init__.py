@@ -82,7 +82,6 @@ from .models import (
     KleinGordonLattice,
     ShoModel,
     WdwFrwModel,
-    kg_build,
     kg_inner_ri,
     kg_mode_solution,
     kg_nonrel_limit_check,

@@ -66,7 +66,7 @@ from .models import (
     wdw_positivity,
     woodard_inner,
 )
-from .models.lattice import MIN_SITES
+from .models.lattice import MIN_SITES, _kg_gram
 from .models.wdw import ALL_POSITIVE
 from .rng import generator, random_coefficients, random_positive_hermitian, random_state
 from .spectral import (
@@ -621,26 +621,20 @@ def run_kg(cfg: RunConfig) -> tuple:
     checks.append(_check("family-vs-coefficient-product", "kg-family", fam_dev, cfg.tol))
     checks.append(_check("gauge-fixed-member-equality", "kg-family", wood_dev, cfg.tol))
 
-    # basic-mode matrix: diagonal (1 +- a) omega/mu, zero off the diagonal
-    labels = []
-    for col in range(min(cfg.sites, 16)):
-        j = int(lattice.mode_indices[col])
-        labels.extend([(1, j), (-1, j)])
-    t_probe = 0.37
-    states = {
-        (eps, j): kg_mode_solution(lattice, eps, j, t_probe) for eps, j in labels
-    }
-    mode_dev = 0.0
-    for eps1, j1 in labels:
-        for eps2, j2 in labels:
-            got = kg_inner_ri(states[(eps1, j1)], states[(eps2, j2)], lattice, cfg.a)
-            if (eps1, j1) == (eps2, j2):
-                col = lattice.column_of(j1)
-                want = (1.0 + eps1 * cfg.a) * lattice.omegas[col] / cfg.mu
-            else:
-                want = 0.0
-            mode_dev = max(mode_dev, abs(got - want))
-    checks.append(_check("basic-mode-matrix", "kg-family", mode_dev, cfg.tol))
+    # basic-mode matrix of the lowest 16 modes, branch +1 before -1 per mode:
+    # diagonal (1 +- a) omega/mu, zero off the diagonal
+    cols = min(cfg.sites, 16)
+    basic = [
+        kg_mode_solution(lattice, eps, j, 0.37)
+        for j in lattice.mode_indices[:cols]
+        for eps in (1, -1)
+    ]
+    psi = np.array([f.psi for f in basic])
+    dot = np.array([f.psi_dot for f in basic])
+    gram = _kg_gram(psi, dot, psi, dot, lattice, cfg.a)
+    eps = np.tile([1.0, -1.0], cols)
+    want = np.diag((1.0 + eps * cfg.a) * np.repeat(lattice.omegas[:cols], 2) / cfg.mu)
+    checks.append(_check("basic-mode-matrix", "kg-family", _maxabs(gram - want), cfg.tol))
 
     rng = generator(cfg.seed, "kg:nonrel")
     b1 = kg_band_limited_solution(lattice, 0.1 * cfg.mu, rng)

@@ -7,7 +7,6 @@ from .lattice import (
     KleinGordonLattice,
     NonRelLimitReport,
     kg_band_limited_solution,
-    kg_build,
     kg_inner_ri,
     kg_mode_solution,
     kg_nonrel_limit_check,
@@ -32,7 +31,6 @@ __all__ = [
     "KleinGordonLattice",
     "NonRelLimitReport",
     "kg_band_limited_solution",
-    "kg_build",
     "kg_inner_ri",
     "kg_mode_solution",
     "kg_nonrel_limit_check",

@@ -103,11 +103,6 @@ class KleinGordonLattice:
         return int(hits[0])
 
 
-def kg_build(lattice: KleinGordonLattice) -> SpectralDecomposition:
-    """Spectral data of D = -d^2/dx^2 + mu^2 restricted to the lattice modes."""
-    return lattice.d_spec
-
-
 def _check_eps(eps: int) -> int:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps!r}")
@@ -189,11 +184,25 @@ def kg_relativistic_spec(
     return InnerProductSpec(a_plus_sq=a_plus * scale, a_minus_sq=a_minus * scale)
 
 
-def kg_inner_ri(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, a: float) -> complex:
-    """The one-parameter invariant product, normalized to branch-weight sum 2.
+def _kg_gram(psi1, dot1, psi2, dot2, lattice: KleinGordonLattice, a: float):
+    """Gram matrix of the family product between two row stacks of states.
 
     (1/2mu) [ <psi1|D^(1/2)|psi2> + <psidot1|D^(-1/2)|psidot2>
               + i a (<psi1|psidot2> - <psidot1|psi2>) ]
+
+    Row r of psi1/dot1 holds state r's (psi, psi_dot), so (k1, sites) and
+    (k2, sites) stacks give the (k1, k2) matrix; 1-D vectors give the
+    scalar. No checks: the public wrappers below own them.
+    """
+    c1, e1 = psi1.conj(), dot1.conj()
+    sym = c1 @ (lattice.d_half @ psi2.T) + e1 @ (lattice.d_minus_half @ dot2.T)
+    skew = c1 @ dot2.T - e1 @ psi2.T
+    return (sym + 1j * a * skew) / (2.0 * lattice.mu)
+
+
+def kg_inner_ri(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, a: float) -> complex:
+    """The one-parameter invariant product (_kg_gram), normalized to
+    branch-weight sum 2.
 
     Positive-definite exactly on the open interval |a| < 1; the boundary is
     rejected. Equals the general-coefficient product with branch weights
@@ -202,11 +211,7 @@ def kg_inner_ri(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, a: 
     if not abs(a) < 1.0:
         raise OutOfFamilyError(f"parameter must satisfy |a| < 1, got a={a}")
     _check_pair(f1, f2, lattice)
-    sym = np.vdot(f1.psi, lattice.d_half @ f2.psi) + np.vdot(
-        f1.psi_dot, lattice.d_minus_half @ f2.psi_dot
-    )
-    skew = np.vdot(f1.psi, f2.psi_dot) - np.vdot(f1.psi_dot, f2.psi)
-    return complex((sym + 1j * a * skew) / (2.0 * lattice.mu))
+    return complex(_kg_gram(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice, a))
 
 
 def woodard_inner(
@@ -217,16 +222,14 @@ def woodard_inner(
     form="projection": i mu^-1 (<psi1+|psidot2+> - <psi1-|psidot2->) with
     psi+- the frequency-sign parts cut out by spectral projection, each
     part's velocity fixed by its branch (psidot+- = -+ i D^(1/2) psi+-).
-    form="direct": (1/2mu) [<psi1|D^(1/2)|psi2> + <psidot1|D^(-1/2)|psidot2>].
+    form="direct": (1/2mu) [<psi1|D^(1/2)|psi2> + <psidot1|D^(-1/2)|psidot2>],
+    the family kernel at a = 0.
     The two agree identically; both are exposed so the agreement can be
     measured rather than assumed.
     """
     _check_pair(f1, f2, lattice)
     if form == "direct":
-        sym = np.vdot(f1.psi, lattice.d_half @ f2.psi) + np.vdot(
-            f1.psi_dot, lattice.d_minus_half @ f2.psi_dot
-        )
-        return complex(sym / (2.0 * lattice.mu))
+        return complex(_kg_gram(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice, 0.0))
     if form != "projection":
         raise ValueError(f"form must be 'projection' or 'direct', got {form!r}")
     v = lattice.modes

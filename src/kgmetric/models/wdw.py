@@ -147,9 +147,13 @@ def wdw_positivity(model: WdwFrwModel, alpha: float) -> str:
     """Classify the spectrum at alpha by its minimum entry w_0.
 
     Open and flat universes (kappa <= 0) are always positive; the closed
-    one crosses zero exactly at e^alpha = m.
+    one crosses zero exactly at e^alpha = m. Raises NotHermitianError where
+    w_0 overflows (e^alpha past the float range), as the grid stencil does.
     """
-    w0 = model.mass * np.exp(3.0 * alpha) - model.kappa * np.exp(4.0 * alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = model.mass * np.exp(3.0 * alpha) - model.kappa * np.exp(4.0 * alpha)
+    if not np.isfinite(w0):
+        raise NotHermitianError(f"spectrum at alpha={alpha} is not finite (w_0 = {w0})")
     if w0 > 0.0:
         return ALL_POSITIVE
     if w0 == 0.0:
@@ -227,8 +231,6 @@ class WdwCrosscheckReport:
     rel_errors: np.ndarray
     max_rel_error: float
     grid: int
-    box_half_width: float
-    alpha: float
 
 
 def wdw_numeric_crosscheck(
@@ -272,8 +274,6 @@ def wdw_numeric_crosscheck(
         rel_errors=rel,
         max_rel_error=float(np.max(rel)),
         grid=grid,
-        box_half_width=box,
-        alpha=alpha,
     )
     if rel[-1] > 0.05:
         exc = UnresolvedBasisError(

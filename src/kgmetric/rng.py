@@ -43,10 +43,10 @@ def generator(seed: int, label: str = "") -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(seed, label)))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    """Random dense Hermitian matrix with entries of the given scale."""
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random dense Hermitian matrix with unit-scale entries."""
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * scale * (x + x.conj().T)
+    return 0.5 * (x + x.conj().T)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -58,17 +58,10 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_positive_hermitian(
-    rng: np.random.Generator,
-    n: int,
-    lo: float = 0.5,
-    hi: float = 4.0,
-) -> np.ndarray:
-    """Hermitian matrix with spectrum drawn uniformly from [lo, hi]."""
-    if not 0.0 < lo <= hi:
-        raise ValueError("spectrum window must satisfy 0 < lo <= hi")
+def random_positive_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Hermitian matrix with spectrum drawn uniformly from [0.5, 4]."""
     u = random_unitary(rng, n)
-    w = rng.uniform(lo, hi, size=n)
+    w = rng.uniform(0.5, 4.0, size=n)
     m = (u * w) @ u.conj().T
     return 0.5 * (m + m.conj().T)
 
@@ -81,11 +74,7 @@ def random_state(rng: np.random.Generator, n: int, normalize: bool = True) -> np
     return v
 
 
-def random_coefficients(
-    rng: np.random.Generator,
-    n: int,
-    lo: float = 0.2,
-    hi: float = 3.0,
-) -> np.ndarray:
-    """Strictly positive coefficient sequence for inner-product specs."""
-    return rng.uniform(lo, hi, size=n)
+def random_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Strictly positive coefficient sequence for inner-product specs,
+    uniform on [0.2, 3]."""
+    return rng.uniform(0.2, 3.0, size=n)

@@ -3,7 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import kgmetric
 from kgmetric.cli import main
 
 REPORT_KEYS = {"config", "checks", "summary", "timestamp"}
@@ -118,6 +125,15 @@ def test_wdw_zero_mode_crosscheck_is_finite(capsys):
     assert check["pass"]
 
 
+@pytest.mark.parametrize("sites, a", [(2, 0.5), (3, -0.7), (17, 0.5)])
+def test_kg_small_and_odd_lattices_pass(sites, a, capsys):
+    # fewer than 16 basic-mode columns, an odd lattice, nonzero a
+    code, out = run(["kg", "--sites", str(sites), "--a", str(a)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["passed"] == report["summary"]["total"] == 8
+
+
 def test_kg_rare_seed_evolution_invariance(capsys):
     # this seed once drifted to 1.08e-10 over 200 multiplied step propagators
     code, out = run(["kg", "--sites", "128", "--a", "0.5", "--seed", "1598254737"], capsys)
@@ -157,3 +173,17 @@ def test_config_keys_and_format_defaults(capsys):
     _, out = run(["sho", "--steps", "100", "--format", "json"], capsys)
     assert json.loads(out)["config"]["format"] == "json"
     assert run(["wdw", "--kappa", "2"], capsys)[0] == 2
+
+
+def test_overflowing_alpha_aborts_without_runtime_warnings():
+    # a fresh interpreter, so numpy's warnings print under the default filters
+    env = dict(os.environ, PYTHONPATH=str(Path(kgmetric.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgmetric", "wdw", "--alpha0", "200"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("run failed: spectrum at alpha=200.0 is not finite")
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "NotHermitianError"

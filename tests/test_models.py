@@ -23,6 +23,7 @@ from kgmetric.errors import (
 )
 from kgmetric.models.lattice import (
     KleinGordonLattice,
+    _kg_gram,
     kg_band_limited_solution,
     kg_inner_ri,
     kg_mode_solution,
@@ -277,6 +278,32 @@ def test_lattice_gauge_fixed_member_dual_forms():
         woodard_inner(f1, f2, lattice, form="other")
 
 
+@pytest.mark.parametrize("sites", [7, 12])
+def test_lattice_gram_matches_pairwise_products(sites):
+    # one stacked Gram against the per-pair wrappers, rows (5) != columns (4)
+    lattice = KleinGordonLattice(sites=sites, mu=1.5)
+    rng = generator(6, "models:kg-gram")
+    rows = [
+        kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False)
+        for _ in range(5)
+    ]
+    cols = rows[1:]
+    psi1 = np.array([f.psi for f in rows])
+    dot1 = np.array([f.psi_dot for f in rows])
+    psi2 = np.array([f.psi for f in cols])
+    dot2 = np.array([f.psi_dot for f in cols])
+    for a in (0.0, 0.5, -0.7):
+        gram = _kg_gram(psi1, dot1, psi2, dot2, lattice, a)
+        assert gram.shape == (5, 4)
+        for r, f1 in enumerate(rows):
+            for c, f2 in enumerate(cols):
+                ref = kg_inner_ri(f1, f2, lattice, a)
+                assert abs(gram[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
+                if a == 0.0:
+                    ref = woodard_inner(f1, f2, lattice, form="direct")
+                    assert abs(gram[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+
 def test_lattice_positive_energy_projection_annihilation():
     # positive-energy data has no minus-frequency part: the projection form
     # loses its second term and the family reduces to (1 + a) * gauge-fixed
@@ -458,6 +485,13 @@ def test_wdw_crosscheck_rejects_overflowing_stencil():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotHermitianError):
             wdw_numeric_crosscheck(WdwFrwModel(), alpha=200.0)
+
+
+def test_wdw_positivity_rejects_overflowing_spectrum():
+    # no errstate wrapper: the suite turns any RuntimeWarning into an error
+    for kappa in (-1, 0, 1):
+        with pytest.raises(NotHermitianError):
+            wdw_positivity(WdwFrwModel(kappa=kappa), 200.0)
 
 
 def test_wdw_frozen_product_constant_along_flow():
