@@ -67,7 +67,7 @@ from .models import (
     woodard_inner,
 )
 from .models.lattice import MIN_SITES, _kg_gram
-from .models.wdw import ALL_POSITIVE
+from .models.wdw import ALL_POSITIVE, GRID
 from .rng import generator, random_coefficients, random_positive_hermitian, random_state
 from .spectral import (
     SpectralDecomposition,
@@ -132,6 +132,8 @@ def _validate(cfg: RunConfig) -> None:
     for name, least in _MINIMA.items():
         if getattr(cfg, name) < least:
             raise ConfigError(f"--{name} must be at least {least}, got {getattr(cfg, name)}")
+    if cfg.modes > GRID:  # the wdw grid cross-check resolves at most GRID modes
+        raise ConfigError(f"--modes must be at most {GRID}, got {cfg.modes}")
     if not cfg.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {cfg.tol}")
     for name in ("omega", "mu", "mass", "t_final"):
@@ -531,17 +533,15 @@ def battery_verify(cfg: RunConfig) -> list:
 
 
 def run_sho(cfg: RunConfig) -> tuple:
-    model = ShoModel(omega=cfg.omega)
+    d_spec = ShoModel(omega=cfg.omega).d_spec()
     f0 = FieldState(psi=np.array([1.0 + 0.0j]), psi_dot=np.array([0.0j]))
     stride = max(1, cfg.steps // 2000)
-    traj = evolve_field(model.d_source(), f0, 0.0, cfg.t_final, cfg.steps, sample_every=stride)
+    traj = evolve_field(d_spec, f0, 0.0, cfg.t_final, cfg.steps, sample_every=stride)
     spec = InnerProductSpec(
         a_plus_sq=np.array([cfg.lplus + cfg.lminus]),
         a_minus_sq=np.array([cfg.lplus - cfg.lminus]),
     )
-    table = drift_report(
-        traj, model.d_spec(), spec, ("solution_inner", "kg_inner"), lam=cfg.lam
-    )
+    table = drift_report(traj, d_spec, spec, ("solution_inner", "kg_inner"), lam=cfg.lam)
     sol = table.monitors["solution_inner"]
     kg = table.monitors["kg_inner"]
 
@@ -755,7 +755,7 @@ def run_wdw(cfg: RunConfig) -> tuple:
         if wdw_positivity(model, alpha_end) == ALL_POSITIVE:
             steps = 1500
             traj1, traj2 = evolve_fields(
-                model.d_source(), [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
+                model.d_anchored, [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
             )
             inst = np.array(
                 [

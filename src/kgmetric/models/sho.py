@@ -19,49 +19,20 @@ from ..two_component import FieldState
 
 @dataclass(frozen=True)
 class ShoModel:
-    """Oscillator with constant frequency or a time-indexed frequency law.
-
-    Exactly one frequency source is active: omega_of_t wins when given and
-    must stay positive at every queried time.
-    """
+    """Oscillator with a constant positive frequency omega."""
 
     omega: float = 1.0
-    omega_of_t: object = None  # optional callable t -> positive frequency
 
     def __post_init__(self):
-        if self.omega_of_t is None and not self.omega > 0.0:
+        if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.omega_of_t is not None and not callable(self.omega_of_t):
-            raise TypeError("omega_of_t must be callable")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.omega_of_t is None
-
-    def omega_at(self, t: float = 0.0) -> float:
-        if self.is_constant:
-            return float(self.omega)
-        w = float(self.omega_of_t(t))
-        if not w > 0.0:
-            raise ValueError(f"omega(t={t}) = {w} is not positive")
-        return w
-
-    def d_matrix(self, t: float = 0.0) -> np.ndarray:
-        w = self.omega_at(t)
-        return np.array([[w * w]], dtype=complex)
-
-    def d_spec(self, t: float = 0.0) -> SpectralDecomposition:
-        w = self.omega_at(t)
+    def d_spec(self) -> SpectralDecomposition:
+        """D = omega^2 as a one-mode spectral resolution."""
         return SpectralDecomposition(
-            eigenvalues=np.array([w * w]),
+            eigenvalues=np.array([self.omega * self.omega]),
             eigenvectors=np.eye(1, dtype=complex),
         )
-
-    def d_source(self):
-        """Operator source for the integrators: matrix when constant."""
-        if self.is_constant:
-            return self.d_matrix()
-        return lambda t: self.d_matrix(t)
 
 
 def sho_basic_solution(omega: float, eps: int, t: float) -> FieldState:

@@ -19,6 +19,7 @@ the polynomial degrees a desk-scale truncation meets).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,8 @@ GRID = 256
 BOX_HALF_WIDTH = 10.0
 # Gauss-Hermite node count of the overlap integrals
 QUAD_NODES = 64
+# natural log of half the largest float: a sum of two terms below it is finite
+_LOG_HALF_MAX = math.log(np.finfo(float).max / 2.0)
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,22 @@ class WdwFrwModel:
         return float(np.sqrt(self.mass) * np.exp(1.5 * alpha))
 
     def omega_sq(self, alpha: float) -> np.ndarray:
+        """Exact spectrum w_n(alpha), n < modes; NotHermitianError past
+        ``_alpha_limit``, where it would overflow."""
+        if not alpha < self._alpha_limit:
+            raise NotHermitianError(f"spectrum at alpha={alpha} is not finite")
         n = np.arange(self.modes)
         return self.mass * np.exp(3.0 * alpha) * (2 * n + 1) - self.kappa * np.exp(
             4.0 * alpha
         )
+
+    @cached_property
+    def _alpha_limit(self) -> float:
+        """Least alpha at which a term of omega_sq, m e^(3 alpha) (2N - 1) or
+        e^(4 alpha), reaches half the float range. A scalar test against it
+        keeps the per-call cost of omega_sq and raises before numpy warns."""
+        log_top = math.log(self.mass * (2 * self.modes - 1))
+        return min((_LOG_HALF_MAX - log_top) / 3.0, _LOG_HALF_MAX / 4.0)
 
     @cached_property
     def _quad(self) -> tuple:
@@ -103,13 +118,10 @@ class WdwFrwModel:
         B diag(w(alpha)) B^T, symmetrized; exact at alpha = alpha0 and a
         truncation of the true operator elsewhere.
         """
+        w = self.omega_sq(alpha)  # raises before the basis scale can overflow
         b = self.overlap_matrix(self.alpha0, alpha)
-        d = (b * self.omega_sq(alpha)) @ b.T
+        d = (b * w) @ b.T
         return 0.5 * (d + d.T)
-
-    def d_source(self):
-        """Operator source alpha -> D(alpha) for the integrators."""
-        return lambda a: self.d_anchored(a)
 
 
 def _hermite_poly_table(n_max: int, u: np.ndarray) -> np.ndarray:
@@ -253,13 +265,16 @@ def wdw_numeric_crosscheck(
     if grid < model.modes:
         raise ValueError(f"grid {grid} cannot resolve {model.modes} modes")
     box = BOX_HALF_WIDTH
+    # the stencil's factors m^2 and e^(6 alpha), and its largest term, as logs
+    log_m2 = 2.0 * math.log(model.mass)
+    log_terms = (log_m2, 6.0 * alpha, log_m2 + 6.0 * alpha + 2.0 * math.log(box))
+    if not all(t < _LOG_HALF_MAX for t in log_terms):  # NaN alpha fails too
+        raise NotHermitianError(f"grid stencil at alpha={alpha} has non-finite entries")
     h = 2.0 * box / (grid + 1)
     phi = -box + h * np.arange(1, grid + 1)
     diag = 2.0 / h**2 + (model.mass**2) * np.exp(6.0 * alpha) * phi**2 - (
         model.kappa * np.exp(4.0 * alpha)
     )
-    if not np.all(np.isfinite(diag)):
-        raise NotHermitianError(f"grid stencil at alpha={alpha} has non-finite entries")
     fd = np.diag(diag) + np.diag(np.full(grid - 1, -1.0 / h**2), 1) + np.diag(
         np.full(grid - 1, -1.0 / h**2), -1
     )

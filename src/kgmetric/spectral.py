@@ -22,9 +22,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-# eigenvalues closer than this (relative to the spectral radius) are treated
-# as one degenerate cluster and re-orthonormalized together
-DEGENERACY_GAP = 1e-8
 
 
 @dataclass
@@ -124,10 +121,9 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
     -------
     SpectralDecomposition
         Eigenvalues ascending; equal eigenvalues keep LAPACK's column order.
-        Eigenvector columns are orthonormal. Degenerate clusters (relative
-        gap below 1e-8) are re-orthonormalized by modified Gram-Schmidt.
-        Each column's phase is fixed so that its largest-magnitude entry
-        (the first one, among entries of equal magnitude) is real and
+        Eigenvector columns are LAPACK's, orthonormal also inside degenerate
+        clusters. Each column's phase is fixed so that its largest-magnitude
+        entry (the first one, among entries of equal magnitude) is real and
         positive, which keeps the result independent of the BLAS/LAPACK
         build. A zero matrix returns the identity basis.
 
@@ -147,31 +143,11 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
-    _reorthonormalize_clusters(w, v)
     # phase convention: each column's largest-magnitude entry real, positive
     peak = (np.argmax(np.abs(v), axis=0), np.arange(n))
     v *= np.conj(v[peak]) / np.abs(v[peak])
     v[peak] = v[peak].real  # drop the rounding residue of the rescale
     return SpectralDecomposition(w, v)
-
-
-def _reorthonormalize_clusters(w: np.ndarray, v: np.ndarray) -> None:
-    """Modified Gram-Schmidt within each near-degenerate eigenvalue cluster."""
-    n = w.shape[0]
-    if n == 0:
-        return
-    gap = DEGENERACY_GAP * max(float(np.max(np.abs(w))), 1e-300)
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and w[i] - w[i - 1] < gap:
-            continue
-        if i - start > 1:
-            for j in range(start, i):
-                col = v[:, j]
-                for k in range(start, j):
-                    col = col - (v[:, k].conj() @ col) * v[:, k]
-                v[:, j] = col / np.linalg.norm(col)
-        start = i
 
 
 def operator_power(spec: SpectralDecomposition, gamma: float) -> np.ndarray:

@@ -34,6 +34,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["kg", "--sites", "1"], capsys)[0] == 2
     assert run(["verify", "--lambda", "0.0"], capsys)[0] == 2
     assert run(["wdw", "--format", "yaml"], capsys)[0] == 2
+    assert run(["wdw", "--modes", "300"], capsys)[0] == 2
 
 
 def test_verify_report_schema(capsys):
@@ -175,15 +176,31 @@ def test_config_keys_and_format_defaults(capsys):
     assert run(["wdw", "--kappa", "2"], capsys)[0] == 2
 
 
-def test_overflowing_alpha_aborts_without_runtime_warnings():
+@pytest.mark.parametrize(
+    "argv,stderr_start",
+    [
+        pytest.param(
+            ["--alpha0", "200"],
+            "run failed: spectrum at alpha=200.0 is not finite",
+            id="alpha0-200",
+        ),
+        pytest.param(
+            ["--mass", "1e200"],
+            "run failed: grid stencil at alpha=0.0 has non-finite entries",
+            id="mass-1e200",
+        ),
+    ],
+)
+def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start):
     # a fresh interpreter, so numpy's warnings print under the default filters
     env = dict(os.environ, PYTHONPATH=str(Path(kgmetric.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "kgmetric", "wdw", "--alpha0", "200"],
+        [sys.executable, "-m", "kgmetric", "wdw", *argv],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
-    assert proc.stderr.startswith("run failed: spectrum at alpha=200.0 is not finite")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(stderr_start)
     (check,) = json.loads(proc.stdout)["checks"]
     assert check["name"] == "NotHermitianError"

@@ -58,16 +58,10 @@ def maxabs(a):
 
 def test_sho_model_frequency_sources():
     const = ShoModel(omega=2.0)
-    assert const.omega_at(5.0) == 2.0
-    np.testing.assert_allclose(const.d_matrix(), [[4.0]])
+    np.testing.assert_allclose(const.d_spec().matrix(), [[4.0]])
     np.testing.assert_allclose(const.d_spec().eigenvalues, [4.0])
-    driven = ShoModel(omega_of_t=lambda t: 2.0 + np.sin(t))
-    assert abs(driven.omega_at(np.pi / 2.0) - 3.0) <= 1e-12
-    assert callable(driven.d_source())
     with pytest.raises(ValueError):
         ShoModel(omega=-1.0)
-    with pytest.raises(ValueError):
-        ShoModel(omega_of_t=lambda t: -1.0).omega_at(0.0)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +127,7 @@ def test_sho_invariance_along_evolution():
     omega = 1.3
     model = ShoModel(omega=omega)
     f0 = sho_basic_solution(omega, 1, 0.0)
-    traj = evolve_field(model.d_matrix(), f0, 0.0, 6.0, 6000, sample_every=600)
+    traj = evolve_field(model.d_spec(), f0, 0.0, 6.0, 6000, sample_every=600)
     v0 = sho_inner(traj.state(0), traj.state(0), omega, 1.5, 0.5)
     for i in range(len(traj)):
         vi = sho_inner(traj.state(i), traj.state(i), omega, 1.5, 0.5)
@@ -487,6 +481,20 @@ def test_wdw_crosscheck_rejects_overflowing_stencil():
             wdw_numeric_crosscheck(WdwFrwModel(), alpha=200.0)
 
 
+def test_wdw_operators_reject_overflowing_alpha():
+    # no errstate wrapper: the suite turns any RuntimeWarning into an error
+    for kappa in (-1, 0, 1):
+        model = WdwFrwModel(kappa=kappa)
+        for build in (
+            model.omega_sq,
+            model.d_anchored,
+            lambda a: wdw_operator(model, a),
+            lambda a: wdw_numeric_crosscheck(model, alpha=a),
+        ):
+            with pytest.raises(NotHermitianError):
+                build(200.0)
+
+
 def test_wdw_positivity_rejects_overflowing_spectrum():
     # no errstate wrapper: the suite turns any RuntimeWarning into an error
     for kappa in (-1, 0, 1):
@@ -505,7 +513,7 @@ def test_wdw_frozen_product_constant_along_flow():
         psi=rng.standard_normal(6) + 1j * rng.standard_normal(6),
         psi_dot=rng.standard_normal(6) + 1j * rng.standard_normal(6),
     )
-    source = model.d_source()
+    source = model.d_anchored
     traj1 = evolve_field(source, f1, 0.0, 0.4, 2000, sample_every=200)
     traj2 = evolve_field(source, f2, 0.0, 0.4, 2000, sample_every=200)
     d_spec0 = hermitian_eigendecompose(model.d_anchored(0.0))

@@ -87,15 +87,23 @@ def test_lapack_failure_maps_to_no_convergence(monkeypatch):
 
 
 def test_degenerate_cluster_stays_orthonormal():
+    # LAPACK's eigenvectors are used as returned: exact and near-degenerate
+    # clusters (relative gaps 0, 1e-12, 1e-9) must still come out orthonormal
     rng = generator(1, "spectral:degenerate")
     from kgmetric.rng import random_unitary
 
-    u = random_unitary(rng, 4)
-    w = np.array([1.0, 1.0, 1.0, 2.0])
-    m = (u * w) @ u.conj().T
-    spec = hermitian_eigendecompose(0.5 * (m + m.conj().T))
-    np.testing.assert_allclose(spec.eigenvalues, w, atol=1e-10)
-    assert maxabs(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(4)) <= 1e-12
+    for n in (4, 16, 64):
+        for gap in (0.0, 1e-12, 1e-9):
+            u = random_unitary(rng, n)
+            size = 3 * n // 4
+            w = np.concatenate([1.0 + gap * np.arange(size), np.linspace(2.0, 3.0, n - size)])
+            m = (u * w) @ u.conj().T
+            m = 0.5 * (m + m.conj().T)
+            spec = hermitian_eigendecompose(m)
+            np.testing.assert_allclose(spec.eigenvalues, w, atol=1e-10)
+            v = spec.eigenvectors
+            assert maxabs(v.conj().T @ v - np.eye(n)) <= 1e-12
+            assert maxabs(spec.matrix() - m) <= 1e-12
 
 
 def test_non_hermitian_input_is_rejected():
