@@ -11,9 +11,10 @@ timestamp}, where each check is {name, paper_anchor, measured, bound, pass}
 and pass means measured <= bound. Numbers are emitted with 17 significant
 digits so they round-trip bit-exactly; reports are byte-identical for equal
 configs except for the timestamp. Exit code 0 when every check passes, 1 on
-any failure, 2 on a configuration or usage error. A run aborted by a
-computational error still prints a report, holding one failing check named
-after the error class; no data file is written then.
+any failure, 2 on a configuration or usage error. A subcommand accepts only
+the flags its run reads, and the report echoes every setting. A run aborted
+by a computational error still prints a report, holding one failing check
+named after the error class; no data file is written then.
 
 --out writes the run's data file (sho: the time series, csv by default;
 kg/wdw: the detail tables, json by default; verify: a copy of the report).
@@ -93,7 +94,8 @@ VISIBLE_DRIFT_FLOOR = 1e-6
 
 @dataclass
 class RunConfig:
-    """Echo of every flag; one instance fully determines a run."""
+    """Every setting of a run, all echoed in its report; one instance fully
+    determines a run. A subcommand accepts flags only for the fields it reads."""
 
     subcommand: str
     dim: int = 8
@@ -119,8 +121,17 @@ class RunConfig:
         return {_RENAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
 
-# The fields of RunConfig after `subcommand` are the flags, in order; their
-# defaults are the flag defaults and their names the flag and report-key
+# Each subcommand's help line and the RunConfig fields its run reads.
+_SUBCOMMANDS = {
+    "verify": ("cross-module property battery", {"dim", "seed", "tol", "lam", "out"}),
+    "sho": ("harmonic oscillator run with a monitored time series",
+            {"omega", "t_final", "steps", "lplus", "lminus", "lam", "out", "fmt"}),
+    "kg": ("Klein-Gordon lattice battery",
+           {"sites", "mu", "a", "seed", "tol", "lam", "t_final", "out", "fmt"}),
+    "wdw": ("minisuperspace battery", {"mass", "kappa", "alpha0", "modes", "seed", "out", "fmt"}),
+}
+# The fields of RunConfig after `subcommand` are the settings, in flag order;
+# their defaults are the flag defaults and their names the flag and report-key
 # names, except for these renames and these restricted choices.
 _RENAMES = {"lam": "lambda", "fmt": "format"}
 _CHOICES = {"kappa": (-1, 0, 1), "fmt": ("json", "csv")}
@@ -412,9 +423,7 @@ def battery_verify(cfg: RunConfig) -> list:
     g1 = _random_field(rng, n)
     g2 = _random_field(rng, n)
     traj1, traj2 = evolve_fields(d_small.matrix(), [g1, g2], 0.0, 10.0, 5000, sample_every=100)
-    table = drift_report(
-        traj1, d_small, cspec, ("solution_inner", "kg_inner"), traj2=traj2, lam=lam
-    )
+    table = drift_report(traj1, d_small, cspec, traj2=traj2, lam=lam)
     checks.append(
         _check(
             "constant-operator-invariance",
@@ -434,14 +443,7 @@ def battery_verify(cfg: RunConfig) -> list:
         return hermitian_eigendecompose(d_of_t(t), tol)
 
     traj1t, traj2t = evolve_fields(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
-    table_t = drift_report(
-        traj1t,
-        spec_of_t,
-        cspec,
-        ("solution_inner", "frozen_inner"),
-        traj2=traj2t,
-        lam=lam,
-    )
+    table_t = drift_report(traj1t, spec_of_t, cspec, traj2=traj2t, lam=lam)
     checks.append(
         _check(
             "frozen-product-drift",
@@ -541,7 +543,7 @@ def run_sho(cfg: RunConfig) -> tuple:
         a_plus_sq=np.array([cfg.lplus + cfg.lminus]),
         a_minus_sq=np.array([cfg.lplus - cfg.lminus]),
     )
-    table = drift_report(traj, d_spec, spec, ("solution_inner", "kg_inner"), lam=cfg.lam)
+    table = drift_report(traj, d_spec, spec, lam=cfg.lam)
     sol = table.monitors["solution_inner"]
     kg = table.monitors["kg_inner"]
 
@@ -652,7 +654,6 @@ def run_kg(cfg: RunConfig) -> tuple:
         field_trajectory(res1),
         lattice.d_spec,
         relspec,
-        ("solution_inner", "kg_inner"),
         traj2=field_trajectory(res2),
         lam=cfg.lam,
     )
@@ -859,19 +860,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "verification batteries and model runs.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    for name, help_text in (
-        ("verify", "cross-module property battery"),
-        ("sho", "harmonic oscillator run with a monitored time series"),
-        ("kg", "Klein-Gordon lattice battery"),
-        ("wdw", "minisuperspace battery"),
-    ):
+    for name, (help_text, reads) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for f in fields(RunConfig)[1:]:
-            flag = "--" + _RENAMES.get(f.name, f.name).replace("_", "-")
-            kind = str if f.default is None else type(f.default)
-            p.add_argument(
-                flag, dest=f.name, type=kind, choices=_CHOICES.get(f.name), default=f.default
-            )
+        for f in fields(RunConfig):
+            if f.name in reads:
+                flag = "--" + _RENAMES.get(f.name, f.name).replace("_", "-")
+                kind = str if f.default is None else type(f.default)
+                p.add_argument(
+                    flag, dest=f.name, type=kind, choices=_CHOICES.get(f.name), default=f.default
+                )
         if name == "sho":
             p.set_defaults(fmt="csv")  # the oscillator's data file is a series
     return parser

@@ -44,8 +44,6 @@ from .two_component import FieldState, TwoComponentState, _field_data, eigen_sys
 
 BLOWUP_LIMIT = 1e12
 
-MONITOR_NAMES = ("solution_inner", "kg_inner", "frozen_inner")
-
 
 @dataclass
 class EvolutionResult:
@@ -120,8 +118,6 @@ class DriftTable:
 
     @property
     def max_deviation(self) -> float:
-        if not self.monitors:
-            return 0.0
         return max(series.max_deviation for series in self.monitors.values())
 
 
@@ -429,7 +425,6 @@ def drift_report(
     traj: FieldTrajectory,
     d_spec,
     spec,
-    monitors=("solution_inner",),
     traj2: FieldTrajectory | None = None,
     lam: float = 1.0,
 ) -> DriftTable:
@@ -445,45 +440,37 @@ def drift_report(
         in one batch; a callable makes ``solution_inner`` instantaneous
         (re-evaluated at each sample time) while ``frozen_inner`` stays
         pinned to the t0 operator.
-    monitors : iterable of {"solution_inner", "kg_inner", "frozen_inner"}
 
-    Deviation is relative to the t0 value, falling back to absolute when the
-    t0 value is below 1e-12 in magnitude. Raises the errors of
-    ``solution_inner`` (size, spec length, non-positive spectrum).
+    Returns the monitors ``solution_inner``, ``frozen_inner`` and
+    ``kg_inner`` (the indefinite product at packing ``lam``). Deviation is
+    relative to the t0 value, falling back to absolute when the t0 value is
+    below 1e-12 in magnitude. Raises the errors of ``solution_inner`` (size,
+    spec length, non-positive spectrum).
     """
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
-    names = tuple(monitors)
-    for name in names:
-        if name not in MONITOR_NAMES:
-            raise ValueError(f"unknown monitor {name!r}; pick from {MONITOR_NAMES}")
 
     spec_at, constant = _source(d_spec, _as_spectral)
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
-    table = {}
-    if "solution_inner" in names or "frozen_inner" in names:
-        if constant:
-            sol_values = _field_inner(*data, spec_at(traj.times[0]), spec)
-        else:
-            sol_values = np.array(
-                [
-                    _field_inner(*(x[i] for x in data), spec_at(t), spec)
-                    for i, t in enumerate(traj.times)
-                ]
-            )
-        if "solution_inner" in names:
-            dev, peak = _deviations(sol_values)
-            table["solution_inner"] = MonitorSeries(sol_values, dev, peak)
-        if "frozen_inner" in names:
-            frozen = np.full(len(traj), sol_values[0])
-            dev, peak = _deviations(frozen)
-            table["frozen_inner"] = MonitorSeries(frozen, dev, peak)
-    if "kg_inner" in names:
-        kg_values = 2j * lam * (
-            np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
-            - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)
+    if constant:
+        sol_values = _field_inner(*data, spec_at(traj.times[0]), spec)
+    else:
+        sol_values = np.array(
+            [
+                _field_inner(*(x[i] for x in data), spec_at(t), spec)
+                for i, t in enumerate(traj.times)
+            ]
         )
-        dev, peak = _deviations(kg_values)
-        table["kg_inner"] = MonitorSeries(kg_values, dev, peak)
-    return DriftTable(table)
+    kg_values = 2j * lam * (
+        np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
+        - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)
+    )
+    monitors = {
+        "solution_inner": sol_values,
+        "frozen_inner": np.full(len(traj), sol_values[0]),
+        "kg_inner": kg_values,
+    }
+    return DriftTable(
+        {name: MonitorSeries(v, *_deviations(v)) for name, v in monitors.items()}
+    )

@@ -41,6 +41,8 @@ BOX_HALF_WIDTH = 10.0
 QUAD_NODES = 64
 # natural log of half the largest float: a sum of two terms below it is finite
 _LOG_HALF_MAX = math.log(np.finfo(float).max / 2.0)
+# natural log of the smallest normal float
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,16 @@ class WdwFrwModel:
             raise ValueError(f"need at least one mode, got {self.modes}")
 
     def basis_scale(self, alpha: float) -> float:
-        """Width parameter s of the instantaneous Hermite basis h_n(s phi)."""
+        """Width parameter s of the instantaneous Hermite basis h_n(s phi);
+        NonPositiveSpectrumError below ``_alpha_floor``, where s^2 underflows."""
+        self._check_floor(alpha)
         return float(np.sqrt(self.mass) * np.exp(1.5 * alpha))
 
     def omega_sq(self, alpha: float) -> np.ndarray:
         """Exact spectrum w_n(alpha), n < modes; NotHermitianError past
-        ``_alpha_limit``, where it would overflow."""
+        ``_alpha_limit``, where it would overflow, and NonPositiveSpectrumError
+        below ``_alpha_floor``, where it would underflow to zero."""
+        self._check_floor(alpha)
         if not alpha < self._alpha_limit:
             raise NotHermitianError(f"spectrum at alpha={alpha} is not finite")
         n = np.arange(self.modes)
@@ -91,6 +97,17 @@ class WdwFrwModel:
         keeps the per-call cost of omega_sq and raises before numpy warns."""
         log_top = math.log(self.mass * (2 * self.modes - 1))
         return min((_LOG_HALF_MAX - log_top) / 3.0, _LOG_HALF_MAX / 4.0)
+
+    @cached_property
+    def _alpha_floor(self) -> float:
+        """Alpha at which m e^(3 alpha), the scale of omega_sq and the squared
+        basis scale, or its factor e^(3 alpha) falls below the smallest normal
+        float."""
+        return (_LOG_TINY - min(math.log(self.mass), 0.0)) / 3.0
+
+    def _check_floor(self, alpha: float) -> None:
+        if alpha < self._alpha_floor:
+            raise NonPositiveSpectrumError(f"spectrum at alpha={alpha} underflows to zero")
 
     @cached_property
     def _quad(self) -> tuple:
@@ -160,8 +177,11 @@ def wdw_positivity(model: WdwFrwModel, alpha: float) -> str:
 
     Open and flat universes (kappa <= 0) are always positive; the closed
     one crosses zero exactly at e^alpha = m. Raises NotHermitianError where
-    w_0 overflows (e^alpha past the float range), as the grid stencil does.
+    w_0 overflows (e^alpha past the float range), as the grid stencil does,
+    and NonPositiveSpectrumError below ``WdwFrwModel._alpha_floor``, where
+    the spectrum underflows to zero.
     """
+    model._check_floor(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         w0 = model.mass * np.exp(3.0 * alpha) - model.kappa * np.exp(4.0 * alpha)
     if not np.isfinite(w0):

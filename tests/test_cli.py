@@ -35,6 +35,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify", "--lambda", "0.0"], capsys)[0] == 2
     assert run(["wdw", "--format", "yaml"], capsys)[0] == 2
     assert run(["wdw", "--modes", "300"], capsys)[0] == 2
+    # a flag the subcommand does not read
+    assert run(["wdw", "--tol", "1e-30"], capsys)[0] == 2
+    assert run(["kg", "--steps", "3"], capsys)[0] == 2
+    assert run(["sho", "--steps", "100", "--seed", "1"], capsys)[0] == 2
+    assert run(["verify", "--dim", "2", "--format", "csv"], capsys)[0] == 2
 
 
 def test_verify_report_schema(capsys):
@@ -177,21 +182,29 @@ def test_config_keys_and_format_defaults(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,stderr_start",
+    "argv,stderr_start,error",
     [
         pytest.param(
             ["--alpha0", "200"],
             "run failed: spectrum at alpha=200.0 is not finite",
+            "NotHermitianError",
             id="alpha0-200",
         ),
         pytest.param(
             ["--mass", "1e200"],
             "run failed: grid stencil at alpha=0.0 has non-finite entries",
+            "NotHermitianError",
             id="mass-1e200",
+        ),
+        pytest.param(
+            ["--alpha0", "-300"],
+            "run failed: spectrum at alpha=-300.0 underflows to zero",
+            "NonPositiveSpectrumError",
+            id="alpha0-minus300",
         ),
     ],
 )
-def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start):
+def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, error):
     # a fresh interpreter, so numpy's warnings print under the default filters
     env = dict(os.environ, PYTHONPATH=str(Path(kgmetric.__file__).parents[1]))
     proc = subprocess.run(
@@ -203,4 +216,4 @@ def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(stderr_start)
     (check,) = json.loads(proc.stdout)["checks"]
-    assert check["name"] == "NotHermitianError"
+    assert check["name"] == error

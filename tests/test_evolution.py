@@ -109,7 +109,7 @@ def test_drift_constant_operator_stays_flat():
     spec = InnerProductSpec.uniform(n)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     traj = evolve_field(d, f0, 0.0, 10.0, 5000, sample_every=10)
-    table = drift_report(traj, d_spec, spec, monitors=("solution_inner", "kg_inner"))
+    table = drift_report(traj, d_spec, spec)
     assert table.max_deviation <= 1e-8
     assert table.monitors["solution_inner"].max_deviation <= 1e-8
     assert table.monitors["kg_inner"].max_deviation <= 1e-8
@@ -163,12 +163,7 @@ def test_drift_time_dependent_instantaneous_vs_frozen():
     traj = evolve_field(
         lambda t: (1.0 + 0.3 * np.sin(t)) * d0, f0, 0.0, 6.0, 3000, sample_every=30
     )
-    table = drift_report(
-        traj,
-        spec_of_t,
-        InnerProductSpec.uniform(n),
-        monitors=("solution_inner", "frozen_inner"),
-    )
+    table = drift_report(traj, spec_of_t, InnerProductSpec.uniform(n))
     # the instantaneous product visibly moves; the frozen one cannot
     assert table.monitors["solution_inner"].max_deviation >= 1e-6
     assert table.monitors["frozen_inner"].max_deviation == 0.0

@@ -482,17 +482,23 @@ def test_wdw_crosscheck_rejects_overflowing_stencil():
 
 
 def test_wdw_operators_reject_overflowing_alpha():
-    # no errstate wrapper: the suite turns any RuntimeWarning into an error
-    for kappa in (-1, 0, 1):
-        model = WdwFrwModel(kappa=kappa)
-        for build in (
-            model.omega_sq,
-            model.d_anchored,
-            lambda a: wdw_operator(model, a),
-            lambda a: wdw_numeric_crosscheck(model, alpha=a),
-        ):
-            with pytest.raises(NotHermitianError):
-                build(200.0)
+    # no errstate wrapper: the suite turns any RuntimeWarning into an error;
+    # an overflow leaves non-finite entries, an underflow leaves zeros
+    for alpha, error in ((200.0, NotHermitianError), (-300.0, NonPositiveSpectrumError)):
+        for kappa in (-1, 0, 1):
+            model = WdwFrwModel(kappa=kappa)
+            for build in (
+                model.omega_sq,
+                model.d_anchored,
+                lambda a: wdw_operator(model, a),
+                lambda a: wdw_numeric_crosscheck(model, alpha=a),
+                lambda a: wdw_positivity(model, a),
+            ):
+                with pytest.raises(error):
+                    build(alpha)
+            # the basis scale stays finite past 200, so only its underflow raises
+            with pytest.raises(NonPositiveSpectrumError):
+                model.overlap_matrix(model.alpha0, -300.0)
 
 
 def test_wdw_positivity_rejects_overflowing_spectrum():

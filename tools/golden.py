@@ -53,6 +53,8 @@ RUNS = {
     "wdw-modes12": ("wdw", "--mass", "2", "--kappa", "0", "--alpha0", "-0.3", "--modes", "12"),
     "wdw-mass-1e200": ("wdw", "--mass", "1e200"),
     "wdw-modes300": ("wdw", "--modes", "300"),
+    "wdw-alpha0-minus300": ("wdw", "--alpha0", "-300"),
+    "wdw-tol": ("wdw", "--tol", "1e-30"),
 }
 
 _TIMESTAMP = re.compile(rb'^(\s*"timestamp": ).*$', re.MULTILINE)
