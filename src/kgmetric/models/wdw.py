@@ -12,16 +12,18 @@ spectrum loses positivity once e^alpha reaches m, which is what limits the
 invariant-product construction to the e^alpha < m regime.
 
 The truncated basis is re-anchored: the model works in the N lowest
-eigenfunctions of D(alpha0) and expresses D(alpha) there through the
-change-of-basis overlaps, computed by Gauss-Hermite quadrature (exact for
-the polynomial degrees a desk-scale truncation meets).
+eigenfunctions of D(alpha0), where phi^2 and -d^2/dphi^2 are pentadiagonal,
+and takes D(alpha) there as its exact Galerkin projection P D(alpha) P,
+whose eigenvalues bound the w_n(alpha) from above. The change-of-basis
+overlaps, by Gauss-Hermite quadrature (exact for the polynomial degrees a
+desk-scale truncation meets), are an independent route to the same basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,6 +43,8 @@ BOX_HALF_WIDTH = 10.0
 QUAD_NODES = 64
 # natural log of half the largest float: a sum of two terms below it is finite
 _LOG_HALF_MAX = math.log(np.finfo(float).max / 2.0)
+# natural log of a third of the largest float: so is a sum of three
+_LOG_THIRD_MAX = math.log(np.finfo(float).max / 3.0)
 # natural log of the smallest normal float
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -74,17 +78,17 @@ class WdwFrwModel:
 
     def basis_scale(self, alpha: float) -> float:
         """Width parameter s of the instantaneous Hermite basis h_n(s phi);
-        NonPositiveSpectrumError below ``_alpha_floor``, where s^2 underflows."""
-        self._check_floor(alpha)
+        NotHermitianError past ``_alpha_limit``, where the spectrum s^2 (2n + 1)
+        would overflow, and NonPositiveSpectrumError below ``_alpha_floor``,
+        where s^2 underflows."""
+        self._check_range(alpha)
         return float(np.sqrt(self.mass) * np.exp(1.5 * alpha))
 
     def omega_sq(self, alpha: float) -> np.ndarray:
         """Exact spectrum w_n(alpha), n < modes; NotHermitianError past
         ``_alpha_limit``, where it would overflow, and NonPositiveSpectrumError
         below ``_alpha_floor``, where it would underflow to zero."""
-        self._check_floor(alpha)
-        if not alpha < self._alpha_limit:
-            raise NotHermitianError(f"spectrum at alpha={alpha} is not finite")
+        self._check_range(alpha)
         n = np.arange(self.modes)
         return self.mass * np.exp(3.0 * alpha) * (2 * n + 1) - self.kappa * np.exp(
             4.0 * alpha
@@ -109,9 +113,10 @@ class WdwFrwModel:
         if alpha < self._alpha_floor:
             raise NonPositiveSpectrumError(f"spectrum at alpha={alpha} underflows to zero")
 
-    @cached_property
-    def _quad(self) -> tuple:
-        return np.polynomial.hermite.hermgauss(QUAD_NODES)
+    def _check_range(self, alpha: float) -> None:
+        self._check_floor(alpha)
+        if not alpha < self._alpha_limit:  # NaN alpha fails too
+            raise NotHermitianError(f"spectrum at alpha={alpha} is not finite")
 
     def overlap_matrix(self, alpha_a: float, alpha_b: float) -> np.ndarray:
         """Overlaps B[m, n] = <basis_m(alpha_a) | basis_n(alpha_b)>.
@@ -121,7 +126,7 @@ class WdwFrwModel:
         Gauss-Hermite quadrature with Q nodes is exact while
         m + n <= 2Q - 1.
         """
-        nodes, weights = self._quad
+        nodes, weights = _gauss_hermite()
         s_a = self.basis_scale(alpha_a)
         s_b = self.basis_scale(alpha_b)
         sigma = np.sqrt(0.5 * (s_a * s_a + s_b * s_b))
@@ -129,16 +134,53 @@ class WdwFrwModel:
         pa, pb = table[:, 0], table[:, 1]
         return (np.sqrt(s_a * s_b) / sigma) * ((pa * weights) @ pb.T)
 
-    def d_anchored(self, alpha: float) -> np.ndarray:
-        """D(alpha) in the truncated basis anchored at alpha0.
+    @cached_property
+    def _galerkin(self) -> tuple:
+        """K = P(-d^2/dphi^2)P, V0 = P m^2 e^(6 alpha0) phi^2 P and I in the
+        anchor basis, and the least alpha at which d_anchored would overflow.
 
-        B diag(w(alpha)) B^T, symmetrized; exact at alpha = alpha0 and a
-        truncation of the true operator elsewhere.
+        In u = s0 phi, with the ladder matrix a on N + 2 modes, u and d/du
+        are (a +- a^T)/sqrt(2); their squares are pentadiagonal, so the
+        N x N cut of each product is exact. Entries of K and V0 stay below
+        s0^2 (2N - 1)/2, a quarter of the float range (``_alpha_limit``).
         """
-        w = self.omega_sq(alpha)  # raises before the basis scale can overflow
-        b = self.overlap_matrix(self.alpha0, alpha)
-        d = (b * w) @ b.T
-        return 0.5 * (d + d.T)
+        s0_sq = self.basis_scale(self.alpha0) ** 2
+        n = self.modes
+        ladder = np.diag(np.sqrt(np.arange(1.0, n + 2)), 1)
+        u, du = (ladder + ladder.T) / math.sqrt(2.0), (ladder - ladder.T) / math.sqrt(2.0)
+        kinetic = -s0_sq * (du @ du)[:n, :n]
+        potential = s0_sq * (u @ u)[:n, :n]
+        # below it, e^(6 (alpha - alpha0)) V0 and e^(4 alpha) I stay under a
+        # third of the float range, so their sum with K is finite
+        log_v0 = math.log(np.max(np.abs(potential)))
+        limit = min(self.alpha0 + (_LOG_THIRD_MAX - log_v0) / 6.0, _LOG_THIRD_MAX / 4.0)
+        return kinetic, potential, np.eye(n), limit
+
+    def d_anchored(self, alpha: float) -> np.ndarray:
+        """Galerkin projection P D(alpha) P in the basis anchored at alpha0:
+        K + e^(6 (alpha - alpha0)) V0 - kappa e^(4 alpha) I.
+
+        Equal to diag(omega_sq(alpha0)) at alpha0, up to rounding; elsewhere
+        its eigenvalues are Rayleigh-Ritz upper bounds on the lowest N exact
+        w_n(alpha). Raises NotHermitianError where an entry would leave the
+        float range and NonPositiveSpectrumError below ``_alpha_floor``.
+        """
+        kinetic, potential, eye, limit = self._galerkin
+        self._check_floor(alpha)
+        if not alpha < limit:  # NaN alpha fails too
+            raise NotHermitianError(f"anchored operator at alpha={alpha} is not finite")
+        return (
+            kinetic
+            + math.exp(6.0 * (alpha - self.alpha0)) * potential
+            - (self.kappa * math.exp(4.0 * alpha)) * eye
+        )
+
+
+@cache
+def _gauss_hermite() -> tuple:
+    """Nodes and weights of QUAD_NODES-point Gauss-Hermite quadrature,
+    computed on first use and shared by every model."""
+    return np.polynomial.hermite.hermgauss(QUAD_NODES)
 
 
 def _hermite_poly_table(n_max: int, u: np.ndarray) -> np.ndarray:

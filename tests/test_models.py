@@ -412,6 +412,45 @@ def test_wdw_anchored_operator_is_diagonal_at_anchor():
     np.testing.assert_allclose(d, np.diag(model.omega_sq(0.2)), atol=1e-12)
 
 
+# (mass, kappa, alpha0) of the fidelity universes: flat, open, closed below
+# e^alpha = m, and a heavier flat one anchored below zero
+WDW_UNIVERSES = ((1.0, 0, 0.0), (1.0, -1, 0.0), (1.0, 1, -0.5), (2.0, 0, -0.3))
+
+
+@pytest.mark.parametrize("mass, kappa, alpha0", WDW_UNIVERSES)
+def test_wdw_anchored_operator_matches_quadrature_projection(mass, kappa, alpha0):
+    # the overlap route B diag(w) B^T over 60 alpha modes, cut to 8 x 8,
+    # converges to the Galerkin projection P D P of the exact operator
+    alpha = alpha0 + 0.3
+    wide = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0, modes=60)
+    b = wide.overlap_matrix(alpha0, alpha)
+    quad = ((b * wide.omega_sq(alpha)) @ b.T)[:8, :8]
+    d = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0, modes=8).d_anchored(alpha)
+    assert maxabs(quad - d) <= 1e-12 * maxabs(d)
+
+
+@pytest.mark.parametrize("mass, kappa, alpha0", WDW_UNIVERSES)
+def test_wdw_anchored_spectrum_bounds_exact_from_above(mass, kappa, alpha0):
+    # Rayleigh-Ritz: the k-th eigenvalue of P D P is at least the exact w_k
+    model = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0, modes=8)
+    for alpha in (alpha0 - 0.3, alpha0 + 0.3, alpha0 + 1.0):
+        ritz = np.linalg.eigvalsh(model.d_anchored(alpha))
+        assert np.all(ritz >= model.omega_sq(alpha) - 1e-13 * maxabs(ritz))
+
+
+@pytest.mark.parametrize("mass, kappa, alpha0", WDW_UNIVERSES)
+def test_wdw_anchored_spectrum_converges_with_modes(mass, kappa, alpha0):
+    alpha = alpha0 + 0.3
+    exact = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0).omega_sq(alpha)
+    errors = {}
+    for modes in (8, 40):
+        model = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0, modes=modes)
+        ritz = np.linalg.eigvalsh(model.d_anchored(alpha))[:8]
+        errors[modes] = maxabs((ritz - exact) / exact)
+    assert errors[40] <= 1e-3
+    assert errors[40] < errors[8]
+
+
 def test_wdw_ground_state_norm():
     model = WdwFrwModel(mass=1.0, kappa=0, alpha0=0.0, modes=4)
     psi = np.zeros(4, dtype=complex)
@@ -493,12 +532,26 @@ def test_wdw_operators_reject_overflowing_alpha():
                 lambda a: wdw_operator(model, a),
                 lambda a: wdw_numeric_crosscheck(model, alpha=a),
                 lambda a: wdw_positivity(model, a),
+                # the basis scale is bounded where the spectrum it scales is
+                model.basis_scale,
+                lambda a: model.overlap_matrix(model.alpha0, a),
             ):
                 with pytest.raises(error):
                     build(alpha)
-            # the basis scale stays finite past 200, so only its underflow raises
-            with pytest.raises(NonPositiveSpectrumError):
-                model.overlap_matrix(model.alpha0, -300.0)
+    # both overlap arguments past the limit: s_a^2 + s_b^2 would overflow
+    with pytest.raises(NotHermitianError):
+        WdwFrwModel().overlap_matrix(240.0, 240.0)
+
+
+def test_wdw_anchored_operator_rejects_overflow_far_above_anchor():
+    # no errstate wrapper: m^2 e^(6 alpha) phi^2 in the anchor basis leaves the
+    # float range well before the spectrum's limit, and must raise before it
+    for alpha0 in (0.0, -0.5):
+        model = WdwFrwModel(alpha0=alpha0)
+        for alpha in (118.0, 150.0, 170.0):
+            assert alpha < model._alpha_limit
+            with pytest.raises(NotHermitianError):
+                model.d_anchored(alpha)
 
 
 def test_wdw_positivity_rejects_overflowing_spectrum():

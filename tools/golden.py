@@ -51,6 +51,9 @@ RUNS = {
     "wdw-closed-zero-mode": ("wdw", "--kappa", "1", "--alpha0", "0"),
     "wdw-alpha0-200": ("wdw", "--alpha0", "200"),
     "wdw-modes12": ("wdw", "--mass", "2", "--kappa", "0", "--alpha0", "-0.3", "--modes", "12"),
+    "wdw-closed-modes12": (
+        "wdw", "--kappa", "1", "--alpha0", "-0.5", "--modes", "12", "--out", DATA,
+    ),
     "wdw-mass-1e200": ("wdw", "--mass", "1e200"),
     "wdw-modes300": ("wdw", "--modes", "300"),
     "wdw-alpha0-minus300": ("wdw", "--alpha0", "-300"),
