@@ -34,7 +34,6 @@ from .errors import (
 from .spectral import (
     DEFAULT_TOL,
     BiorthonormalSystem,
-    BiorthoReport,
     SpectralDecomposition,
     check_biorthonormal,
     hermitian_eigendecompose,
@@ -42,7 +41,6 @@ from .spectral import (
 )
 from .two_component import (
     FieldState,
-    TwoComponentHamiltonian,
     TwoComponentState,
     build_hamiltonian,
     eigen_system,
@@ -53,9 +51,7 @@ from .two_component import (
     unpack,
 )
 from .inner_products import (
-    EtaOperator,
     InnerProductSpec,
-    PseudoUnitaryReport,
     SignAssignment,
     build_L,
     check_pseudo_unitary,

@@ -8,6 +8,11 @@ metric for pseudo-real spectra, and the equivalent inner products expressed
 directly on field data (psi, psi_dot). It also transports a fixed initial
 metric along a propagator, which is what keeps the product invariant under
 time-dependent D.
+
+Every metric is returned as a plain (2n, 2n) complex Hermitian array; whether
+it is positive is read from its spectrum where needed (the sign of its lowest
+``eigvalsh``). check_pseudo_unitary returns its defect as a float, for the
+caller to compare with a tolerance.
 """
 
 from __future__ import annotations
@@ -103,23 +108,6 @@ class SignAssignment:
         return self.sigma.shape[0]
 
 
-@dataclass
-class EtaOperator:
-    """A metric operator together with its positivity tag."""
-
-    matrix: np.ndarray
-    positive: bool
-    lam: float
-
-
-@dataclass
-class PseudoUnitaryReport:
-    """Defect of eta0^-1 U^dag eta0 U against the identity."""
-
-    defect: float
-    passed: bool
-
-
 def build_L(
     spec: InnerProductSpec, d_spec: SpectralDecomposition
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +128,7 @@ def build_L(
 
 def eta_tilde_plus(
     d_spec: SpectralDecomposition, lam: float, spec: InnerProductSpec
-) -> EtaOperator:
+) -> np.ndarray:
     """General positive metric for a positive spectrum, in block closed form.
 
     (1/8) [[L+(lam^2 + D^-1) + 2 lam L- D^-1/2,  L+(lam^2 - D^-1)],
@@ -160,12 +148,12 @@ def eta_tilde_plus(
     sym = l_plus @ (lam2 + dinv)
     skew = l_plus @ (lam2 - dinv)
     shift = 2.0 * lam * (l_minus @ dinvhalf)
-    block = 0.125 * np.block([[sym + shift, skew], [skew, sym - shift]])
-    return EtaOperator(block, positive=True, lam=lam)
+    return 0.125 * np.block([[sym + shift, skew], [skew, sym - shift]])
 
 
-def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> EtaOperator:
-    """Sign-classified metric from a biorthonormal eigensystem.
+def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> np.ndarray:
+    """Sign-classified metric, as a (2n, 2n) Hermitian array, from a
+    biorthonormal eigensystem.
 
     Real-eigenvalue columns contribute sigma_j |phi_j><phi_j| with the
     caller's sign choice; complex-conjugate eigenvalue pairs contribute the
@@ -177,8 +165,6 @@ def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> EtaOperat
     conjugate partner, and MissingSignError if the sign count does not match
     the number of real labels.
     """
-    if system.energies is None:
-        raise ValueError("system carries no eigenvalues; eta_general needs them")
     e = np.asarray(system.energies, dtype=complex)
     m = system.size
     scale = max(float(np.max(np.abs(e))), 1.0)
@@ -216,20 +202,15 @@ def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> EtaOperat
     for j, k in pairs:
         eta += np.outer(left[:, j], left[:, k].conj())
         eta += np.outer(left[:, k], left[:, j].conj())
-    positive = not pairs and bool(np.all(signs.sigma == 1))
-    return EtaOperator(eta, positive=positive, lam=0.0)
-
-
-def _eta_matrix(eta) -> np.ndarray:
-    return eta.matrix if isinstance(eta, EtaOperator) else np.asarray(eta, dtype=complex)
+    return eta
 
 
 def two_component_inner(
     s1: TwoComponentState, s2: TwoComponentState, eta
 ) -> complex:
-    """<Psi1|eta Psi2> on doubled states; eta may be EtaOperator or matrix."""
+    """<Psi1|eta Psi2> on doubled states, eta a (2n, 2n) matrix."""
     _check_pair(s1, s2)
-    mat = _eta_matrix(eta)
+    mat = np.asarray(eta, dtype=complex)
     if mat.shape != (2 * s1.n, 2 * s1.n):
         raise DimensionMismatchError(
             f"metric shape {mat.shape} does not match doubled size {2 * s1.n}"
@@ -318,9 +299,9 @@ def invariant_inner_frozen(
 
 
 def _propagator_and_metric(u, eta0) -> tuple[np.ndarray, np.ndarray]:
-    """Square propagator U and metric matrix of eta0, which must match U."""
+    """Square propagator U and metric eta0, which must match U, as complex arrays."""
     u = _as_square_complex(u, "propagator")
-    m0 = _eta_matrix(eta0)
+    m0 = np.asarray(eta0, dtype=complex)
     if m0.shape != u.shape:
         raise DimensionMismatchError(
             f"metric shape {m0.shape} does not match propagator shape {u.shape}"
@@ -328,13 +309,13 @@ def _propagator_and_metric(u, eta0) -> tuple[np.ndarray, np.ndarray]:
     return u, m0
 
 
-def eta_inv(u: np.ndarray, eta0) -> EtaOperator:
+def eta_inv(u: np.ndarray, eta0) -> np.ndarray:
     """Transport the initial metric along a propagator.
 
-    Returns U^-1-dagger eta0 U^-1, the unique metric that keeps
+    Returns the array U^-1-dagger eta0 U^-1, the unique metric that keeps
     <Psi1(t)|eta(t) Psi2(t)> frozen at its initial value when both states
-    evolve with U. Positivity is inherited from eta0 (congruence preserves
-    signature).
+    evolve with U. Congruence preserves signature, so the result is
+    positive exactly when eta0 is.
     """
     u, m0 = _propagator_and_metric(u, eta0)
     try:
@@ -346,17 +327,13 @@ def eta_inv(u: np.ndarray, eta0) -> EtaOperator:
         raise SingularPropagatorError(
             f"propagator numerically singular (inverse defect {defect:.3e})"
         )
-    out = uinv.conj().T @ m0 @ uinv
-    positive = eta0.positive if isinstance(eta0, EtaOperator) else False
-    lam = eta0.lam if isinstance(eta0, EtaOperator) else 0.0
-    return EtaOperator(out, positive=positive, lam=lam)
+    return uinv.conj().T @ m0 @ uinv
 
 
-def check_pseudo_unitary(u: np.ndarray, eta0, tol: float = 1e-9) -> PseudoUnitaryReport:
-    """Measure how far U is from being eta0-pseudo-unitary.
-
-    defect = max |eta0^-1 U^dag eta0 U - 1|; for a constant pseudo-Hermitian
-    generator the exact propagator satisfies this identically.
+def check_pseudo_unitary(u: np.ndarray, eta0) -> float:
+    """How far U is from being eta0-pseudo-unitary, as the float defect
+    max |eta0^-1 U^dag eta0 U - 1|; for a constant pseudo-Hermitian
+    generator the exact propagator makes it zero up to rounding.
     """
     u, m0 = _propagator_and_metric(u, eta0)
     rhs = u.conj().T @ m0 @ u
@@ -364,5 +341,4 @@ def check_pseudo_unitary(u: np.ndarray, eta0, tol: float = 1e-9) -> PseudoUnitar
         prod = np.linalg.solve(m0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularPropagatorError(f"metric not invertible: {exc}") from exc
-    defect = float(np.max(np.abs(prod - np.eye(u.shape[0]))))
-    return PseudoUnitaryReport(defect=defect, passed=bool(defect <= tol))
+    return float(np.max(np.abs(prod - np.eye(u.shape[0]))))

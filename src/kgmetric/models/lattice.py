@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import NonPositiveAError, OutOfFamilyError
-from ..inner_products import InnerProductSpec, solution_inner
+from ..inner_products import InnerProductSpec, _check_state_size, solution_inner
 from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
 
@@ -214,24 +214,16 @@ def kg_inner_ri(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, a: 
     return complex(_kg_gram(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice, a))
 
 
-def woodard_inner(
-    f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, form: str = "projection"
-) -> complex:
-    """The gauge-fixed positive product, by either of its two expressions.
+def woodard_inner(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice) -> complex:
+    """The gauge-fixed positive product by spectral projection.
 
-    form="projection": i mu^-1 (<psi1+|psidot2+> - <psi1-|psidot2->) with
-    psi+- the frequency-sign parts cut out by spectral projection, each
-    part's velocity fixed by its branch (psidot+- = -+ i D^(1/2) psi+-).
-    form="direct": (1/2mu) [<psi1|D^(1/2)|psi2> + <psidot1|D^(-1/2)|psidot2>],
-    the family kernel at a = 0.
-    The two agree identically; both are exposed so the agreement can be
-    measured rather than assumed.
+    i mu^-1 (<psi1+|psidot2+> - <psi1-|psidot2->) with psi+- the
+    frequency-sign parts of each state, each part's velocity fixed by its
+    branch (psidot+- = -+ i D^(1/2) psi+-). It equals kg_inner_ri at a = 0,
+    (1/2mu) [<psi1|D^(1/2)|psi2> + <psidot1|D^(-1/2)|psidot2>], by an
+    independent route, so that agreement can be measured rather than assumed.
     """
     _check_pair(f1, f2, lattice)
-    if form == "direct":
-        return complex(_kg_gram(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice, 0.0))
-    if form != "projection":
-        raise ValueError(f"form must be 'projection' or 'direct', got {form!r}")
     v = lattice.modes
     w = lattice.omegas
     c1 = v.conj().T @ f1.psi
@@ -275,7 +267,5 @@ def kg_nonrel_limit_check(
 
 
 def _check_pair(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice) -> None:
-    if f1.n != lattice.sites or f2.n != lattice.sites:
-        raise ValueError(
-            f"field states have {f1.n} and {f2.n} sites, lattice has {lattice.sites}"
-        )
+    _check_state_size(f1.n, lattice.sites)
+    _check_state_size(f2.n, lattice.sites)

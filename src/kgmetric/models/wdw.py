@@ -28,6 +28,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ..errors import NonPositiveSpectrumError, NotHermitianError, UnresolvedBasisError
+from ..inner_products import _check_state_size
 from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
 
@@ -236,24 +237,19 @@ def wdw_positivity(model: WdwFrwModel, alpha: float) -> str:
 
 
 def _check_modes(f1: FieldState, f2: FieldState, model: WdwFrwModel) -> None:
-    """Both states must have one component per basis mode (ValueError)."""
-    if f1.n != model.modes or f2.n != model.modes:
-        raise ValueError(
-            f"states have {f1.n} and {f2.n} components, model holds {model.modes}"
-        )
+    """Both states must have one component per basis mode."""
+    _check_state_size(f1.n, model.modes)
+    _check_state_size(f2.n, model.modes)
 
 
-def wdw_invariant_inner(
-    f1: FieldState, f2: FieldState, model: WdwFrwModel, alpha: float | None = None
-) -> complex:
+def wdw_invariant_inner(f1: FieldState, f2: FieldState, model: WdwFrwModel) -> complex:
     """Frozen invariant product (1/2)(<psi1|psi2> + <psidot1|D^-1|psidot2>)
-    with the operator pinned at the anchor alpha.
+    with the operator pinned at the anchor alpha0.
 
-    States live in the anchor eigenbasis, where D(anchor) is diagonal with
+    States live in the anchor eigenbasis, where D(alpha0) is diagonal with
     the exact eigenvalues. Requires a positive spectrum there.
     """
-    if alpha is None:
-        alpha = model.alpha0
+    alpha = model.alpha0
     if wdw_positivity(model, alpha) != ALL_POSITIVE:
         raise NonPositiveSpectrumError(
             f"spectrum at alpha={alpha} is not positive "
@@ -278,8 +274,8 @@ def wdw_instantaneous_inner(
     against the frozen one is exactly what the frozen construction removes.
 
     Raises NonPositiveSpectrumError where D(alpha) has a zero mode, or where
-    the anchored operator is singular, and ValueError if a state does not
-    have `modes` components.
+    the anchored operator is singular, and DimensionMismatchError if a state
+    does not have `modes` components.
     """
     if wdw_positivity(model, alpha) == HAS_ZERO_MODE:
         raise NonPositiveSpectrumError(

@@ -10,7 +10,7 @@ phase, so results do not depend on the BLAS/LAPACK build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,27 +52,16 @@ class BiorthonormalSystem:
     """Right/left eigenvector pair system with <left_m|right_n> = delta_mn.
 
     Columns of ``right_vectors`` and ``left_vectors`` correspond one-to-one;
-    ``labels[j]`` is a (sign, mode) pair naming column j and ``energies[j]``
-    its eigenvalue.
+    ``energies[j]`` is the eigenvalue of column j.
     """
 
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    labels: tuple
-    energies: np.ndarray = field(default=None)
+    energies: np.ndarray
 
     @property
     def size(self) -> int:
         return self.right_vectors.shape[1]
-
-
-@dataclass
-class BiorthoReport:
-    """Result of a biorthonormality check."""
-
-    max_orthonormality_defect: float
-    max_completeness_defect: float
-    passed: bool
 
 
 def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
@@ -167,8 +156,10 @@ def operator_power(spec: SpectralDecomposition, gamma: float) -> np.ndarray:
     return (v * powered) @ v.conj().T
 
 
-def check_biorthonormal(system: BiorthonormalSystem, tol: float = DEFAULT_TOL) -> BiorthoReport:
-    """Verify <left_m|right_n> = delta_mn and sum_n |right_n><left_n| = 1."""
+def check_biorthonormal(system: BiorthonormalSystem) -> tuple[float, float]:
+    """Defects (orthonormality, completeness) of the system: the max-norm
+    distances of <left_m|right_n> and sum_n |right_n><left_n| from the
+    identity."""
     r = np.asarray(system.right_vectors, dtype=complex)
     l = np.asarray(system.left_vectors, dtype=complex)
     if r.shape != l.shape or r.shape[0] != r.shape[1]:
@@ -179,8 +170,4 @@ def check_biorthonormal(system: BiorthonormalSystem, tol: float = DEFAULT_TOL) -
     eye = np.eye(r.shape[0])
     ortho = float(np.max(np.abs(l.conj().T @ r - eye)))
     complete = float(np.max(np.abs(r @ l.conj().T - eye)))
-    return BiorthoReport(
-        max_orthonormality_defect=ortho,
-        max_completeness_defect=complete,
-        passed=bool(ortho <= tol and complete <= tol),
-    )
+    return ortho, complete

@@ -24,6 +24,7 @@ from .spectral import (
     BiorthonormalSystem,
     SpectralDecomposition,
     _as_hermitian,
+    _as_square_complex,
     _require_positive,
     operator_power,
 )
@@ -92,18 +93,6 @@ class TwoComponentState:
         return cls(vec[:n], vec[n:], lam)
 
 
-@dataclass
-class TwoComponentHamiltonian:
-    """Dense 2n x 2n generator of the doubled first-order system."""
-
-    matrix: np.ndarray
-    lam: float
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
 def pack(state: FieldState, lam: float) -> TwoComponentState:
     """Fold field data into the doubled representation."""
     shift = 1j * lam * state.psi_dot
@@ -120,8 +109,9 @@ def unpack(state: TwoComponentState) -> FieldState:
     return FieldState(*_field_data(state.upper, state.lower, state.lam))
 
 
-def build_hamiltonian(d_matrix, lam: float) -> TwoComponentHamiltonian:
-    """Assemble H from the spatial operator D.
+def build_hamiltonian(d_matrix, lam: float) -> np.ndarray:
+    """Assemble H, the dense (2n, 2n) complex generator of the doubled
+    first-order system, from the spatial operator D.
 
     Blocks are (1/2) [[lam*D + 1/lam, lam*D - 1/lam],
                       [-lam*D + 1/lam, -lam*D - 1/lam]] with the scalar
@@ -135,19 +125,20 @@ def build_hamiltonian(d_matrix, lam: float) -> TwoComponentHamiltonian:
     eye = np.eye(n, dtype=complex)
     a = lam * d + eye / lam
     b = lam * d - eye / lam
-    h = 0.5 * np.block([[a, b], [-b, -a]])
-    return TwoComponentHamiltonian(h, lam)
+    return 0.5 * np.block([[a, b], [-b, -a]])
 
 
-def gauge_transform(
-    h: TwoComponentHamiltonian, g: np.ndarray, g_dot: np.ndarray | None = None
-) -> TwoComponentHamiltonian:
-    """Apply a 2x2 gauge factor g (acting as g otimes identity) to H.
+def gauge_transform(h, g: np.ndarray, g_dot: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 2x2 gauge factor g (acting as g otimes identity) to the
+    (2n, 2n) generator H.
 
-    Returns g H g^-1 + i g_dot g^-1 (the derivative term enters for
-    time-dependent gauges). Raises SingularGaugeError if g is not
-    invertible.
+    Returns the complex array g H g^-1 + i g_dot g^-1 (the derivative term
+    enters for time-dependent gauges). Raises DimensionMismatchError unless
+    H is square of even size, and SingularGaugeError if g is not invertible.
     """
+    h = _as_square_complex(h, "H")
+    if h.shape[0] % 2:
+        raise DimensionMismatchError(f"H must have even size, got shape {h.shape}")
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise DimensionMismatchError(f"gauge factor must be 2x2, got {g.shape}")
@@ -155,17 +146,16 @@ def gauge_transform(
     if abs(det) < 1e-14 * max(1.0, float(np.max(np.abs(g)))) ** 2:
         raise SingularGaugeError(f"gauge factor is singular (det {det:.3e})")
     ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex) / det
-    n = h.n
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(h.shape[0] // 2, dtype=complex)
     big_g = np.kron(g, eye)
     big_ginv = np.kron(ginv, eye)
-    out = big_g @ h.matrix @ big_ginv
+    out = big_g @ h @ big_ginv
     if g_dot is not None:
         g_dot = np.asarray(g_dot, dtype=complex)
         if g_dot.shape != (2, 2):
             raise DimensionMismatchError(f"gauge derivative must be 2x2, got {g_dot.shape}")
         out = out + 1j * np.kron(g_dot @ ginv, eye)
-    return TwoComponentHamiltonian(out, h.lam)
+    return out
 
 
 def _mode_frequencies(
@@ -192,7 +182,8 @@ def eigen_system(
     (1/lam +- omega_n, 1/lam -+ omega_n) on that mode, and left (dual)
     vectors (lam +- 1/omega_n, lam -+ 1/omega_n)/4. Columns are ordered all
     plus-branch modes first, then all minus-branch modes, each in the
-    eigenvalue order of ``d_spec``; ``labels[j] = (sign, mode)``.
+    eigenvalue order of ``d_spec``: column j < n is (+, mode j) with energy
+    +omega_j, column n + j is (-, mode j) with energy -omega_j.
 
     With ``allow_complex=True`` negative D-eigenvalues are admitted: the
     branch frequencies become the conjugate pair +-i|omega_n| and the same
@@ -218,9 +209,7 @@ def eigen_system(
     left[:n, n:] = 0.25 * phi * np.conj(lam - inv_omega)
     left[n:, n:] = 0.25 * phi * np.conj(lam + inv_omega)
 
-    energies = np.concatenate([omega, -omega])
-    labels = tuple([(+1, k) for k in range(n)] + [(-1, k) for k in range(n)])
-    return BiorthonormalSystem(right, left, labels, energies)
+    return BiorthonormalSystem(right, left, np.concatenate([omega, -omega]))
 
 
 def eta_plus(d_spec: SpectralDecomposition, lam: float) -> np.ndarray:

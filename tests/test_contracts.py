@@ -24,6 +24,7 @@ from kgmetric import (
     evolve_field,
     evolve_fields,
     evolve_schrodinger,
+    gauge_transform,
     hermitian_eigendecompose,
     kg_inner,
     operator_power,
@@ -86,10 +87,14 @@ CASES = [
         lambda: two_component_inner(pack(F2, 1.0), pack(F3, 1.0), np.eye(4))),
     row("two_component_inner", LambdaMismatchError,
         lambda: two_component_inner(pack(F2, 1.0), pack(F2, 2.0), np.eye(4))),
-    # a non-square propagator
+    # a non-square propagator, or a doubled generator that is not square of even size
     row("eta_inv", DimensionMismatchError, lambda: eta_inv(np.ones((4, 2)), np.eye(4))),
     row("check_pseudo_unitary", DimensionMismatchError,
         lambda: check_pseudo_unitary(np.ones((4, 2)), np.eye(4))),
+    row("gauge_transform-non-square", DimensionMismatchError,
+        lambda: gauge_transform(np.ones((4, 2)), np.eye(2))),
+    row("gauge_transform-odd", DimensionMismatchError,
+        lambda: gauge_transform(np.eye(3), np.eye(2))),
     # state size against operator size
     row("evolve_schrodinger-constant", DimensionMismatchError,
         lambda: evolve_schrodinger(D2, pack(F3, 1.0), 0.0, 1.0, 4)),

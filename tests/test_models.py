@@ -15,6 +15,7 @@ from kgmetric import (
     solution_inner,
 )
 from kgmetric.errors import (
+    DimensionMismatchError,
     NonPositiveAError,
     NonPositiveSpectrumError,
     NotHermitianError,
@@ -263,13 +264,9 @@ def test_lattice_gauge_fixed_member_dual_forms():
     rng = generator(3, "models:woodard")
     f1 = kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False)
     f2 = kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False)
-    proj = woodard_inner(f1, f2, lattice, form="projection")
-    direct = woodard_inner(f1, f2, lattice, form="direct")
+    proj = woodard_inner(f1, f2, lattice)
     member = kg_inner_ri(f1, f2, lattice, 0.0)
-    assert abs(proj - direct) <= 1e-12 * max(abs(direct), 1.0)
     assert abs(proj - member) <= 1e-12 * max(abs(member), 1.0)
-    with pytest.raises(ValueError):
-        woodard_inner(f1, f2, lattice, form="other")
 
 
 @pytest.mark.parametrize("sites", [7, 12])
@@ -293,9 +290,6 @@ def test_lattice_gram_matches_pairwise_products(sites):
             for c, f2 in enumerate(cols):
                 ref = kg_inner_ri(f1, f2, lattice, a)
                 assert abs(gram[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
-                if a == 0.0:
-                    ref = woodard_inner(f1, f2, lattice, form="direct")
-                    assert abs(gram[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
 def test_lattice_positive_energy_projection_annihilation():
@@ -470,17 +464,18 @@ def test_wdw_invariant_matches_generic_uniform_product():
         psi=rng.standard_normal(6) + 1j * rng.standard_normal(6),
         psi_dot=rng.standard_normal(6) + 1j * rng.standard_normal(6),
     )
-    lhs = wdw_invariant_inner(f1, f2, model, alpha=0.1)
+    lhs = wdw_invariant_inner(f1, f2, model)
     d_spec = hermitian_eigendecompose(model.d_anchored(0.1))
     rhs = solution_inner(f1, f2, d_spec, InnerProductSpec.uniform(6))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
 def test_wdw_invariant_refuses_sign_crossing():
-    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=4)
+    # past the crossing e^alpha = m already at the anchor
+    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.5, modes=4)
     f = FieldState(psi=np.zeros(4, dtype=complex), psi_dot=np.zeros(4, dtype=complex))
     with pytest.raises(NonPositiveSpectrumError):
-        wdw_invariant_inner(f, f, model, alpha=0.5)
+        wdw_invariant_inner(f, f, model)
 
 
 def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
@@ -623,11 +618,22 @@ def test_wdw_model_validation():
         wdw_numeric_crosscheck(model, grid=8)
 
 
-@pytest.mark.parametrize("product", [wdw_invariant_inner, wdw_instantaneous_inner])
-def test_wdw_products_reject_wrong_mode_count(product):
-    model = WdwFrwModel(mass=1.0, kappa=0, alpha0=0.0, modes=4)
+_WDW4 = WdwFrwModel(mass=1.0, kappa=0, alpha0=0.0, modes=4)
+_LATTICE4 = KleinGordonLattice(sites=4, mu=1.0)
+
+
+@pytest.mark.parametrize(
+    "product, operator, extra",
+    [
+        pytest.param(wdw_invariant_inner, _WDW4, (), id="wdw_invariant_inner"),
+        pytest.param(wdw_instantaneous_inner, _WDW4, (0.1,), id="wdw_instantaneous_inner"),
+        pytest.param(kg_inner_ri, _LATTICE4, (0.0,), id="kg_inner_ri"),
+        pytest.param(woodard_inner, _LATTICE4, (), id="woodard_inner"),
+    ],
+)
+def test_wdw_products_reject_wrong_mode_count(product, operator, extra):
     good = FieldState(psi=np.ones(4), psi_dot=np.ones(4))
     short = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
     for f1, f2 in ((short, good), (good, short)):
-        with pytest.raises(ValueError, match="states have .* model holds 4"):
-            product(f1, f2, model, 0.1)
+        with pytest.raises(DimensionMismatchError, match="state size 3 .* operator size 4"):
+            product(f1, f2, operator, *extra)

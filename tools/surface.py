@@ -2,12 +2,14 @@
 
     python tools/surface.py CHECKOUT
 
-Prints three counts for CHECKOUT/src:
+Prints four counts for CHECKOUT/src:
   - src lines: the lines of every .py file;
   - settable values: the optional arguments (parameters with a default) of
     every function, plus the fields of every dataclass, counted from the AST;
   - CLI flags: the optional arguments of each subcommand of the parser that
-    `kgmetric.cli._build_parser` builds (help excluded).
+    `kgmetric.cli._build_parser` builds (help excluded);
+  - exported names: the public attributes of the imported `kgmetric`
+    package (no leading underscore, modules excluded).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import ast
 import importlib
 import sys
+import types
 from pathlib import Path
 
 
@@ -34,9 +37,8 @@ def settable_values(src: Path) -> tuple[int, int]:
     return optional, fields
 
 
-def cli_flags(src: Path) -> dict:
+def cli_flags() -> dict:
     """Optional arguments of each subcommand, read from the built parser."""
-    sys.path.insert(0, str(src))
     parser = importlib.import_module("kgmetric.cli")._build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
@@ -48,6 +50,15 @@ def cli_flags(src: Path) -> dict:
     }
 
 
+def exported_names() -> int:
+    """Public non-module attributes of the kgmetric package."""
+    package = importlib.import_module("kgmetric")
+    return sum(
+        1 for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -55,12 +66,14 @@ def main(argv: list) -> int:
     src = Path(argv[0]).resolve() / "src"
     lines = sum(len(p.read_text().splitlines()) for p in src.rglob("*.py"))
     optional, fields = settable_values(src)
-    flags = cli_flags(src)
+    sys.path.insert(0, str(src))
+    flags = cli_flags()
     print(f"src lines: {lines}")
     print(f"settable values: {optional + fields} "
           f"({optional} optional arguments, {fields} dataclass fields)")
     print(f"CLI flags: {sum(flags.values())} "
           f"({', '.join(f'{name} {n}' for name, n in flags.items())})")
+    print(f"exported names: {exported_names()}")
     return 0
 
 
