@@ -13,6 +13,7 @@ Wheeler-DeWitt minisuperspace.
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    InvalidParameterError,
     KgMetricError,
     LambdaMismatchError,
     LengthMismatchError,
@@ -27,7 +28,6 @@ from .errors import (
     SingularGaugeError,
     SingularPropagatorError,
     UnpairedComplexEigenvalueError,
-    UnresolvedBasisError,
     ZeroLambdaError,
     ZeroStepsError,
 )
@@ -58,12 +58,10 @@ from .inner_products import (
     eta_general,
     eta_inv,
     eta_tilde_plus,
-    invariant_inner_frozen,
     solution_inner,
     two_component_inner,
 )
 from .evolution import (
-    DriftTable,
     EvolutionResult,
     FieldTrajectory,
     MonitorSeries,

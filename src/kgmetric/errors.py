@@ -9,6 +9,10 @@ class KgMetricError(Exception):
     """Base class for all kgmetric errors."""
 
 
+class InvalidParameterError(KgMetricError, ValueError):
+    """A model parameter or argument lies outside its allowed values."""
+
+
 class DimensionMismatchError(KgMetricError):
     """Operands do not share the required shape."""
 
@@ -71,10 +75,6 @@ class ZeroStepsError(KgMetricError):
 
 class NonPositiveAError(KgMetricError):
     """Oscillator coefficients A+ and A- must be strictly positive."""
-
-
-class UnresolvedBasisError(KgMetricError):
-    """Grid cross-check cannot resolve the requested number of modes."""
 
 
 class ConfigError(KgMetricError):

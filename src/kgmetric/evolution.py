@@ -17,6 +17,12 @@ Two integrators:
 Both guard against blow-up (pseudo-real spectra can grow exponentially) and
 record samples along the way.
 
+``drift_report`` is the one function that turns a trajectory into drift
+numbers, for every report: it follows the positive product
+``solution_inner`` (instantaneous when D depends on time) and the indefinite
+``kg_inner`` against their t0 values. The paper's frozen product reads only
+t0 data, so there is nothing of it to follow.
+
 Every operator source here (integrators and ``drift_report`` alike) is a
 matrix or a SpectralDecomposition, which is constant and converted once, or
 a callable t -> either, which is time-dependent and queried as needed.
@@ -69,11 +75,6 @@ class EvolutionResult:
     def state(self, i: int) -> TwoComponentState:
         return TwoComponentState.from_vector(self.state_matrix[i], self.lam)
 
-    @property
-    def samples(self) -> list:
-        """(t, TwoComponentState) pairs for every recorded sample."""
-        return [(float(t), self.state(i)) for i, t in enumerate(self.times)]
-
 
 @dataclass
 class FieldTrajectory:
@@ -93,13 +94,6 @@ class FieldTrajectory:
     def state(self, i: int) -> FieldState:
         return FieldState(self.psis[i], self.psi_dots[i])
 
-    def at_time(self, t: float) -> FieldState:
-        """Sample closest to t; raises if none lies within 1e-9."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"no sample at t={t} (closest is {self.times[i]}, atol 1e-9)")
-        return self.state(i)
-
 
 @dataclass
 class MonitorSeries:
@@ -108,17 +102,6 @@ class MonitorSeries:
     values: np.ndarray
     deviations: np.ndarray
     max_deviation: float
-
-
-@dataclass
-class DriftTable:
-    """Per-monitor drift relative to the initial value."""
-
-    monitors: dict
-
-    @property
-    def max_deviation(self) -> float:
-        return max(series.max_deviation for series in self.monitors.values())
 
 
 def _check_steps(steps) -> int:
@@ -427,7 +410,7 @@ def drift_report(
     spec,
     traj2: FieldTrajectory | None = None,
     lam: float = 1.0,
-) -> DriftTable:
+) -> tuple[MonitorSeries, MonitorSeries]:
     """Track inner products along a trajectory (pair) against their t0 value.
 
     Parameters
@@ -437,15 +420,14 @@ def drift_report(
     d_spec : matrix, SpectralDecomposition, or callable t -> either
         The operator source, in the same forms the integrators take. A
         constant source is diagonalized once and every sample is evaluated
-        in one batch; a callable makes ``solution_inner`` instantaneous
-        (re-evaluated at each sample time) while ``frozen_inner`` stays
-        pinned to the t0 operator.
+        in one batch; a callable makes ``solution_inner`` instantaneous,
+        re-evaluated on D(t) at each sample time.
 
-    Returns the monitors ``solution_inner``, ``frozen_inner`` and
-    ``kg_inner`` (the indefinite product at packing ``lam``). Deviation is
-    relative to the t0 value, falling back to absolute when the t0 value is
-    below 1e-12 in magnitude. Raises the errors of ``solution_inner`` (size,
-    spec length, non-positive spectrum).
+    Returns the two monitors ``(solution_inner, kg_inner)``: the positive
+    product under ``spec`` and the indefinite product at packing ``lam``.
+    Deviation is relative to the t0 value, falling back to absolute when the
+    t0 value is below 1e-12 in magnitude. Raises the errors of
+    ``solution_inner`` (size, spec length, non-positive spectrum).
     """
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
@@ -466,11 +448,4 @@ def drift_report(
         np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
         - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)
     )
-    monitors = {
-        "solution_inner": sol_values,
-        "frozen_inner": np.full(len(traj), sol_values[0]),
-        "kg_inner": kg_values,
-    }
-    return DriftTable(
-        {name: MonitorSeries(v, *_deviations(v)) for name, v in monitors.items()}
-    )
+    return tuple(MonitorSeries(v, *_deviations(v)) for v in (sol_values, kg_values))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     LengthMismatchError,
     MissingSignError,
     NonPositiveCoefficientError,
@@ -97,7 +98,7 @@ class SignAssignment:
     def __post_init__(self):
         self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=int))
         if self.sigma.ndim != 1 or not np.all(np.isin(self.sigma, (-1, 1))):
-            raise ValueError("sigma must be a vector of +-1 entries")
+            raise InvalidParameterError("sigma must be a vector of +-1 entries")
 
     @classmethod
     def all_plus(cls, n: int) -> "SignAssignment":
@@ -277,25 +278,6 @@ def solution_inner(
     are diagonal. Equal to lam^-2 <Psi1|eta_tilde_plus Psi2> for any lam.
     """
     return complex(_field_inner(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, d_spec, spec))
-
-
-def invariant_inner_frozen(
-    traj1,
-    traj2,
-    t0: float,
-    d_spec_at_t0: SpectralDecomposition,
-    spec: InnerProductSpec,
-) -> complex:
-    """Inner product frozen at the initial time.
-
-    Evaluates solution_inner on the t0 samples of both trajectories; by
-    definition the value never drifts, which is what makes it the invariant
-    choice when D depends on time. Both trajectories must carry a sample at
-    t0 (see FieldTrajectory.at_time).
-    """
-    f1 = traj1.at_time(t0)
-    f2 = traj2.at_time(t0)
-    return solution_inner(f1, f2, d_spec_at_t0, spec)
 
 
 def _propagator_and_metric(u, eta0) -> tuple[np.ndarray, np.ndarray]:

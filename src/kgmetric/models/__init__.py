@@ -17,7 +17,6 @@ from .lattice import (
 from .wdw import (
     WdwCrosscheckReport,
     WdwFrwModel,
-    wdw_instantaneous_inner,
     wdw_invariant_inner,
     wdw_numeric_crosscheck,
     wdw_operator,
@@ -39,7 +38,6 @@ __all__ = [
     "woodard_inner",
     "WdwCrosscheckReport",
     "WdwFrwModel",
-    "wdw_instantaneous_inner",
     "wdw_invariant_inner",
     "wdw_numeric_crosscheck",
     "wdw_operator",

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import NonPositiveAError, OutOfFamilyError
+from ..errors import InvalidParameterError, NonPositiveAError, OutOfFamilyError
 from ..inner_products import InnerProductSpec, _check_state_size, solution_inner
 from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
@@ -45,9 +45,9 @@ class KleinGordonLattice:
 
     def __post_init__(self):
         if self.sites < MIN_SITES:
-            raise ValueError(f"need at least {MIN_SITES} sites, got {self.sites}")
+            raise InvalidParameterError(f"need at least {MIN_SITES} sites, got {self.sites}")
         if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+            raise InvalidParameterError(f"mu must be positive, got {self.mu}")
 
     @cached_property
     def mode_indices(self) -> np.ndarray:
@@ -99,13 +99,13 @@ class KleinGordonLattice:
         """Canonical-order column index of mode label j."""
         hits = np.nonzero(self.mode_indices == j)[0]
         if hits.size == 0:
-            raise ValueError(f"mode label {j} not on this lattice")
+            raise InvalidParameterError(f"mode label {j} not on this lattice")
         return int(hits[0])
 
 
 def _check_eps(eps: int) -> int:
     if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+        raise InvalidParameterError(f"eps must be +1 or -1, got {eps!r}")
     return eps
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonPositiveAError
+from ..errors import InvalidParameterError, NonPositiveAError
 from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
 
@@ -25,7 +25,7 @@ class ShoModel:
 
     def __post_init__(self):
         if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise InvalidParameterError(f"omega must be positive, got {self.omega}")
 
     def d_spec(self) -> SpectralDecomposition:
         """D = omega^2 as a one-mode spectral resolution."""
@@ -38,9 +38,9 @@ class ShoModel:
 def sho_basic_solution(omega: float, eps: int, t: float) -> FieldState:
     """The basic solution exp(-i eps omega t) sampled at time t, eps = +-1."""
     if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+        raise InvalidParameterError(f"eps must be +1 or -1, got {eps!r}")
     if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        raise InvalidParameterError(f"omega must be positive, got {omega}")
     z = np.exp(-1j * eps * omega * t)
     return FieldState(
         psi=np.array([z]),
@@ -51,7 +51,7 @@ def sho_basic_solution(omega: float, eps: int, t: float) -> FieldState:
 def _as_pair(x) -> tuple[complex, complex]:
     if isinstance(x, FieldState):
         if x.n != 1:
-            raise ValueError(f"oscillator samples are one-dimensional, got n={x.n}")
+            raise InvalidParameterError(f"oscillator samples are one-dimensional, got n={x.n}")
         return complex(x.psi[0]), complex(x.psi_dot[0])
     a, b = x
     return complex(a), complex(b)
@@ -74,7 +74,7 @@ def sho_inner(x1, x2, omega: float, l_plus: float = 1.0, l_minus: float = 0.0) -
             f"need l_plus +- l_minus > 0, got l_plus={l_plus}, l_minus={l_minus}"
         )
     if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        raise InvalidParameterError(f"omega must be positive, got {omega}")
     p1, d1 = _as_pair(x1)
     p2, d2 = _as_pair(x2)
     sym = np.conj(p1) * p2 + np.conj(d1) * d2 / (omega * omega)

@@ -2,8 +2,8 @@
 
 The paper's positive products need a nonzero packing constant, a Hermitian
 D and a strictly positive spectrum; doubled states must pair up, and states
-must match the operator they are fed to. One row per entry point and
-contract.
+must match the operator they are fed to; model parameters and arguments
+must lie in their allowed ranges. One row per entry point and contract.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from kgmetric import (
     FieldState,
     InnerProductSpec,
+    SignAssignment,
     SpectralDecomposition,
     TwoComponentState,
     build_hamiltonian,
@@ -34,12 +35,22 @@ from kgmetric import (
 )
 from kgmetric.errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     LambdaMismatchError,
     NonPositiveSpectrumError,
     NotHermitianError,
     ZeroLambdaError,
 )
 from kgmetric.evolution import FieldTrajectory
+from kgmetric.models import (
+    KleinGordonLattice,
+    ShoModel,
+    WdwFrwModel,
+    kg_mode_solution,
+    sho_basic_solution,
+    sho_inner,
+    wdw_numeric_crosscheck,
+)
 
 D2 = np.diag([1.0, 2.0])
 POSITIVE = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
@@ -47,6 +58,7 @@ NON_POSITIVE = SpectralDecomposition(np.array([-1.0, 2.0]), np.eye(2, dtype=comp
 SPEC = InnerProductSpec.uniform(2)
 F2 = FieldState(psi=np.ones(2), psi_dot=np.ones(2))
 F3 = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
+LATTICE4 = KleinGordonLattice(sites=4, mu=1.0)
 TRAJ3 = FieldTrajectory(times=np.zeros(1), psis=np.ones((1, 3)), psi_dots=np.ones((1, 3)))
 NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
 NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -106,6 +118,27 @@ CASES = [
     row("evolve_fields-empty", DimensionMismatchError,
         lambda: evolve_fields(D2, [], 0.0, 1.0, 4)),
     row("drift_report", DimensionMismatchError, lambda: drift_report(TRAJ3, POSITIVE, SPEC)),
+    # a parameter or argument outside its allowed values
+    row("SignAssignment", InvalidParameterError, lambda: SignAssignment([1, 2])),
+    row("WdwFrwModel-mass", InvalidParameterError, lambda: WdwFrwModel(mass=0.0)),
+    row("WdwFrwModel-kappa", InvalidParameterError, lambda: WdwFrwModel(kappa=2)),
+    row("WdwFrwModel-modes", InvalidParameterError, lambda: WdwFrwModel(modes=0)),
+    row("KleinGordonLattice-sites", InvalidParameterError,
+        lambda: KleinGordonLattice(sites=1, mu=1.0)),
+    row("KleinGordonLattice-mu", InvalidParameterError,
+        lambda: KleinGordonLattice(sites=4, mu=0.0)),
+    row("ShoModel", InvalidParameterError, lambda: ShoModel(omega=0.0)),
+    row("column_of", InvalidParameterError, lambda: LATTICE4.column_of(7)),
+    row("kg_mode_solution-eps", InvalidParameterError,
+        lambda: kg_mode_solution(LATTICE4, 2, 0)),
+    row("sho_basic_solution-eps", InvalidParameterError,
+        lambda: sho_basic_solution(1.0, 2, 0.0)),
+    row("sho_basic_solution-omega", InvalidParameterError,
+        lambda: sho_basic_solution(0.0, 1, 0.0)),
+    row("sho_inner-omega", InvalidParameterError, lambda: sho_inner((1.0, 0.0), (1.0, 0.0), 0.0)),
+    row("sho_inner-size", InvalidParameterError, lambda: sho_inner(F2, F2, 1.0)),
+    row("wdw_numeric_crosscheck-grid", InvalidParameterError,
+        lambda: wdw_numeric_crosscheck(WdwFrwModel(modes=16), grid=8)),
 ]
 
 

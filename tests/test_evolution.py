@@ -45,8 +45,8 @@ def test_constant_operator_propagation_is_exact():
     result = evolve_schrodinger(
         np.array([[omega**2]]), pack(f0, 1.0), 0.0, 10.0, 1000, sample_every=100
     )
-    for t, state in result.samples:
-        f = unpack(state)
+    for i, t in enumerate(result.times):
+        f = unpack(result.state(i))
         assert abs(f.psi[0] - np.cos(omega * t)) <= 1e-12
         assert abs(f.psi_dot[0] + omega * np.sin(omega * t)) <= 1e-12
 
@@ -109,14 +109,14 @@ def test_drift_constant_operator_stays_flat():
     spec = InnerProductSpec.uniform(n)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     traj = evolve_field(d, f0, 0.0, 10.0, 5000, sample_every=10)
-    table = drift_report(traj, d_spec, spec)
-    assert table.max_deviation <= 1e-8
-    assert table.monitors["solution_inner"].max_deviation <= 1e-8
-    assert table.monitors["kg_inner"].max_deviation <= 1e-8
+    sol, kg = drift_report(traj, d_spec, spec)
+    assert sol.max_deviation <= 1e-8
+    assert kg.max_deviation <= 1e-8
 
 
 def test_drift_constant_operator_guards():
-    # the batch over samples raises what solution_inner raises, never NaN
+    # the batch over samples, and the per-sample route of a callable source,
+    # raise what solution_inner raises, never NaN
     rng = generator(4, "evo:drift-guards")
     f0 = FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2))
     traj = evolve_field(np.diag([1.0, 2.0]), f0, 0.0, 1.0, 10)
@@ -124,6 +124,10 @@ def test_drift_constant_operator_guards():
         d_spec = SpectralDecomposition(np.array(w), np.eye(2, dtype=complex))
         with pytest.raises(NonPositiveSpectrumError):
             drift_report(traj, d_spec, InnerProductSpec.uniform(2))
+    # a singular D (all zeros) and an indefinite one, read off at each sample
+    for d in (np.zeros((2, 2)), np.diag([-1.0, 2.0])):
+        with pytest.raises(NonPositiveSpectrumError):
+            drift_report(traj, lambda t, d=d: d, InnerProductSpec.uniform(2))
     d_spec = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
     with pytest.raises(LengthMismatchError):
         drift_report(traj, d_spec, InnerProductSpec.uniform(3))
@@ -141,8 +145,7 @@ def test_operator_source_forms_agree():
     trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
     for traj in trajs[1:]:
         assert maxabs(traj.psis - trajs[0].psis) <= 1e-12
-    values = [drift_report(trajs[0], src, spec).monitors["solution_inner"].values
-              for src in forms]
+    values = [drift_report(trajs[0], src, spec)[0].values for src in forms]
     for v in values[1:]:
         assert maxabs(v - values[0]) <= 1e-12
     psi0 = pack(f0, 1.0)
@@ -163,10 +166,9 @@ def test_drift_time_dependent_instantaneous_vs_frozen():
     traj = evolve_field(
         lambda t: (1.0 + 0.3 * np.sin(t)) * d0, f0, 0.0, 6.0, 3000, sample_every=30
     )
-    table = drift_report(traj, spec_of_t, InnerProductSpec.uniform(n))
-    # the instantaneous product visibly moves; the frozen one cannot
-    assert table.monitors["solution_inner"].max_deviation >= 1e-6
-    assert table.monitors["frozen_inner"].max_deviation == 0.0
+    sol, _ = drift_report(traj, spec_of_t, InnerProductSpec.uniform(n))
+    # the instantaneous product visibly moves
+    assert sol.max_deviation >= 1e-6
 
 
 def exact_decaying_frequency(t):
@@ -245,10 +247,8 @@ def test_trajectory_sampling_and_lookup():
     np.testing.assert_allclose(result.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
     traj = field_trajectory(result)
     assert traj.n == 1 and len(traj) == len(result)
-    f = traj.at_time(0.6)
+    f = traj.state(2)
     assert abs(f.psi[0] - np.cos(0.6)) <= 1e-12
-    with pytest.raises(Exception):
-        traj.at_time(0.45)
 
 
 def test_step_count_validation_and_blowup_guard():

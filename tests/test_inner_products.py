@@ -16,9 +16,7 @@ from kgmetric import (
     eta_inv,
     eta_plus,
     eta_tilde_plus,
-    evolve_field,
     evolve_schrodinger,
-    invariant_inner_frozen,
     kg_inner,
     pack,
     solution_inner,
@@ -295,25 +293,6 @@ def test_weighted_product_symmetrizes_generator():
     lhs = two_component_inner(s1, hs2, eta)
     rhs = two_component_inner(hs1, s2, eta)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-
-
-def test_invariant_frozen_product():
-    rng = generator(12, "ip:frozen")
-    n = 3
-    d0 = random_positive_hermitian(rng, n)
-    d_spec0 = hermitian_eigendecompose(d0)
-    spec = random_spec(rng, n)
-
-    def d_of_t(t):
-        return (1.0 + 0.3 * np.sin(t)) * d0
-
-    f1 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
-    f2 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
-    traj1 = evolve_field(d_of_t, f1, 0.0, 2.0, 400)
-    traj2 = evolve_field(d_of_t, f2, 0.0, 2.0, 400)
-    frozen = invariant_inner_frozen(traj1, traj2, 0.0, d_spec0, spec)
-    direct = solution_inner(f1, f2, d_spec0, spec)
-    assert abs(frozen - direct) <= 1e-12 * max(abs(direct), 1.0)
 
 
 def test_eta_inv_transport():

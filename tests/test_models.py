@@ -8,8 +8,8 @@ import pytest
 from kgmetric import (
     FieldState,
     InnerProductSpec,
+    drift_report,
     evolve_field,
-    invariant_inner_frozen,
     kg_inner,
     pack,
     solution_inner,
@@ -20,7 +20,6 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     NotHermitianError,
     OutOfFamilyError,
-    UnresolvedBasisError,
 )
 from kgmetric.models.lattice import (
     KleinGordonLattice,
@@ -40,7 +39,6 @@ from kgmetric.models.wdw import (
     HAS_ZERO_MODE,
     WdwFrwModel,
     hermite_function_table,
-    wdw_instantaneous_inner,
     wdw_invariant_inner,
     wdw_numeric_crosscheck,
     wdw_operator,
@@ -478,24 +476,6 @@ def test_wdw_invariant_refuses_sign_crossing():
         wdw_invariant_inner(f, f, model)
 
 
-def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
-    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
-    rng = generator(9, "models:wdw-zero-mode")
-    f = FieldState(
-        psi=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-        psi_dot=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-    )
-    assert wdw_positivity(model, 0.0) == HAS_ZERO_MODE
-    with pytest.raises(NonPositiveSpectrumError):
-        wdw_instantaneous_inner(f, f, model, 0.0)
-    # a singular anchored operator where the spectrum is positive still raises
-    monkeypatch.setattr(
-        WdwFrwModel, "d_anchored", lambda self, alpha, anchor=None: np.zeros((8, 8))
-    )
-    with pytest.raises(NonPositiveSpectrumError):
-        wdw_instantaneous_inner(f, f, model, -0.5)
-
-
 def test_wdw_crosscheck_zero_mode_is_measured_against_block_scale():
     model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
     report = wdw_numeric_crosscheck(model)
@@ -570,15 +550,24 @@ def test_wdw_frozen_product_constant_along_flow():
     source = model.d_anchored
     traj1 = evolve_field(source, f1, 0.0, 0.4, 2000, sample_every=200)
     traj2 = evolve_field(source, f2, 0.0, 0.4, 2000, sample_every=200)
+    uniform = InnerProductSpec.uniform(6)
+    inst, _ = drift_report(traj1, source, uniform, traj2=traj2)
+    # oracle: (1/2)(<psi1|psi2> + <psidot1|D(alpha)^-1|psidot2>) with a dense
+    # solve at each sample, against the eigendecomposed series
+    for i, alpha in enumerate(traj1.times):
+        g1, g2 = traj1.state(i), traj2.state(i)
+        oracle = 0.5 * (
+            np.vdot(g1.psi, g2.psi)
+            + np.vdot(g1.psi_dot, np.linalg.solve(model.d_anchored(alpha), g2.psi_dot))
+        )
+        assert abs(inst.values[i] - oracle) <= 1e-12 * abs(oracle)
+    # the frozen value: the t0 samples under D(alpha0)
     d_spec0 = hermitian_eigendecompose(model.d_anchored(0.0))
-    frozen = invariant_inner_frozen(traj1, traj2, 0.0, d_spec0, InnerProductSpec.uniform(6))
+    frozen = solution_inner(traj1.state(0), traj2.state(0), d_spec0, uniform)
     want = wdw_invariant_inner(f1, f2, model)
     assert abs(frozen - want) <= 1e-12 * max(abs(want), 1.0)
-    # the instantaneous product drifts; the frozen value is pinned by its t0 data
-    inst0 = wdw_instantaneous_inner(f1, f2, model, 0.0)
-    inst1 = wdw_instantaneous_inner(
-        traj1.state(-1), traj2.state(-1), model, 0.4
-    )
+    # the instantaneous product starts there and drifts away
+    inst0, inst1 = inst.values[0], inst.values[-1]
     assert abs(inst0 - want) <= 1e-12 * max(abs(want), 1.0)
     assert abs(inst1 - inst0) > 1e-4 * max(abs(inst0), 1.0)
 
@@ -599,11 +588,11 @@ def test_wdw_crosscheck_second_order_in_grid():
 
 def test_wdw_crosscheck_unresolved_grid_raises_with_report():
     model = WdwFrwModel(mass=1.0, kappa=-1, alpha0=0.0, modes=8)
-    with pytest.raises(UnresolvedBasisError) as excinfo:
-        wdw_numeric_crosscheck(model, grid=32)
-    report = excinfo.value.report
+    # measured, not raised: the top mode misses 5%, so the largest error does too
+    report = wdw_numeric_crosscheck(model, grid=32)
     assert report.grid == 32
     assert report.rel_errors[-1] > 0.05
+    assert report.max_rel_error >= report.rel_errors[-1]
 
 
 def test_wdw_model_validation():
@@ -626,7 +615,6 @@ _LATTICE4 = KleinGordonLattice(sites=4, mu=1.0)
     "product, operator, extra",
     [
         pytest.param(wdw_invariant_inner, _WDW4, (), id="wdw_invariant_inner"),
-        pytest.param(wdw_instantaneous_inner, _WDW4, (0.1,), id="wdw_instantaneous_inner"),
         pytest.param(kg_inner_ri, _LATTICE4, (0.0,), id="kg_inner_ri"),
         pytest.param(woodard_inner, _LATTICE4, (), id="woodard_inner"),
     ],

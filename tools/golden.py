@@ -6,7 +6,10 @@
         data file under DIR/<run name>/.
     python tools/golden.py compare A B
         Compare two such directories with `timestamp` lines masked. Exit 1,
-        naming each file that differs or exists on one side only.
+        naming each file that differs or exists on one side only. When a
+        differing file holds the same keys on both sides (JSON, or a CSV
+        table), also print its largest relative numeric difference and the
+        key where it occurs.
 
 Every run works inside its own directory and writes its data file to the
 same relative name, so the `config.out` echo in the report is the same
@@ -15,6 +18,10 @@ whatever the checkout's path.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -83,6 +90,66 @@ def _files(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def _flatten(obj, name: str = ""):
+    """(key, leaf) pairs of parsed JSON, keys spelled `a.b[i]` like the CSV names."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _flatten(val, f"{name}.{key}" if name else key)
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _flatten(val, f"{name}[{i}]")
+    else:
+        yield name, obj
+
+
+def _keyed(data: bytes) -> dict | None:
+    """{key: value} of a JSON document or a CSV table, or None if it is neither.
+    A `name,value` CSV is keyed by its names, any other by `column[row]`."""
+    text = data.decode(errors="replace")
+    try:
+        return dict(_flatten(json.loads(text)))
+    except ValueError:
+        pass
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2 or any(len(r) != len(rows[0]) for r in rows):
+        return None
+    if rows[0] == ["name", "value"]:
+        return dict(rows[1:])
+    return {f"{h}[{i}]": v for i, r in enumerate(rows[1:]) for h, v in zip(rows[0], r)}
+
+
+def _number(value) -> float | None:
+    """A leaf as a float, None for text and booleans; JSON null, which the
+    reports write for a non-finite float, reads as NaN."""
+    if value is None:
+        return math.nan
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _largest_difference(data_a: bytes, data_b: bytes) -> tuple[float, str] | None:
+    """Largest |x - y| / max(|x|, |y|) over the numeric values of two files with
+    the same keys, and its key; None if they do not parse with the same keys."""
+    keyed_a, keyed_b = _keyed(data_a), _keyed(data_b)
+    if keyed_a is None or keyed_b is None or keyed_a.keys() != keyed_b.keys():
+        return None
+    worst = (0.0, "")
+    for key in keyed_a:
+        x, y = _number(keyed_a[key]), _number(keyed_b[key])
+        if x is None or y is None or x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        if math.isnan(rel):  # NaN or infinity against a number
+            rel = math.inf
+        if rel > worst[0]:
+            worst = (rel, key)
+    return worst
+
+
 def compare(a: str, b: str) -> int:
     root_a, root_b = Path(a), Path(b)
     names_a, names_b = _files(root_a), _files(root_b)
@@ -93,6 +160,12 @@ def compare(a: str, b: str) -> int:
             differing.append(rel)
     for rel in sorted(differing):
         print(f"differs: {rel}")
+        if rel in names_a and rel in names_b:
+            largest = _largest_difference((root_a / rel).read_bytes(), (root_b / rel).read_bytes())
+            if largest is not None:
+                rel_diff, key = largest
+                print(f"  largest relative difference {rel_diff:.3g} at {key}"
+                      if key else "  no numeric difference")
     print(f"{len(names_a | names_b) - len(differing)} files identical, {len(differing)} differ")
     return 1 if differing else 0
 
