@@ -476,6 +476,28 @@ def test_wdw_invariant_refuses_sign_crossing():
         wdw_invariant_inner(f, f, model)
 
 
+def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
+    # the instantaneous product is drift_report on the Galerkin D(alpha)
+    model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
+    rng = generator(9, "models:wdw-zero-mode")
+    f = FieldState(
+        psi=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+        psi_dot=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+    )
+    assert wdw_positivity(model, 0.0) == HAS_ZERO_MODE
+    uniform = InnerProductSpec.uniform(8)
+    traj = evolve_field(np.eye(8), f, 0.0, 0.1, 10)
+    with pytest.raises(NonPositiveSpectrumError):
+        drift_report(traj, lambda alpha: wdw_operator(model, alpha), uniform)
+    # a singular anchored operator where the spectrum is positive still raises
+    monkeypatch.setattr(
+        WdwFrwModel, "d_anchored", lambda self, alpha, anchor=None: np.zeros((8, 8))
+    )
+    traj = evolve_field(np.eye(8), f, -0.5, -0.4, 10)
+    with pytest.raises(NonPositiveSpectrumError):
+        drift_report(traj, model.d_anchored, uniform)
+
+
 def test_wdw_crosscheck_zero_mode_is_measured_against_block_scale():
     model = WdwFrwModel(mass=1.0, kappa=1, alpha0=0.0, modes=8)
     report = wdw_numeric_crosscheck(model)
