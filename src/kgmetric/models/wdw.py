@@ -302,9 +302,9 @@ def wdw_numeric_crosscheck(
     diag = 2.0 / h**2 + (model.mass**2) * np.exp(6.0 * alpha) * phi**2 - (
         model.kappa * np.exp(4.0 * alpha)
     )
-    fd = np.diag(diag) + np.diag(np.full(grid - 1, -1.0 / h**2), 1) + np.diag(
-        np.full(grid - 1, -1.0 / h**2), -1
-    )
+    fd = np.diag(diag)
+    off = np.arange(grid - 1)
+    fd[off, off + 1] = fd[off + 1, off] = -1.0 / h**2
     numeric = np.linalg.eigvalsh(fd)[: model.modes]
     analytic = model.omega_sq(alpha)
     scale = np.abs(analytic)

@@ -185,22 +185,28 @@ def test_config_keys_and_format_defaults(capsys):
     "argv,stderr_start,error",
     [
         pytest.param(
-            ["--alpha0", "200"],
+            ["wdw", "--alpha0", "200"],
             "run failed: spectrum at alpha=200.0 is not finite",
             "NotHermitianError",
             id="alpha0-200",
         ),
         pytest.param(
-            ["--mass", "1e200"],
+            ["wdw", "--mass", "1e200"],
             "run failed: grid stencil at alpha=0.0 has non-finite entries",
             "NotHermitianError",
             id="mass-1e200",
         ),
         pytest.param(
-            ["--alpha0", "-300"],
+            ["wdw", "--alpha0", "-300"],
             "run failed: spectrum at alpha=-300.0 underflows to zero",
             "NonPositiveSpectrumError",
             id="alpha0-minus300",
+        ),
+        pytest.param(
+            ["sho", "--omega", "1e150", "--steps", "100"],
+            "run failed: state blew past 1e+12 at t=0.1 (max nan)",
+            "NonFiniteStateError",
+            id="sho-omega-1e150",
         ),
     ],
 )
@@ -208,7 +214,7 @@ def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, e
     # a fresh interpreter, so numpy's warnings print under the default filters
     env = dict(os.environ, PYTHONPATH=str(Path(kgmetric.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "kgmetric", "wdw", *argv],
+        [sys.executable, "-m", "kgmetric", *argv],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 1

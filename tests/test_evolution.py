@@ -1,5 +1,8 @@
 """Propagation routes, conserved-product drift, and integrator accuracy order."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,9 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     ZeroStepsError,
 )
+from kgmetric.evolution import BLOWUP_LIMIT
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
+from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
 from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
 
@@ -341,3 +346,119 @@ def test_batched_field_route_matches_single_runs():
         np.testing.assert_array_equal(traj.times, single.times)
         assert maxabs(traj.psis - single.psis) <= 1e-13
         assert maxabs(traj.psi_dots - single.psi_dots) <= 1e-13
+
+
+def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
+    """Reference: the classical stage-by-stage RK4 loop on (psi, dot), with
+    the blow-up guard after every step (psi before dot). Returns the sample
+    times and the (n_samples, n, k) psi and dot stacks."""
+    source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
+    dt = (t1 - t0) / steps
+    psi = np.stack([f.psi for f in states], axis=1)
+    dot = np.stack([f.psi_dot for f in states], axis=1)
+    times, psis, dots = [t0], [psi], [dot]
+    d0 = np.asarray(source(t0))
+    for k in range(1, steps + 1):
+        t_k = t0 + k * dt
+        d_mid = np.asarray(source(t0 + (k - 1) * dt + 0.5 * dt))
+        d1 = np.asarray(source(t_k))
+        k1p, k1d = dot, -(d0 @ psi)
+        k2p, k2d = dot + 0.5 * dt * k1d, -(d_mid @ (psi + 0.5 * dt * k1p))
+        k3p, k3d = dot + 0.5 * dt * k2d, -(d_mid @ (psi + 0.5 * dt * k2p))
+        k4p, k4d = dot + dt * k3d, -(d1 @ (psi + dt * k3p))
+        psi = psi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        dot = dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        d0 = d1
+        for part in (psi, dot):
+            peak = maxabs(part)
+            if not peak <= BLOWUP_LIMIT:
+                raise NonFiniteStateError(
+                    f"state blew past {BLOWUP_LIMIT:.0e} at t={t_k:.6g} (max {peak:.3e})"
+                )
+        if k % sample_every == 0 or k == steps:
+            times.append(t_k)
+            psis.append(psi)
+            dots.append(dot)
+    return np.array(times), np.array(psis), np.array(dots)
+
+
+D_COMPLEX = random_positive_hermitian(generator(10, "evo:oracle"), 4)
+
+
+@pytest.mark.parametrize(
+    "source,n,count,t1,steps,sample_every",
+    [
+        pytest.param(WdwFrwModel().d_anchored, 8, 2, 0.3, 1500, 15, id="wdw-anchored"),
+        pytest.param(
+            lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4, 1, 3.0, 700, 7, id="complex-hermitian"
+        ),
+        pytest.param(np.diag([1.0, 2.5, 4.0]), 3, 2, 10.0, 1000, 100, id="constant-two-states"),
+    ],
+)
+def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sample_every):
+    rng = generator(11, f"evo:oracle:{n}")
+    states = [
+        FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)) for _ in range(count)
+    ]
+    times, psis, dots = stagewise_rk4(source, states, 0.0, t1, steps, sample_every)
+    trajs = evolve_fields(source, states, 0.0, t1, steps, sample_every)
+    for j, traj in enumerate(trajs):
+        np.testing.assert_array_equal(traj.times, times)
+        assert maxabs(traj.psis - psis[:, :, j]) <= 1e-12 * maxabs(psis[:, :, j])
+        assert maxabs(traj.psi_dots - dots[:, :, j]) <= 1e-12 * maxabs(dots[:, :, j])
+
+
+@pytest.mark.parametrize(
+    "d,steps",
+    [
+        pytest.param(-1.0, 400, id="psi-trips"),
+        # the first bad step (5664) lies past the first chunk of maps
+        pytest.param(-1.0, 8000, id="psi-trips-second-chunk"),
+        # w = 1.1: dot = w sinh(w t) outgrows psi = cosh(w t) and trips alone
+        pytest.param(-1.21, 400, id="dot-trips"),
+        # coarse steps: both pass the bound at step 79, and psi is reported
+        pytest.param(-0.81, 100, id="both-trip"),
+    ],
+)
+def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
+    # an inverted mode grows like e^(w t); the guard trips between samples
+    f0 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.0]))
+    d = np.array([[d]])
+    with pytest.raises(NonFiniteStateError) as want:
+        stagewise_rk4(d, [f0], 0.0, 40.0, steps, sample_every=1000)
+    for source in (d, lambda t: d):
+        with pytest.raises(NonFiniteStateError) as got:
+            evolve_field(source, f0, 0.0, 40.0, steps, sample_every=1000)
+        assert str(got.value) == str(want.value)
+    if steps == 400 and d[0, 0] == -1.0:
+        assert "at t=28.4 " in str(want.value)
+
+
+@pytest.mark.parametrize("value", [-1e200, 1e300])
+def test_field_route_overflow_raises_without_warnings(value):
+    # the step map itself overflows; that is a blown-up state, not a warning
+    f0 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (np.array([[value]]), lambda t: np.array([[value]])):
+            with pytest.raises(NonFiniteStateError):
+                evolve_field(source, f0, 0.0, 1.0, 10)
+
+
+def test_field_route_memory_stays_flat_in_steps():
+    # the maps are built chunk by chunk: a long run holds its samples and a
+    # fixed working set, never one map or state per step (20000 maps of this
+    # size are about 82 MB)
+    rng = generator(12, "evo:memory")
+    n = 8
+    d0 = random_positive_hermitian(rng, n)
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+    evolve_field(lambda t: d0, f0, 0.0, 1.0, 10)
+    tracemalloc.start()
+    try:
+        traj = evolve_field(lambda t: (2.0 + np.sin(t)) * d0, f0, 0.0, 20.0, 20000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
+    assert peak <= kept + 2**21

@@ -43,6 +43,8 @@ RUNS = {
         "sho", "--format", "json", "--omega", "2.5", "--steps", "20000", "--out", DATA,
     ),
     "sho-omega1000": ("sho", "--omega", "1000", "--steps", "100"),
+    "sho-omega1e150": ("sho", "--omega", "1e150", "--steps", "100"),
+    "sho-series": ("sho", "--steps", "100000", "--t-final", "100", "--out", DATA),
     "kg": ("kg", "--out", DATA),
     "kg-128": ("kg", "--sites", "128", "--a", "0.5", "--seed", "3", "--out", DATA),
     "kg-64-csv": (
