@@ -81,12 +81,12 @@ class InnerProductSpec:
     @property
     def l_plus_coeff(self) -> np.ndarray:
         """Eigenvalues of L+ : (|a_n+|^2 + |a_n-|^2)/2."""
-        return 0.5 * (self.a_plus_sq + self.a_minus_sq)
+        return 0.5 * self.a_plus_sq + 0.5 * self.a_minus_sq
 
     @property
     def l_minus_coeff(self) -> np.ndarray:
         """Eigenvalues of L- : (|a_n+|^2 - |a_n-|^2)/2."""
-        return 0.5 * (self.a_plus_sq - self.a_minus_sq)
+        return 0.5 * self.a_plus_sq - 0.5 * self.a_minus_sq
 
 
 @dataclass

@@ -48,6 +48,9 @@ class KleinGordonLattice:
             raise InvalidParameterError(f"need at least {MIN_SITES} sites, got {self.sites}")
         if not self.mu > 0.0:
             raise InvalidParameterError(f"mu must be positive, got {self.mu}")
+        # every omega^2 holds mu^2, which must stay in the float range
+        if not float(self.mu) * float(self.mu) < np.inf:
+            raise InvalidParameterError(f"mu^2 overflows, got mu = {self.mu}")
 
     @cached_property
     def mode_indices(self) -> np.ndarray:

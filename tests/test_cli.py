@@ -208,6 +208,24 @@ def test_config_keys_and_format_defaults(capsys):
             "NonFiniteStateError",
             id="sho-omega-1e150",
         ),
+        pytest.param(
+            ["sho", "--t-final", "1e300", "--steps", "100"],
+            "run failed: state blew past 1e+12 at t=1e+298 (max nan)",
+            "NonFiniteStateError",
+            id="sho-t-final-1e300",
+        ),
+        pytest.param(
+            ["kg", "--mu", "1e300"],
+            "run failed: mu^2 overflows, got mu = 1e+300",
+            "InvalidParameterError",
+            id="kg-mu-1e300",
+        ),
+        pytest.param(
+            ["kg", "--lambda", "1e300"],
+            "run failed: state blew past 1e+12 at t=0.05 (max nan)",
+            "NonFiniteStateError",
+            id="kg-lambda-1e300",
+        ),
     ],
 )
 def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, error):

@@ -127,6 +127,9 @@ CASES = [
         lambda: KleinGordonLattice(sites=1, mu=1.0)),
     row("KleinGordonLattice-mu", InvalidParameterError,
         lambda: KleinGordonLattice(sites=4, mu=0.0)),
+    # mu^2 past the float range
+    row("KleinGordonLattice-mu-overflow", InvalidParameterError,
+        lambda: KleinGordonLattice(sites=4, mu=1e160)),
     row("ShoModel", InvalidParameterError, lambda: ShoModel(omega=0.0)),
     row("column_of", InvalidParameterError, lambda: LATTICE4.column_of(7)),
     row("kg_mode_solution-eps", InvalidParameterError,

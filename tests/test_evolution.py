@@ -31,6 +31,7 @@ from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
 from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
+from kgmetric.two_component import eigen_system
 
 
 def maxabs(a):
@@ -461,4 +462,96 @@ def test_field_route_memory_stays_flat_in_steps():
     finally:
         tracemalloc.stop()
     kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
+    assert peak <= kept + 2**21
+
+
+def stepwise_midpoint(d_of_t, psi0, t0, t1, steps, sample_every=1, allow_complex=False):
+    """Reference: the per-step midpoint loop on the doubled state, each step's
+    exp(-i dt H(D_mid)) from the closed-form eigensystem, with the blow-up
+    guard after every step. Returns the sample times, states and propagators
+    from t0, and U(t1, t0)."""
+    dt = (t1 - t0) / steps
+    vec = psi0.vector.copy()
+    u_total = np.eye(vec.size, dtype=complex)
+    times, states, props = [t0], [vec.copy()], [u_total.copy()]
+    for k in range(1, steps + 1):
+        d_mid = hermitian_eigendecompose(np.asarray(d_of_t(t0 + (k - 0.5) * dt), dtype=complex))
+        system = eigen_system(d_mid, psi0.lam, allow_complex=allow_complex)
+        u_step = (system.right_vectors * np.exp(-1j * dt * system.energies)) @ (
+            system.left_vectors.conj().T
+        )
+        vec = u_step @ vec
+        u_total = u_step @ u_total
+        t_k = t0 + k * dt
+        peak = maxabs(vec)
+        if not peak <= BLOWUP_LIMIT:
+            raise NonFiniteStateError(
+                f"state blew past {BLOWUP_LIMIT:.0e} at t={t_k:.6g} (max {peak:.3e})"
+            )
+        if k % sample_every == 0 or k == steps:
+            times.append(t_k)
+            states.append(vec.copy())
+            props.append(u_total.copy())
+    return np.array(times), np.array(states), np.array(props), u_total
+
+
+def test_midpoint_route_matches_stepwise_oracle():
+    rng = generator(13, "evo:midpoint-oracle")
+    n = 4
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+    s0 = pack(f0, 0.7)
+
+    def d_of_t(t):
+        return (2.0 + np.sin(t)) * D_COMPLEX
+
+    times, states, props, u_total = stepwise_midpoint(d_of_t, s0, 0.5, 3.5, 700, 9)
+    stored = evolve_schrodinger(d_of_t, s0, 0.5, 3.5, 700, 9, store_propagators=True)
+    bare = evolve_schrodinger(d_of_t, s0, 0.5, 3.5, 700, 9)
+    assert bare.propagator_samples is None
+    for result in (stored, bare):
+        np.testing.assert_array_equal(result.times, times)
+        assert maxabs(result.state_matrix - states) <= 1e-13
+        assert maxabs(result.propagator - u_total) <= 1e-13
+    assert maxabs(stored.propagator_samples - props) <= 1e-13
+
+
+def test_midpoint_guard_trips_like_stepwise_oracle():
+    # an inverted mode grows like e^t; at 8000 steps the first bad step
+    # (5596) lies past the first chunk of steps (2730 at n = 1)
+    steps = 8000
+    f0 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.0]))
+
+    def d_of_t(t):
+        return np.array([[-1.0]])
+
+    with pytest.raises(NonFiniteStateError) as want:
+        stepwise_midpoint(d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, 1000, allow_complex=True)
+    with pytest.raises(NonFiniteStateError) as got:
+        evolve_schrodinger(
+            d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, sample_every=1000, allow_complex=True
+        )
+    assert str(got.value) == str(want.value)
+
+
+def test_midpoint_memory_records_only_states():
+    # without stored propagators a long run keeps one state column a sample
+    # and a fixed working set; a kept U per sample would add (2n)^2 entries
+    # each (6.1 MB here)
+    rng = generator(14, "evo:midpoint-memory")
+    n = 4
+    d0 = random_positive_hermitian(rng, n)
+    f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
+
+    def d_of_t(t):
+        return (2.0 + np.sin(t)) * d0
+
+    evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 1.0, 10)
+    tracemalloc.start()
+    try:
+        result = evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 5.0, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.state_matrix.shape == (6001, 2 * n)
+    kept = result.times.nbytes + result.state_matrix.nbytes
     assert peak <= kept + 2**21

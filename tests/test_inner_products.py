@@ -218,6 +218,21 @@ def mode_state(omega, eps, t):
     )
 
 
+def test_spec_coefficients_at_the_float_limit():
+    # sho --lplus 1e308 --lminus 0: both weights are 1e308, whose sum
+    # overflows although the half-sum L+ does not
+    spec = InnerProductSpec([1e308], [1e308])
+    assert spec.l_plus_coeff[0] == 1e308
+    assert spec.l_minus_coeff[0] == 0.0
+    omega = 1.3
+    d_spec = hermitian_eigendecompose(np.array([[omega * omega]]))
+    for t in (0.0, 0.7):
+        f = mode_state(omega, 1, t)
+        small = FieldState(0.1 * f.psi, 0.1 * f.psi_dot)
+        v = solution_inner(small, small, d_spec, spec)
+        assert abs(v - 1e306) <= 1e-12 * 1e306
+
+
 def test_solution_inner_oscillator_values():
     omega = 1.3
     d_spec = hermitian_eigendecompose(np.array([[omega * omega]]))

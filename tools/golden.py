@@ -8,8 +8,9 @@
         Compare two such directories with `timestamp` lines masked. Exit 1,
         naming each file that differs or exists on one side only. When a
         differing file holds the same keys on both sides (JSON, or a CSV
-        table), also print its largest relative numeric difference and the
-        key where it occurs.
+        table), also print its largest relative numeric difference, the key
+        where it occurs and the absolute difference there (a value near
+        rounding level can move by a large relative amount).
 
 Every run works inside its own directory and writes its data file to the
 same relative name, so the `config.out` echo in the report is the same
@@ -67,6 +68,10 @@ RUNS = {
     "wdw-modes300": ("wdw", "--modes", "300"),
     "wdw-alpha0-minus300": ("wdw", "--alpha0", "-300"),
     "wdw-tol": ("wdw", "--tol", "1e-30"),
+    "sho-t-final-1e300": ("sho", "--t-final", "1e300", "--steps", "100"),
+    "sho-lplus-1e308": ("sho", "--lplus", "1e308", "--lminus", "0", "--steps", "100"),
+    "kg-mu-1e300": ("kg", "--mu", "1e300"),
+    "kg-lambda-1e300": ("kg", "--lambda", "1e300"),
 }
 
 _TIMESTAMP = re.compile(rb'^(\s*"timestamp": ).*$', re.MULTILINE)
@@ -133,22 +138,24 @@ def _number(value) -> float | None:
         return None
 
 
-def _largest_difference(data_a: bytes, data_b: bytes) -> tuple[float, str] | None:
+def _largest_difference(data_a: bytes, data_b: bytes) -> tuple[float, str, float] | None:
     """Largest |x - y| / max(|x|, |y|) over the numeric values of two files with
-    the same keys, and its key; None if they do not parse with the same keys."""
+    the same keys, its key and |x - y| there; None if they do not parse with
+    the same keys."""
     keyed_a, keyed_b = _keyed(data_a), _keyed(data_b)
     if keyed_a is None or keyed_b is None or keyed_a.keys() != keyed_b.keys():
         return None
-    worst = (0.0, "")
+    worst = (0.0, "", 0.0)
     for key in keyed_a:
         x, y = _number(keyed_a[key]), _number(keyed_b[key])
         if x is None or y is None or x == y or (math.isnan(x) and math.isnan(y)):
             continue
-        rel = abs(x - y) / max(abs(x), abs(y))
+        absolute = abs(x - y)
+        rel = absolute / max(abs(x), abs(y))
         if math.isnan(rel):  # NaN or infinity against a number
-            rel = math.inf
+            rel = absolute = math.inf
         if rel > worst[0]:
-            worst = (rel, key)
+            worst = (rel, key, absolute)
     return worst
 
 
@@ -165,9 +172,9 @@ def compare(a: str, b: str) -> int:
         if rel in names_a and rel in names_b:
             largest = _largest_difference((root_a / rel).read_bytes(), (root_b / rel).read_bytes())
             if largest is not None:
-                rel_diff, key = largest
-                print(f"  largest relative difference {rel_diff:.3g} at {key}"
-                      if key else "  no numeric difference")
+                rel_diff, key, abs_diff = largest
+                print(f"  largest relative difference {rel_diff:.3g} at {key or 'top level'}"
+                      f" (absolute {abs_diff:.3g})" if rel_diff else "  no numeric difference")
     print(f"{len(names_a | names_b) - len(differing)} files identical, {len(differing)} differ")
     return 1 if differing else 0
 
