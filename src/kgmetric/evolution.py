@@ -36,7 +36,8 @@ t0 data, so there is nothing of it to follow.
 
 Every operator source here (integrators and ``drift_report`` alike) is a
 matrix or a SpectralDecomposition, which is constant and converted once, or
-a callable t -> either, which is time-dependent and queried as needed.
+a callable t -> either, which is time-dependent and asked a chunk of times at
+once (once per time, in order); the answers are converted together, stacked.
 """
 
 from __future__ import annotations
@@ -121,15 +122,20 @@ def _check_steps(steps) -> int:
 
 
 def _as_spectral(d) -> SpectralDecomposition:
-    """Spectral data of one D value (matrix or SpectralDecomposition)."""
+    """Spectral data of one D value (matrix or SpectralDecomposition) or of a list, stacked."""
     if isinstance(d, SpectralDecomposition):
         return d
-    return hermitian_eigendecompose(np.asarray(d, dtype=complex))
+    if isinstance(d, list) and all(isinstance(x, SpectralDecomposition) for x in d):
+        w, v = zip(*((x.eigenvalues, x.eigenvectors) for x in d))
+        return SpectralDecomposition(np.stack(w), np.stack(v))
+    return hermitian_eigendecompose(_as_matrix(d))
 
 
 def _as_matrix(d) -> np.ndarray:
     """Dense float or complex matrix of one D value (matrix or
-    SpectralDecomposition); a real D stays real."""
+    SpectralDecomposition), or of a list of them stacked; a real D stays real."""
+    if isinstance(d, list):
+        return np.stack([_as_matrix(x) for x in d])
     if isinstance(d, SpectralDecomposition):
         return d.matrix()
     d = np.asarray(d)
@@ -137,15 +143,15 @@ def _as_matrix(d) -> np.ndarray:
 
 
 def _source(d_of_t, convert):
-    """Normalize a D source to (t -> convert(D(t)), is_constant).
+    """Normalize a D source to (times -> value, is_constant).
 
-    A callable is time-dependent and converted at every query; any other
-    source is constant and converted once.
+    A callable is time-dependent: a query calls it at each time, in order, and
+    stacks the converted answers; any other source is converted once.
     """
     if callable(d_of_t):
-        return (lambda t: convert(d_of_t(t))), False
+        return (lambda times: convert([d_of_t(t) for t in times.tolist()])), False
     const = convert(d_of_t)
-    return (lambda t: const), True
+    return (lambda times: const), True
 
 
 def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
@@ -163,10 +169,10 @@ def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
 
 
 def _propagators(system: BiorthonormalSystem, elapsed) -> np.ndarray:
-    """exp(-i t H) = R diag(e^{-iEt}) L^dagger for a time t or an array of them
-    (stacked along the leading axis)."""
-    phases = np.exp(-1j * np.multiply.outer(elapsed, system.energies))
-    return (system.right_vectors * phases[..., None, :]) @ system.left_vectors.conj().T
+    """exp(-i t H) = R diag(e^{-iEt}) L^dagger for a time t or an array of them,
+    or for stacked systems (stacked along the leading axes)."""
+    phases = np.exp(-1j * np.multiply.outer(elapsed, system.energies))[..., None, :]
+    return (system.right_vectors * phases) @ system.left_vectors.conj().swapaxes(-1, -2)
 
 
 # entries formed per chunk of steps (the chunk's states, or its step maps),
@@ -225,9 +231,10 @@ def evolve_schrodinger(
         SpectralDecomposition) is diagonalized once and every step's state
         is sampled from the exact propagator, Psi(t0 + k dt) =
         R (e^{-iE k dt} * c) with c = L^dagger Psi0, with no stepping. A
-        callable is treated as time-dependent: it is re-diagonalized at each
-        step midpoint, and exp(-i dt H(D_mid)) steps one (2n, 1 + 2n) block
-        whose column 0 is the state and whose other columns are U(t, t0).
+        callable is treated as time-dependent: one stacked eigensolve a chunk
+        of steps re-diagonalizes it at their midpoints, and exp(-i dt H(D_mid))
+        steps one (2n, 1 + 2n) block whose column 0 is the state and whose
+        other columns are U(t, t0).
     psi0 : TwoComponentState
         Initial doubled state; its lam fixes the Hamiltonian packing.
     steps : int
@@ -278,11 +285,11 @@ def evolve_schrodinger(
     else:
 
         def advance(k, y):
+            spec = source(t0 + (k - 0.5) * dt)
+            _check_state_size(psi0.n, spec.n)
+            us = _propagators(eigen_system(spec, lam, allow_complex=allow_complex), dt)
             block = np.empty((k.size, *y.shape), dtype=complex)
-            for step, row in zip(k.tolist(), block):
-                spec = source(t0 + (step - 0.5) * dt)
-                _check_state_size(psi0.n, spec.n)
-                u = _propagators(eigen_system(spec, lam, allow_complex=allow_complex), dt)
+            for u, row in zip(us, block):
                 # the state as a matrix-vector product, as it steps on its own
                 row[:, 0] = u @ y[:, 0]
                 row[:, 1:] = u @ y[:, 1:]
@@ -366,11 +373,11 @@ def evolve_fields(
 
     A constant source gives one map per chunk of steps. A callable is
     queried at the same times as stagewise RK4, once per distinct time (the
-    end of a step is the start of the next), and its maps are built a chunk
-    of steps at a time. Each chunk's states are tested against the blow-up
-    bound together, raising NonFiniteStateError at the first step past it
-    (psi before psi_dot), as stepping would; a source error at a later time
-    in the same chunk is raised first.
+    end of a step is the start of the next), a chunk of steps at once, and
+    the chunk's maps are built together. Each chunk's states are tested
+    against the blow-up bound together, raising NonFiniteStateError at the
+    first step past it (psi before psi_dot), as stepping would; a source
+    error at a later time in the same chunk is raised first.
 
     Returns one FieldTrajectory per state, in order. Raises
     DimensionMismatchError for an empty list or a state whose size does not
@@ -381,10 +388,10 @@ def evolve_fields(
     source, constant = _source(d_of_t, _as_matrix)
     dt = (t1 - t0) / steps
 
-    d_prev = source(t0)
+    d_prev = source(np.array([t0]))  # a stack of one for a callable
     if not states:
         raise DimensionMismatchError("no states to evolve")
-    n = d_prev.shape[0]
+    n = d_prev.shape[-1]
     for f in states:
         _check_state_size(f.n, n)
     y0 = np.concatenate(
@@ -400,9 +407,9 @@ def evolve_fields(
             stage_times = np.empty(2 * k.size)
             stage_times[0::2] = t0 + (k - 1) * dt + 0.5 * dt
             stage_times[1::2] = t0 + k * dt
-            ds = np.stack([d_prev, *(source(t) for t in stage_times.tolist())])
+            ds = np.concatenate([d_prev, source(stage_times)])
             incs = _rk4_increments(ds[:-1:2], ds[1::2], ds[2::2], dt)
-            d_prev = ds[-1]
+            d_prev = ds[-1:]
         block = np.empty((k.size, *y.shape), dtype=complex)
         # a real map acts on the real and imaginary parts alike, so it steps
         # their float view, which is cheaper than a mixed matmul
@@ -460,9 +467,9 @@ def drift_report(
         The monitored pair; traj2 defaults to traj (self products).
     d_spec : matrix, SpectralDecomposition, or callable t -> either
         The operator source, in the same forms the integrators take. A
-        constant source is diagonalized once and every sample is evaluated
-        in one batch; a callable makes ``solution_inner`` instantaneous,
-        re-evaluated on D(t) at each sample time.
+        constant source is diagonalized once; a callable makes
+        ``solution_inner`` instantaneous, on D(t) at each sample time, and
+        is queried at all of them at once. Every sample is one batch.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive
     product under ``spec`` and the indefinite product at packing ``lam``.
@@ -474,17 +481,9 @@ def drift_report(
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
-    spec_at, constant = _source(d_spec, _as_spectral)
+    spec_at, _ = _source(d_spec, _as_spectral)
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
-    if constant:
-        sol_values = _field_inner(*data, spec_at(traj.times[0]), spec)
-    else:
-        sol_values = np.array(
-            [
-                _field_inner(*(x[i] for x in data), spec_at(t), spec)
-                for i, t in enumerate(traj.times)
-            ]
-        )
+    sol_values = _field_inner(*data, spec_at(traj.times), spec)
     kg_values = 2j * lam * (
         np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
         - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)

@@ -37,7 +37,7 @@ from .spectral import (
     _require_positive,
     operator_power,
 )
-from .two_component import FieldState, TwoComponentState, _check_pair, _nonzero_lam
+from .two_component import FieldState, TwoComponentState, _check_pair, _lam_squared, _nonzero_lam
 
 # relative gap below which eta_general treats an eigenvalue as real, and two
 # eigenvalues as a conjugate pair
@@ -142,10 +142,10 @@ def eta_tilde_plus(
     _nonzero_lam(lam)
     _require_positive(d_spec.eigenvalues, "the positive family")
     n = d_spec.n
+    lam2 = _lam_squared(lam) * np.eye(n, dtype=complex)
     l_plus, l_minus = build_L(spec, d_spec)
     dinv = operator_power(d_spec, -1.0)
     dinvhalf = operator_power(d_spec, -0.5)
-    lam2 = lam * lam * np.eye(n, dtype=complex)
     sym = l_plus @ (lam2 + dinv)
     skew = l_plus @ (lam2 - dinv)
     shift = 2.0 * lam * (l_minus @ dinvhalf)
@@ -237,8 +237,8 @@ def _field_inner(
 ) -> np.ndarray:
     """solution_inner on field data stacked along leading axes.
 
-    Each of psi1, dot1, psi2, dot2 is (..., n) and the pairs must share
-    their leading shape; the result carries that leading shape.
+    Each of psi1, dot1, psi2, dot2 is (..., n), the pairs sharing their
+    leading shape, as d_spec does if stacked; the result has that shape.
     """
     n1, n2 = psi1.shape[-1], psi2.shape[-1]
     if n1 != n2:
@@ -249,10 +249,10 @@ def _field_inner(
             f"spec length {spec.n} does not match mode count {d_spec.n}"
         )
     w = _require_positive(d_spec.eigenvalues, "inner product")
-    # rows times conj(V) are the rows' coordinates V^dagger psi in the eigenbasis
+    # rows times conj(V) are V^dagger psi; a row against its own basis is a (1, n) matrix
     vc = np.conj(d_spec.eigenvectors)
-    c1, c2 = psi1 @ vc, psi2 @ vc
-    d1, d2 = dot1 @ vc, dot2 @ vc
+    coords = (lambda x: x @ vc) if vc.ndim == 2 else (lambda x: (x[..., None, :] @ vc)[..., 0, :])
+    c1, c2, d1, d2 = map(coords, (psi1, psi2, dot1, dot2))
     lp = spec.l_plus_coeff
     lm = spec.l_minus_coeff
     total = (

@@ -3,9 +3,9 @@
 Everything downstream (two-component Hamiltonians, metric operators,
 invariant inner products) is built from the spectral resolution of the
 spatial operator D, so this module owns the eigensolver and the
-fractional-power calculus. The eigensolver is LAPACK's Hermitian driver
-(``numpy.linalg.eigh``) with fixed conventions for ordering and eigenvector
-phase, so results do not depend on the BLAS/LAPACK build.
+fractional-power calculus. The eigensolver, for one matrix or a stack, is
+LAPACK's Hermitian driver (``numpy.linalg.eigh``) with fixed conventions for
+ordering and eigenvector phase, so results do not depend on the BLAS/LAPACK build.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class SpectralDecomposition:
 
     Attributes
     ----------
-    eigenvalues : (n,) float array, ascending
-    eigenvectors : (n, n) complex array, orthonormal columns, column j
-        belonging to eigenvalues[j]
+    eigenvalues : (..., n) float array, ascending
+    eigenvectors : (..., n, n) complex array, orthonormal columns, column j
+        belonging to eigenvalues[..., j]; any leading axes stack operators
     """
 
     eigenvalues: np.ndarray
@@ -40,7 +40,7 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def matrix(self) -> np.ndarray:
         """Reassemble the operator from its spectral data."""
@@ -72,36 +72,41 @@ def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
 
 
 def _as_hermitian(matrix, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Square complex array of `matrix`, which must be finite and Hermitian
-    up to ``tol`` in max norm (NotHermitianError otherwise)."""
-    a = _as_square_complex(matrix, what)
-    if not np.all(np.isfinite(a)):
-        raise NotHermitianError(f"{what} has non-finite entries")
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol:
+    """Complex array of one square matrix or a stack, each finite and Hermitian
+    up to ``tol`` in max norm (else NotHermitianError on the first that is not)."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
+        defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0).ravel()
+    defect[~np.isfinite(a).all(axis=(-2, -1)).ravel()] = np.nan  # marks a non-finite member
+    bad = defect[~(defect <= tol)]
+    if bad.size:
         raise NotHermitianError(
-            f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.3e})"
+            f"{what} has non-finite entries" if np.isnan(bad[0])
+            else f"{what} deviates from Hermiticity by {bad[0]:.3e} (tol {tol:.3e})"
         )
     return a
 
 
 def _require_positive(eigenvalues, what: str) -> np.ndarray:
-    """Eigenvalues as floats; NonPositiveSpectrumError unless all are > 0."""
+    """Eigenvalues as floats; NonPositiveSpectrumError on the first spectrum not all > 0."""
     w = np.asarray(eigenvalues, dtype=float)
     if np.min(w) <= 0.0:
+        low = np.min(w, axis=-1).ravel()
         raise NonPositiveSpectrumError(
-            f"{what} needs a strictly positive spectrum (min eigenvalue {np.min(w):.3e})"
+            f"{what} needs a strictly positive spectrum (min eigenvalue {low[low <= 0.0][0]:.3e})"
         )
     return w
 
 
 def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Diagonalize complex Hermitian matrices with LAPACK (``numpy.linalg.eigh``).
 
     Parameters
     ----------
-    matrix : (n, n) array_like
-        Hermitian up to ``tol`` in max norm.
+    matrix : (..., n, n) array_like
+        One matrix or a stack of them, each Hermitian up to ``tol`` in max norm.
     tol : float
         Hermiticity test tolerance. The input is symmetrized before solving,
         so a defect within ``tol`` does not reach the solver.
@@ -109,12 +114,12 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
     Returns
     -------
     SpectralDecomposition
-        Eigenvalues ascending; equal eigenvalues keep LAPACK's column order.
-        Eigenvector columns are LAPACK's, orthonormal also inside degenerate
-        clusters. Each column's phase is fixed so that its largest-magnitude
-        entry (the first one, among entries of equal magnitude) is real and
-        positive, which keeps the result independent of the BLAS/LAPACK
-        build. A zero matrix returns the identity basis.
+        Stacked like the input; eigenvalues ascending, equal ones in LAPACK's
+        column order. Eigenvector columns are LAPACK's, orthonormal also inside
+        degenerate clusters. Each column's phase is fixed so that its largest-
+        magnitude entry (the first one, among entries of equal magnitude) is
+        real and positive, which keeps the result independent of the
+        BLAS/LAPACK build. A zero matrix returns the identity basis.
 
     Raises
     ------
@@ -124,18 +129,19 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
         If LAPACK reports that the eigenvalue iteration failed.
     """
     a = _as_hermitian(matrix, tol)
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)
-    if not np.any(a):
-        return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
+    n = a.shape[-1]
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
-    # phase convention: each column's largest-magnitude entry real, positive
-    peak = (np.argmax(np.abs(v), axis=0), np.arange(n))
-    v *= np.conj(v[peak]) / np.abs(v[peak])
-    v[peak] = v[peak].real  # drop the rounding residue of the rescale
+    if n:  # phase convention: each column's largest-magnitude entry real, positive
+        rows = np.argmax(np.abs(v), axis=-2)
+        peak = (*np.indices(rows.shape, sparse=True)[:-1], rows, np.arange(n))
+        v *= (np.conj(v[peak]) / np.abs(v[peak]))[..., None, :]
+        v[peak] = v[peak].real  # drop the rounding residue of the rescale
+    zero = ~np.any(a, axis=(-2, -1))
+    w[zero], v[zero] = 0.0, np.eye(n)
     return SpectralDecomposition(w, v)
 
 

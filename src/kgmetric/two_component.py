@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     LambdaMismatchError,
     NonPositiveSpectrumError,
     SingularGaugeError,
@@ -34,6 +35,13 @@ def _nonzero_lam(lam: float) -> None:
     """Raise ZeroLambdaError unless the packing constant is nonzero."""
     if lam == 0.0:
         raise ZeroLambdaError("packing constant lam must be nonzero")
+
+
+def _lam_squared(lam: float) -> float:
+    """lam^2 as a float; InvalidParameterError unless it is finite."""
+    if not np.isfinite(sq := float(lam) * float(lam)):
+        raise InvalidParameterError(f"lam^2 overflows, got lam = {lam:g}")
+    return sq
 
 
 @dataclass
@@ -120,7 +128,7 @@ def build_hamiltonian(d_matrix, lam: float) -> np.ndarray:
     Hermiticity tolerance.
     """
     _nonzero_lam(lam)
-    d = _as_hermitian(d_matrix, what="D")
+    d = _as_hermitian(_as_square_complex(d_matrix, "D"), what="D")  # one (n, n) D
     n = d.shape[0]
     eye = np.eye(n, dtype=complex)
     a = lam * d + eye / lam
@@ -175,7 +183,7 @@ def _mode_frequencies(
 def eigen_system(
     d_spec: SpectralDecomposition, lam: float, allow_complex: bool = False
 ) -> BiorthonormalSystem:
-    """Closed-form eigensystem of H from the spectral data of D.
+    """Closed-form eigensystem of H from the spectral data of D, stacked or not.
 
     For each mode n with D-eigenvalue omega_n^2 > 0 the doubled operator has
     the eigenvalue pair +-omega_n with right eigenvectors
@@ -194,22 +202,15 @@ def eigen_system(
     omega = _mode_frequencies(d_spec, allow_complex)
     phi = d_spec.eigenvectors
     n = d_spec.n
-    inv_lam = 1.0 / lam
-    inv_omega = 1.0 / omega
-
-    right = np.empty((2 * n, 2 * n), dtype=complex)
-    left = np.empty((2 * n, 2 * n), dtype=complex)
+    inv_lam, w = 1.0 / lam, omega[..., None, :]
+    right = np.empty((*phi.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    left = np.empty_like(right)
     # plus branch: columns 0..n-1; minus branch: columns n..2n-1
-    right[:n, :n] = phi * (inv_lam + omega)
-    right[n:, :n] = phi * (inv_lam - omega)
-    right[:n, n:] = phi * (inv_lam - omega)
-    right[n:, n:] = phi * (inv_lam + omega)
-    left[:n, :n] = 0.25 * phi * np.conj(lam + inv_omega)
-    left[n:, :n] = 0.25 * phi * np.conj(lam - inv_omega)
-    left[:n, n:] = 0.25 * phi * np.conj(lam - inv_omega)
-    left[n:, n:] = 0.25 * phi * np.conj(lam + inv_omega)
-
-    return BiorthonormalSystem(right, left, np.concatenate([omega, -omega]))
+    right[..., :n, :n] = right[..., n:, n:] = phi * (inv_lam + w)
+    right[..., n:, :n] = right[..., :n, n:] = phi * (inv_lam - w)
+    left[..., :n, :n] = left[..., n:, n:] = 0.25 * phi * np.conj(lam + 1.0 / w)
+    left[..., n:, :n] = left[..., :n, n:] = 0.25 * phi * np.conj(lam - 1.0 / w)
+    return BiorthonormalSystem(right, left, np.concatenate([omega, -omega], axis=-1))
 
 
 def eta_plus(d_spec: SpectralDecomposition, lam: float) -> np.ndarray:
@@ -223,8 +224,8 @@ def eta_plus(d_spec: SpectralDecomposition, lam: float) -> np.ndarray:
     _nonzero_lam(lam)
     _require_positive(d_spec.eigenvalues, "eta_plus")
     n = d_spec.n
+    lam2 = _lam_squared(lam) * np.eye(n, dtype=complex)
     dinv = operator_power(d_spec, -1.0)
-    lam2 = lam * lam * np.eye(n, dtype=complex)
     plus = lam2 + dinv
     minus = lam2 - dinv
     return 0.125 * np.block([[plus, minus], [minus, plus]])

@@ -226,6 +226,12 @@ def test_config_keys_and_format_defaults(capsys):
             "NonFiniteStateError",
             id="kg-lambda-1e300",
         ),
+        pytest.param(
+            ["verify", "--lambda", "1e300"],
+            "run failed: lam^2 overflows, got lam = 1e+300",
+            "InvalidParameterError",
+            id="verify-lambda-1e300",
+        ),
     ],
 )
 def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, error):
@@ -239,5 +245,6 @@ def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, e
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(stderr_start)
+    assert proc.stderr.count("\n") == 1
     (check,) = json.loads(proc.stdout)["checks"]
     assert check["name"] == error

@@ -76,6 +76,10 @@ CASES = [
     row("eigen_system", ZeroLambdaError, lambda: eigen_system(POSITIVE, 0.0)),
     row("eta_plus", ZeroLambdaError, lambda: eta_plus(POSITIVE, 0.0)),
     row("eta_tilde_plus", ZeroLambdaError, lambda: eta_tilde_plus(POSITIVE, 0.0, SPEC)),
+    # lambda^2 past the float range
+    row("eta_plus-lam-overflow", InvalidParameterError, lambda: eta_plus(POSITIVE, 1e300)),
+    row("eta_tilde_plus-lam-overflow", InvalidParameterError,
+        lambda: eta_tilde_plus(POSITIVE, 1e300, SPEC)),
     # a non-positive spectrum
     row("eta_plus", NonPositiveSpectrumError, lambda: eta_plus(NON_POSITIVE, 1.0)),
     row("eta_tilde_plus", NonPositiveSpectrumError,
@@ -92,6 +96,9 @@ CASES = [
         lambda: hermitian_eigendecompose(NON_FINITE)),
     row("build_hamiltonian", NotHermitianError, lambda: build_hamiltonian(NON_HERMITIAN, 1.0)),
     row("build_hamiltonian-nan", NotHermitianError, lambda: build_hamiltonian(NON_FINITE, 1.0)),
+    # the eigensolver takes a stack of D; the doubled generator takes one D
+    row("build_hamiltonian-stack", DimensionMismatchError,
+        lambda: build_hamiltonian(np.stack([D2, D2]), 1.0)),
     # doubled pairs of different size or packing constant
     row("kg_inner", DimensionMismatchError, lambda: kg_inner(pack(F2, 1.0), pack(F3, 1.0))),
     row("kg_inner", LambdaMismatchError, lambda: kg_inner(pack(F2, 1.0), pack(F2, 2.0))),

@@ -21,6 +21,7 @@ from kgmetric import (
     unpack,
 )
 from kgmetric.errors import (
+    KgMetricError,
     LengthMismatchError,
     NonFiniteStateError,
     NonPositiveSpectrumError,
@@ -121,7 +122,7 @@ def test_drift_constant_operator_stays_flat():
 
 
 def test_drift_constant_operator_guards():
-    # the batch over samples, and the per-sample route of a callable source,
+    # the batch over samples, and the stacked samples of a callable source,
     # raise what solution_inner raises, never NaN
     rng = generator(4, "evo:drift-guards")
     f0 = FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2))
@@ -140,24 +141,92 @@ def test_drift_constant_operator_guards():
 
 
 def test_operator_source_forms_agree():
-    # matrix, SpectralDecomposition and callables returning either are one source
+    # matrix, SpectralDecomposition and callables returning either (or both)
+    # are one source; a callable is asked once per time, in order, at the
+    # times a step-by-step route asks
     rng = generator(5, "evo:source-forms")
     n = 3
     d = random_positive_hermitian(rng, n)
     d_spec = hermitian_eigendecompose(d)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     spec = InnerProductSpec.uniform(n)
-    forms = (d, d_spec, lambda t: d, lambda t: d_spec)
+    asked = []
+
+    def recording(t):
+        asked.append(t)
+        return d
+
+    forms = (d, d_spec, lambda t: d, lambda t: d_spec, lambda t: d if t < 1.0 else d_spec, recording)
     trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
     for traj in trajs[1:]:
         assert maxabs(traj.psis - trajs[0].psis) <= 1e-12
+    dt = 2.0 / 200
+    assert asked == [0.0] + [t for k in range(1, 201) for t in ((k - 1) * dt + 0.5 * dt, k * dt)]
+    asked.clear()
     values = [drift_report(trajs[0], src, spec)[0].values for src in forms]
     for v in values[1:]:
         assert maxabs(v - values[0]) <= 1e-12
+    assert asked == [k * dt for k in range(0, 201, 20)] == list(trajs[0].times)
+    asked.clear()
     psi0 = pack(f0, 1.0)
     states = [evolve_schrodinger(src, psi0, 0.0, 2.0, 50).state_matrix for src in forms]
     for m in states[1:]:
         assert maxabs(m - states[0]) <= 1e-10
+    assert asked == [(k - 0.5) * (2.0 / 50) for k in range(1, 51)]
+
+
+F1 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.5]))
+F2 = FieldState(psi=np.array([1.0, 0.0]), psi_dot=np.array([0.0, 0.5]))
+
+
+def sinking(t):
+    return np.array([[1.0 - t]])
+
+
+def shearing(t):
+    return np.array([[1.0, t], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "run,message",
+    [
+        pytest.param(
+            lambda: evolve_schrodinger(sinking, pack(F1, 1.0), 0.0, 2.0, 100),
+            "eigen_system without allow_complex needs a strictly positive spectrum "
+            "(min eigenvalue -1.000e-02)",
+            id="midpoint-positivity",
+        ),
+        pytest.param(
+            lambda: drift_report(
+                evolve_field(sinking, F1, 0.0, 2.0, 100, sample_every=10),
+                sinking,
+                InnerProductSpec.uniform(1),
+            ),
+            "inner product needs a strictly positive spectrum (min eigenvalue 0.000e+00)",
+            id="drift-positivity",
+        ),
+        pytest.param(
+            lambda: evolve_schrodinger(shearing, pack(F2, 1.0), 0.0, 2.0, 100),
+            "matrix deviates from Hermiticity by 1.000e-02 (tol 1.000e-10)",
+            id="midpoint-hermiticity",
+        ),
+        pytest.param(
+            lambda: drift_report(
+                evolve_field(np.eye(2), F2, 0.0, 2.0, 100, sample_every=10),
+                shearing,
+                InnerProductSpec.uniform(2),
+            ),
+            "matrix deviates from Hermiticity by 2.000e-01 (tol 1.000e-10)",
+            id="drift-hermiticity",
+        ),
+    ],
+)
+def test_source_error_names_first_failing_time(run, message):
+    # all the times of a chunk are solved together, and the error still
+    # names the first failing time, as asking one time at a step would
+    with pytest.raises(KgMetricError) as err:
+        run()
+    assert str(err.value) == message
 
 
 def test_drift_time_dependent_instantaneous_vs_frozen():

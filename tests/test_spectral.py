@@ -16,7 +16,8 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     NotHermitianError,
 )
-from kgmetric.rng import generator, random_hermitian, random_positive_hermitian
+from kgmetric.evolution import _propagators
+from kgmetric.rng import generator, random_hermitian, random_positive_hermitian, random_unitary
 from kgmetric.two_component import eigen_system
 
 
@@ -55,8 +56,6 @@ def test_random_hermitian_residuals(n):
 
 def test_known_spectrum_at_grid_size():
     rng = generator(6, "spectral:known-256")
-    from kgmetric.rng import random_unitary
-
     n = 256
     u = random_unitary(rng, n)
     w = np.sort(rng.uniform(-5.0, 5.0, size=n))
@@ -90,8 +89,6 @@ def test_degenerate_cluster_stays_orthonormal():
     # LAPACK's eigenvectors are used as returned: exact and near-degenerate
     # clusters (relative gaps 0, 1e-12, 1e-9) must still come out orthonormal
     rng = generator(1, "spectral:degenerate")
-    from kgmetric.rng import random_unitary
-
     for n in (4, 16, 64):
         for gap in (0.0, 1e-12, 1e-9):
             u = random_unitary(rng, n)
@@ -113,6 +110,41 @@ def test_non_hermitian_input_is_rejected():
         hermitian_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatchError):
         hermitian_eigendecompose(np.ones((2, 3)))
+
+
+def test_stack_solves_like_one_call_per_matrix():
+    # one eigh over a stack gives each member what its own call gives, bit for
+    # bit, also for a degenerate member and an all-zero one (identity basis);
+    # the doubled eigensystems and step propagators built on it stack alike
+    rng = generator(8, "spectral:stack")
+    n = 5
+    u = random_unitary(rng, n)
+    degenerate = (u * np.array([1.0, 1.0, 1.0, 2.0, 3.0])) @ u.conj().T
+    stack = np.stack(
+        [
+            random_positive_hermitian(rng, n),
+            0.5 * (degenerate + degenerate.conj().T),
+            np.zeros((n, n)),
+            random_positive_hermitian(rng, n),
+        ]
+    )
+    stacked = hermitian_eigendecompose(stack)
+    singles = [hermitian_eigendecompose(m) for m in stack]
+    for i, one in enumerate(singles):
+        assert np.array_equal(stacked.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[i], one.eigenvectors)
+    assert np.array_equal(stacked.eigenvectors[2], np.eye(n))
+    positive = [0, 1, 3]
+    systems = eigen_system(
+        SpectralDecomposition(stacked.eigenvalues[positive], stacked.eigenvectors[positive]), 0.7
+    )
+    steps = _propagators(systems, 0.3)
+    for i, j in enumerate(positive):
+        one = eigen_system(singles[j], 0.7)
+        assert np.array_equal(systems.right_vectors[i], one.right_vectors)
+        assert np.array_equal(systems.left_vectors[i], one.left_vectors)
+        assert np.array_equal(systems.energies[i], one.energies)
+        assert np.array_equal(steps[i], _propagators(one, 0.3))
 
 
 def test_zero_matrix_and_tiny_sizes():

@@ -72,6 +72,7 @@ RUNS = {
     "sho-lplus-1e308": ("sho", "--lplus", "1e308", "--lminus", "0", "--steps", "100"),
     "kg-mu-1e300": ("kg", "--mu", "1e300"),
     "kg-lambda-1e300": ("kg", "--lambda", "1e300"),
+    "verify-lambda-1e300": ("verify", "--lambda", "1e300"),
 }
 
 _TIMESTAMP = re.compile(rb'^(\s*"timestamp": ).*$', re.MULTILINE)
