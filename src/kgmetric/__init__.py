@@ -65,6 +65,7 @@ from .evolution import (
     EvolutionResult,
     FieldTrajectory,
     MonitorSeries,
+    StackedSource,
     drift_report,
     evolve_field,
     evolve_fields,

@@ -36,8 +36,9 @@ t0 data, so there is nothing of it to follow.
 
 Every operator source here (integrators and ``drift_report`` alike) is a
 matrix or a SpectralDecomposition, which is constant and converted once, or
-a callable t -> either, which is time-dependent and asked a chunk of times at
-once (once per time, in order); the answers are converted together, stacked.
+time-dependent and asked a chunk of times at once: a callable t -> either
+once per time, in order, or a ``StackedSource`` in one call that returns the
+chunk's (k, n, n) stack. The chunk's answers are converted together.
 """
 
 from __future__ import annotations
@@ -142,12 +143,26 @@ def _as_matrix(d) -> np.ndarray:
     return d if d.dtype.char in "dD" else d.astype(np.result_type(d, float))
 
 
+@dataclass(frozen=True)
+class StackedSource:
+    """A time-dependent D source asked a whole 1-D time array in one call:
+    ``at(times)`` returns D at each time, in order, as a (k, n, n) stack of
+    matrices or a SpectralDecomposition stacked alike. (A plain callable is
+    asked one time a call: a scalar formula can broadcast an array to a wrong
+    (n, n) answer without raising.)"""
+
+    at: object
+
+
 def _source(d_of_t, convert):
     """Normalize a D source to (times -> value, is_constant).
 
-    A callable is time-dependent: a query calls it at each time, in order, and
-    stacks the converted answers; any other source is converted once.
+    A StackedSource is asked a query's time array in one call and a callable
+    each time, in order; either way the answers are converted together. Any
+    other source is converted once.
     """
+    if isinstance(d_of_t, StackedSource):
+        return (lambda times: convert(d_of_t.at(times))), False
     if callable(d_of_t):
         return (lambda times: convert([d_of_t(t) for t in times.tolist()])), False
     const = convert(d_of_t)
@@ -226,13 +241,14 @@ def evolve_schrodinger(
 
     Parameters
     ----------
-    d_of_t : matrix, SpectralDecomposition, or callable t -> either
+    d_of_t : matrix, SpectralDecomposition, callable t -> either, or StackedSource
         The spatial operator source. A constant source (matrix or
         SpectralDecomposition) is diagonalized once and every step's state
         is sampled from the exact propagator, Psi(t0 + k dt) =
         R (e^{-iE k dt} * c) with c = L^dagger Psi0, with no stepping. A
-        callable is treated as time-dependent: one stacked eigensolve a chunk
-        of steps re-diagonalizes it at their midpoints, and exp(-i dt H(D_mid))
+        callable or a StackedSource is time-dependent: it is asked the
+        midpoints of a chunk of steps (a StackedSource in one call), one
+        stacked eigensolve re-diagonalizes it there, and exp(-i dt H(D_mid))
         steps one (2n, 1 + 2n) block whose column 0 is the state and whose
         other columns are U(t, t0).
     psi0 : TwoComponentState
@@ -371,13 +387,14 @@ def evolve_fields(
     against 20000-step constant-D run at n = 8 it cut the step-halving
     ratio of the kg_inner drift from 31 to 3.9).
 
-    A constant source gives one map per chunk of steps. A callable is
-    queried at the same times as stagewise RK4, once per distinct time (the
-    end of a step is the start of the next), a chunk of steps at once, and
-    the chunk's maps are built together. Each chunk's states are tested
-    against the blow-up bound together, raising NonFiniteStateError at the
-    first step past it (psi before psi_dot), as stepping would; a source
-    error at a later time in the same chunk is raised first.
+    ``d_of_t`` takes the forms ``evolve_schrodinger`` takes. A constant one
+    gives one map per chunk of steps. A callable or a StackedSource is asked
+    the times stagewise RK4 asks, once per distinct time (the end of a step
+    is the start of the next), a chunk of steps at once (a StackedSource in
+    one call), and the chunk's maps are built together. Each chunk's states
+    are tested against the blow-up bound together, raising NonFiniteStateError
+    at the first step past it (psi before psi_dot), as stepping would; a
+    source error at a later time in the same chunk is raised first.
 
     Returns one FieldTrajectory per state, in order. Raises
     DimensionMismatchError for an empty list or a state whose size does not
@@ -465,11 +482,12 @@ def drift_report(
     ----------
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
-    d_spec : matrix, SpectralDecomposition, or callable t -> either
+    d_spec : matrix, SpectralDecomposition, callable t -> either, or StackedSource
         The operator source, in the same forms the integrators take. A
-        constant source is diagonalized once; a callable makes
-        ``solution_inner`` instantaneous, on D(t) at each sample time, and
-        is queried at all of them at once. Every sample is one batch.
+        constant source is diagonalized once; a callable or a StackedSource
+        makes ``solution_inner`` instantaneous, on D(t) at each sample time,
+        and is queried at all of them at once (a StackedSource in one call).
+        Every sample is one batch.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive
     product under ``spec`` and the indefinite product at packing ``lam``.

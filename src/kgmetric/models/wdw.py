@@ -157,24 +157,30 @@ class WdwFrwModel:
         limit = min(self.alpha0 + (_LOG_THIRD_MAX - log_v0) / 6.0, _LOG_THIRD_MAX / 4.0)
         return kinetic, potential, np.eye(n), limit
 
-    def d_anchored(self, alpha: float) -> np.ndarray:
+    def d_anchored(self, alpha) -> np.ndarray:
         """Galerkin projection P D(alpha) P in the basis anchored at alpha0:
         K + e^(6 (alpha - alpha0)) V0 - kappa e^(4 alpha) I.
 
-        Equal to diag(omega_sq(alpha0)) at alpha0, up to rounding; elsewhere
-        its eigenvalues are Rayleigh-Ritz upper bounds on the lowest N exact
-        w_n(alpha). Raises NotHermitianError where an entry would leave the
-        float range and NonPositiveSpectrumError below ``_alpha_floor``.
+        A float alpha gives one (N, N) matrix, a 1-D array of them the
+        (k, N, N) stack of those matrices, bit for bit. Equal to
+        diag(omega_sq(alpha0)) at alpha0, up to rounding; elsewhere its
+        eigenvalues are Rayleigh-Ritz upper bounds on the lowest N exact
+        w_n(alpha). Raises, at the first failing alpha in order,
+        NotHermitianError where an entry would leave the float range and
+        NonPositiveSpectrumError below ``_alpha_floor``.
         """
         kinetic, potential, eye, limit = self._galerkin
-        self._check_floor(alpha)
-        if not alpha < limit:  # NaN alpha fails too
-            raise NotHermitianError(f"anchored operator at alpha={alpha} is not finite")
-        return (
-            kinetic
-            + math.exp(6.0 * (alpha - self.alpha0)) * potential
-            - (self.kappa * math.exp(4.0 * alpha)) * eye
-        )
+        alphas = np.atleast_1d(alpha).tolist()
+        for a in alphas:
+            self._check_floor(a)
+            if not a < limit:  # NaN alpha fails too
+                raise NotHermitianError(f"anchored operator at alpha={a} is not finite")
+        # the factors by math.exp, one alpha at a time: np.exp differs from it
+        # in the last bit at some alphas
+        d = np.multiply.outer([math.exp(6.0 * (a - self.alpha0)) for a in alphas], potential)
+        d += kinetic
+        d -= np.multiply.outer([self.kappa * math.exp(4.0 * a) for a in alphas], eye)
+        return d if np.ndim(alpha) else d[0]
 
 
 @cache

@@ -10,6 +10,7 @@ ordering and eigenvector phase, so results do not depend on the BLAS/LAPACK buil
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,10 @@ def _as_hermitian(matrix, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
+    flat = (math.prod(a.shape[:-2]), a.shape[-1] ** 2)  # members, entries of one
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
-        defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0).ravel()
-    defect[~np.isfinite(a).all(axis=(-2, -1)).ravel()] = np.nan  # marks a non-finite member
+        defect = np.abs(a - a.conj().swapaxes(-1, -2)).reshape(flat).max(axis=1, initial=0.0)
+    defect[~np.isfinite(a).reshape(flat).all(axis=1)] = np.nan  # marks a non-finite member
     bad = defect[~(defect <= tol)]
     if bad.size:
         raise NotHermitianError(
@@ -129,37 +131,39 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
         If LAPACK reports that the eigenvalue iteration failed.
     """
     a = _as_hermitian(matrix, tol)
-    n = a.shape[-1]
-    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    *lead, n = a.shape[:-1]
+    # solved as one (m, n, n) stack, reshaped back to the input's leading axes
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2)).reshape(math.prod(lead), n, n)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
     if n:  # phase convention: each column's largest-magnitude entry real, positive
-        rows = np.argmax(np.abs(v), axis=-2)
-        peak = (*np.indices(rows.shape, sparse=True)[:-1], rows, np.arange(n))
-        v *= (np.conj(v[peak]) / np.abs(v[peak]))[..., None, :]
+        peak = (np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=1), np.arange(n))
+        v *= (np.conj(v[peak]) / np.abs(v[peak]))[:, None, :]
         v[peak] = v[peak].real  # drop the rounding residue of the rescale
-    zero = ~np.any(a, axis=(-2, -1))
-    w[zero], v[zero] = 0.0, np.eye(n)
-    return SpectralDecomposition(w, v)
+    if not w.all():  # a zero member has only zero eigenvalues; look for one
+        zero = ~a.reshape(len(a), n * n).any(axis=1)
+        w[zero], v[zero] = 0.0, np.eye(n)
+    return SpectralDecomposition(w.reshape(*lead, n), v.reshape(*lead, n, n))
 
 
 def operator_power(spec: SpectralDecomposition, gamma: float) -> np.ndarray:
     """Fractional power of the operator from its spectral data.
 
-    Builds ``sum_n eigenvalue_n**gamma |v_n><v_n|``. Negative or fractional
-    powers require a strictly positive spectrum; nonnegative integer powers
-    work for any spectrum. ``gamma = 0`` returns the identity.
+    Builds ``sum_n eigenvalue_n**gamma |v_n><v_n|``, for stacked spectral
+    data stacked the same way. Negative or fractional powers require a
+    strictly positive spectrum; nonnegative integer powers work for any
+    spectrum. ``gamma = 0`` returns the (n, n) identity.
     """
     w = np.asarray(spec.eigenvalues, dtype=float)
     v = spec.eigenvectors
     if gamma == 0:
-        return np.eye(v.shape[0], dtype=complex)
+        return np.eye(v.shape[-1], dtype=complex)
     if gamma < 0 or float(gamma) != int(gamma):
         _require_positive(w, f"power {gamma}")
     powered = w.astype(float) ** gamma
-    return (v * powered) @ v.conj().T
+    return (v * powered[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def check_biorthonormal(system: BiorthonormalSystem) -> tuple[float, float]:

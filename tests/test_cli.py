@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgmetric
 from kgmetric.cli import main
+from kgmetric.models.wdw import WdwFrwModel
 
 REPORT_KEYS = {"config", "checks", "summary", "timestamp"}
 CHECK_KEYS = {"name", "paper_anchor", "measured", "bound", "pass"}
@@ -120,6 +122,24 @@ def test_wdw_run_passes(capsys):
     assert "positivity-classifier" in names
     assert "spectrum-grid-crosscheck" in names
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_wdw_drift_queries_operator_per_chunk(monkeypatch, capsys):
+    # the drift asks D(alpha) a chunk of alphas at a time (3012 scalar
+    # queries a report before); a fallback to one call per alpha fails here
+    calls = []
+    d_anchored = WdwFrwModel.d_anchored
+
+    def counted(self, alpha):
+        calls.append(np.size(alpha))
+        return d_anchored(self, alpha)
+
+    monkeypatch.setattr(WdwFrwModel, "d_anchored", counted)
+    code, out = run(["wdw"], capsys)
+    assert code == 0
+    assert "instantaneous-drift-floor" in out
+    assert 0 < len(calls) <= 30
+    assert sum(calls) == 3012
 
 
 def test_wdw_zero_mode_crosscheck_is_finite(capsys):

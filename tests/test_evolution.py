@@ -9,6 +9,7 @@ import pytest
 from kgmetric import (
     FieldState,
     InnerProductSpec,
+    StackedSource,
     check_pseudo_unitary,
     drift_report,
     eta_plus,
@@ -141,38 +142,56 @@ def test_drift_constant_operator_guards():
 
 
 def test_operator_source_forms_agree():
-    # matrix, SpectralDecomposition and callables returning either (or both)
-    # are one source; a callable is asked once per time, in order, at the
-    # times a step-by-step route asks
+    # matrix, SpectralDecomposition, callables returning either (or both) and
+    # stacked sources answering either are one source; a callable is asked
+    # once per time, in order, at the times a step-by-step route asks, and a
+    # stacked source is asked the same floats, in the same order, in arrays
     rng = generator(5, "evo:source-forms")
     n = 3
     d = random_positive_hermitian(rng, n)
     d_spec = hermitian_eigendecompose(d)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     spec = InnerProductSpec.uniform(n)
-    asked = []
+    asked, queried = [], []
 
     def recording(t):
         asked.append(t)
         return d
 
-    forms = (d, d_spec, lambda t: d, lambda t: d_spec, lambda t: d if t < 1.0 else d_spec, recording)
+    def recording_stack(times):
+        assert times.ndim == 1
+        queried.extend(times.tolist())
+        return np.repeat(d[None], times.size, axis=0)
+
+    forms = (
+        d,
+        d_spec,
+        lambda t: d,
+        lambda t: d_spec,
+        lambda t: d if t < 1.0 else d_spec,
+        recording,
+        StackedSource(recording_stack),
+        StackedSource(lambda times: hermitian_eigendecompose(np.repeat(d[None], times.size, 0))),
+    )
     trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
     for traj in trajs[1:]:
         assert maxabs(traj.psis - trajs[0].psis) <= 1e-12
     dt = 2.0 / 200
     assert asked == [0.0] + [t for k in range(1, 201) for t in ((k - 1) * dt + 0.5 * dt, k * dt)]
+    assert queried == asked
     asked.clear()
+    queried.clear()
     values = [drift_report(trajs[0], src, spec)[0].values for src in forms]
     for v in values[1:]:
         assert maxabs(v - values[0]) <= 1e-12
-    assert asked == [k * dt for k in range(0, 201, 20)] == list(trajs[0].times)
+    assert asked == [k * dt for k in range(0, 201, 20)] == list(trajs[0].times) == queried
     asked.clear()
+    queried.clear()
     psi0 = pack(f0, 1.0)
     states = [evolve_schrodinger(src, psi0, 0.0, 2.0, 50).state_matrix for src in forms]
     for m in states[1:]:
         assert maxabs(m - states[0]) <= 1e-10
-    assert asked == [(k - 0.5) * (2.0 / 50) for k in range(1, 51)]
+    assert asked == [(k - 0.5) * (2.0 / 50) for k in range(1, 51)] == queried
 
 
 F1 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.5]))
@@ -422,7 +441,10 @@ def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
     """Reference: the classical stage-by-stage RK4 loop on (psi, dot), with
     the blow-up guard after every step (psi before dot). Returns the sample
     times and the (n_samples, n, k) psi and dot stacks."""
-    source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
+    if isinstance(d_of_t, StackedSource):
+        source = lambda t: d_of_t.at(np.array([t]))[0]
+    else:
+        source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
     dt = (t1 - t0) / steps
     psi = np.stack([f.psi for f in states], axis=1)
     dot = np.stack([f.psi_dot for f in states], axis=1)
@@ -459,6 +481,9 @@ D_COMPLEX = random_positive_hermitian(generator(10, "evo:oracle"), 4)
     "source,n,count,t1,steps,sample_every",
     [
         pytest.param(WdwFrwModel().d_anchored, 8, 2, 0.3, 1500, 15, id="wdw-anchored"),
+        pytest.param(
+            StackedSource(WdwFrwModel().d_anchored), 8, 2, 0.3, 1500, 15, id="wdw-anchored-stacked"
+        ),
         pytest.param(
             lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4, 1, 3.0, 700, 7, id="complex-hermitian"
         ),

@@ -8,14 +8,17 @@ import pytest
 from kgmetric import (
     FieldState,
     InnerProductSpec,
+    StackedSource,
     drift_report,
     evolve_field,
+    evolve_fields,
     kg_inner,
     pack,
     solution_inner,
 )
 from kgmetric.errors import (
     DimensionMismatchError,
+    KgMetricError,
     NonPositiveAError,
     NonPositiveSpectrumError,
     NotHermitianError,
@@ -549,6 +552,94 @@ def test_wdw_anchored_operator_rejects_overflow_far_above_anchor():
             assert alpha < model._alpha_limit
             with pytest.raises(NotHermitianError):
                 model.d_anchored(alpha)
+
+
+# (mass, kappa, alpha0) of the five universes of the `wdw` benchmark workload
+WDW_BENCH_UNIVERSES = (
+    (1.0, -1, 0.0), (1.0, 1, 0.3), (1.0, 0, 0.0), (2.0, 0, -0.3), (1.0, 1, -0.5),
+)
+
+
+def drift_alphas(alpha0):
+    """The alphas the `wdw` drift asks its operator, in order: RK4 over
+    alpha0 .. alpha0 + 0.3 in 1500 steps, recorded from its stacked queries."""
+    asked = []
+
+    def record(alphas):
+        asked.extend(alphas.tolist())
+        return np.zeros((alphas.size, 1, 1))
+
+    f0 = FieldState(psi=np.ones(1), psi_dot=np.zeros(1))
+    evolve_field(StackedSource(record), f0, alpha0, alpha0 + 0.3, 1500)
+    assert len(asked) == 3001
+    return np.array(asked)
+
+
+@pytest.mark.parametrize("mass, kappa, alpha0", WDW_BENCH_UNIVERSES)
+def test_wdw_anchored_stack_equals_scalar_calls(mass, kappa, alpha0):
+    # an array of alphas is one query whose members are the scalar answers,
+    # bit for bit
+    model = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0)
+    alphas = drift_alphas(alpha0)
+    stack = model.d_anchored(alphas)
+    assert stack.shape == (3001, 8, 8)
+    assert np.array_equal(stack, np.stack([model.d_anchored(a) for a in alphas.tolist()]))
+    # and each member is the one-alpha formula, its factors by math.exp
+    kinetic, potential, eye, _ = model._galerkin
+    for alpha, member in zip(alphas.tolist(), stack):
+        d = (
+            kinetic
+            + math.exp(6.0 * (alpha - alpha0)) * potential
+            - (kappa * math.exp(4.0 * alpha)) * eye
+        )
+        assert np.array_equal(member, d)
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [
+        pytest.param([0.0, 0.1, -300.0, 200.0], id="below-floor-first"),
+        pytest.param([0.0, 200.0, -300.0], id="over-limit-first"),
+        pytest.param([0.1, math.nan, -300.0], id="nan-first"),
+    ],
+)
+def test_wdw_anchored_stack_raises_like_first_failing_alpha(alphas):
+    # no errstate wrapper: the suite turns any RuntimeWarning into an error
+    model = WdwFrwModel()
+    with pytest.raises(KgMetricError) as stacked:
+        model.d_anchored(np.array(alphas))
+    for alpha in alphas:  # the scalar calls, in order, up to the first that raises
+        try:
+            model.d_anchored(alpha)
+        except KgMetricError as exc:
+            scalar = exc
+            break
+    assert type(stacked.value) is type(scalar)
+    assert str(stacked.value) == str(scalar)
+
+
+def test_wdw_stacked_source_matches_plain_callable():
+    # the `wdw` drift: the wrapped d_anchored answers each chunk in one call
+    # and gives the same trajectories and drift series as one call per alpha
+    model = WdwFrwModel(mass=1.0, kappa=-1, alpha0=0.0)
+    rng = generator(12, "models:wdw-stacked")
+    states = [
+        FieldState(
+            psi=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+            psi_dot=rng.standard_normal(8) + 1j * rng.standard_normal(8),
+        )
+        for _ in range(2)
+    ]
+    uniform = InnerProductSpec.uniform(8)
+    runs = []
+    for source in (model.d_anchored, StackedSource(model.d_anchored)):
+        traj1, traj2 = evolve_fields(source, states, 0.0, 0.3, 1500, sample_every=150)
+        inst, kg = drift_report(traj1, source, uniform, traj2=traj2)
+        runs.append(
+            (traj1.psis, traj1.psi_dots, traj2.psis, traj2.psi_dots, inst.values, kg.values)
+        )
+    for plain, stacked in zip(*runs):
+        assert np.array_equal(plain, stacked)
 
 
 def test_wdw_positivity_rejects_overflowing_spectrum():

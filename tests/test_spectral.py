@@ -134,6 +134,12 @@ def test_stack_solves_like_one_call_per_matrix():
         assert np.array_equal(stacked.eigenvalues[i], one.eigenvalues)
         assert np.array_equal(stacked.eigenvectors[i], one.eigenvectors)
     assert np.array_equal(stacked.eigenvectors[2], np.eye(n))
+    # any leading axes stack alike, and the stacked data reassemble per member
+    nested = hermitian_eigendecompose(stack.reshape(2, 2, n, n))
+    assert np.array_equal(nested.eigenvalues, stacked.eigenvalues.reshape(2, 2, n))
+    assert np.array_equal(nested.eigenvectors, stacked.eigenvectors.reshape(2, 2, n, n))
+    for i, one in enumerate(singles):
+        assert np.array_equal(stacked.matrix()[i], one.matrix())
     positive = [0, 1, 3]
     systems = eigen_system(
         SpectralDecomposition(stacked.eigenvalues[positive], stacked.eigenvectors[positive]), 0.7
