@@ -282,11 +282,18 @@ def evolve_schrodinger(
         spec = source(t0)
         _check_state_size(psi0.n, spec.n)
         system = eigen_system(spec, lam, allow_complex=allow_complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows c
+            coeff = system.left_vectors.conj().T @ psi0.vector
+        # real frequencies (not +-i|omega|): minus-branch phases conjugate the plus ones
+        plus = system.energies[: psi0.n]
+        real = not np.any(plus.imag)
 
         def advance(k, y):
-            # c is formed under the loop's errstate: a huge lam overflows it
-            coeff = system.left_vectors.conj().T @ psi0.vector
-            phases = np.exp(-1j * np.multiply.outer(k * dt, system.energies))
+            if real:
+                half = np.exp(-1j * np.multiply.outer(k * dt, plus))
+                phases = np.concatenate([half, half.conj()], axis=1)
+            else:
+                phases = np.exp(-1j * np.multiply.outer(k * dt, system.energies))
             return (phases * coeff) @ system.right_vectors.T
 
         kept, states, _ = _march(psi0.vector, t0, dt, steps, sample_every, n2, advance, [()], ())

@@ -11,6 +11,11 @@ Besides the operator itself, this module provides the one-parameter family
 of invariant positive inner products on the solution space, the gauge-fixed
 product it contains as its symmetric member, and the nonrelativistic-limit
 comparison.
+
+Solutions and products also come as (rows, sites) stacks: _lattice_solution
+and _band_limited_rows build many states from one matrix product and one
+random draw, and _kg_gram and _woodard_rows measure them pair by pair. The
+paper-named single-state functions are thin wrappers over these kernels.
 """
 
 from __future__ import annotations
@@ -112,16 +117,17 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
-def _lattice_solution(
-    lattice: KleinGordonLattice, cols, eps, amps, t: float
-) -> FieldState:
-    """Solution sum_m amps[m] exp(-i eps[m] omega t) phi at time t, one term per
-    (canonical column, branch, amplitude) triple, with its velocity."""
+def _lattice_solution(lattice: KleinGordonLattice, cols, eps, amps, t: float) -> tuple:
+    """(psi, psi_dot) at time t of sum_m amps[..., m] exp(-i eps[m] omega t) phi,
+    one term per (canonical column, branch) pair. (rows, terms) amps give
+    (rows, sites) stacks from one matrix product; 1-D amps give one state, by
+    a vector-matrix product that rounds as the matvec modes[:, cols] @ coeff
+    (a many-row product rounds otherwise)."""
     cols = np.asarray(cols, dtype=int)
     freq = np.asarray(eps) * lattice.omegas[cols]
     coeff = np.asarray(amps, dtype=complex) * np.exp(-1j * freq * t)
-    v = lattice.modes[:, cols]
-    return FieldState(psi=v @ coeff, psi_dot=v @ (-1j * freq * coeff))
+    vt = lattice.modes[:, cols].T
+    return coeff @ vt, (-1j * freq * coeff) @ vt
 
 
 def kg_mode_solution(
@@ -142,7 +148,20 @@ def kg_superposition(lattice: KleinGordonLattice, coeffs: dict, t: float = 0.0) 
     """
     eps = [_check_eps(e) for e, _ in coeffs]
     cols = [lattice.column_of(j) for _, j in coeffs]
-    return _lattice_solution(lattice, cols, eps, list(coeffs.values()), t)
+    return FieldState(*_lattice_solution(lattice, cols, eps, list(coeffs.values()), t))
+
+
+def _band_limited_rows(lattice, k_max: float, rng, t: float, positive_energy: bool, rows) -> tuple:
+    """(psi, psi_dot) stacks of random band-limited solutions, leading shape
+    `rows` (() for one state), drawn in one call: row-major over `rows`, each
+    state's amplitudes in kg_band_limited_solution's order, so the stream is
+    that of one such call per state."""
+    in_band = np.nonzero(np.abs(lattice.wavenumbers) <= k_max)[0]
+    branches = (1,) if positive_energy else (1, -1)
+    draws = rng.normal(size=(*rows, in_band.size, len(branches), 2))
+    cols, eps = np.repeat(in_band, len(branches)), np.tile(branches, in_band.size)
+    amps = (draws[..., 0] + 1j * draws[..., 1]).reshape(*rows, -1)
+    return _lattice_solution(lattice, cols, eps, amps, t)
 
 
 def kg_band_limited_solution(
@@ -159,16 +178,7 @@ def kg_band_limited_solution(
     comparisons assume it). Amplitudes are standard complex normals drawn
     in (column, branch) order, branch +1 before -1.
     """
-    in_band = np.nonzero(np.abs(lattice.wavenumbers) <= k_max)[0]
-    branches = (1,) if positive_energy else (1, -1)
-    draws = rng.normal(size=(in_band.size, len(branches), 2))
-    return _lattice_solution(
-        lattice,
-        np.repeat(in_band, len(branches)),
-        np.tile(branches, in_band.size),
-        (draws[..., 0] + 1j * draws[..., 1]).ravel(),
-        t,
-    )
+    return FieldState(*_band_limited_rows(lattice, k_max, rng, t, positive_energy, ()))
 
 
 def kg_relativistic_spec(
@@ -217,8 +227,25 @@ def kg_inner_ri(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice, a: 
     return complex(_kg_gram(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice, a))
 
 
+def _woodard_rows(psi1, dot1, psi2, dot2, lattice: KleinGordonLattice):
+    """woodard_inner's projection formula, pair by pair, on two (..., sites)
+    row stacks of states (1-D vectors give the scalar). No checks."""
+    vc = lattice.modes.conj()
+    w = lattice.omegas
+    # rows times conj(modes) are the mode coordinates V^dagger psi
+    c1, d1, c2, d2 = psi1 @ vc, dot1 @ vc, psi2 @ vc, dot2 @ vc
+    c1_plus = 0.5 * (c1 + 1j * d1 / w)
+    c1_minus = 0.5 * (c1 - 1j * d1 / w)
+    c2_plus = 0.5 * (c2 + 1j * d2 / w)
+    c2_minus = 0.5 * (c2 - 1j * d2 / w)
+    d2_plus = -1j * w * c2_plus
+    d2_minus = 1j * w * c2_minus
+    total = np.sum(np.conj(c1_plus) * d2_plus, -1) - np.sum(np.conj(c1_minus) * d2_minus, -1)
+    return 1j * total / lattice.mu
+
+
 def woodard_inner(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice) -> complex:
-    """The gauge-fixed positive product by spectral projection.
+    """The gauge-fixed positive product by spectral projection (_woodard_rows).
 
     i mu^-1 (<psi1+|psidot2+> - <psi1-|psidot2->) with psi+- the
     frequency-sign parts of each state, each part's velocity fixed by its
@@ -227,20 +254,7 @@ def woodard_inner(f1: FieldState, f2: FieldState, lattice: KleinGordonLattice) -
     independent route, so that agreement can be measured rather than assumed.
     """
     _check_pair(f1, f2, lattice)
-    v = lattice.modes
-    w = lattice.omegas
-    c1 = v.conj().T @ f1.psi
-    d1 = v.conj().T @ f1.psi_dot
-    c2 = v.conj().T @ f2.psi
-    d2 = v.conj().T @ f2.psi_dot
-    c1_plus = 0.5 * (c1 + 1j * d1 / w)
-    c1_minus = 0.5 * (c1 - 1j * d1 / w)
-    c2_plus = 0.5 * (c2 + 1j * d2 / w)
-    c2_minus = 0.5 * (c2 - 1j * d2 / w)
-    d2_plus = -1j * w * c2_plus
-    d2_minus = 1j * w * c2_minus
-    total = np.sum(np.conj(c1_plus) * d2_plus) - np.sum(np.conj(c1_minus) * d2_minus)
-    return complex(1j * total / lattice.mu)
+    return complex(_woodard_rows(f1.psi, f1.psi_dot, f2.psi, f2.psi_dot, lattice))
 
 
 @dataclass

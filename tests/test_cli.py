@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kgmetric
-from kgmetric.cli import main
+from kgmetric.cli import _build_parser, main
 from kgmetric.models.wdw import WdwFrwModel
 
 REPORT_KEYS = {"config", "checks", "summary", "timestamp"}
@@ -42,6 +42,34 @@ def test_usage_errors_exit_2(capsys):
     assert run(["kg", "--steps", "3"], capsys)[0] == 2
     assert run(["sho", "--steps", "100", "--seed", "1"], capsys)[0] == 2
     assert run(["verify", "--dim", "2", "--format", "csv"], capsys)[0] == 2
+
+
+def test_cached_parser_reports_usage_errors_in_one_process(capsys, monkeypatch):
+    # the parser is built once per process; usage errors after a valid run
+    # still print to the current stderr, wrapped at the current width
+    monkeypatch.setenv("COLUMNS", "80")
+    top = "usage: kgmetric [-h] {verify,sho,kg,wdw} ...\n"
+    cases = [
+        (["kg", "--sites", "2"], 0, ""),
+        (
+            ["kg", "--no-such-flag"],
+            2,
+            top + "kgmetric: error: unrecognized arguments: --no-such-flag\n",
+        ),
+        ([], 2, top),
+        (
+            ["kg", "--sites", "x"],
+            2,
+            "usage: kgmetric kg [-h] [--sites SITES] [--seed SEED] [--tol TOL] [--mu MU]\n"
+            "                   [--a A] [--lambda LAM] [--t-final T_FINAL] [--out OUT]\n"
+            "                   [--format {json,csv}]\n"
+            "kgmetric kg: error: argument --sites: invalid int value: 'x'\n",
+        ),
+    ]
+    for argv, code, err in cases:
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+    assert _build_parser() is _build_parser()
 
 
 def test_verify_report_schema(capsys):

@@ -28,7 +28,7 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     ZeroStepsError,
 )
-from kgmetric.evolution import BLOWUP_LIMIT
+from kgmetric.evolution import _CHUNK_ENTRIES, BLOWUP_LIMIT
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
@@ -392,6 +392,35 @@ def test_closed_form_matches_stepped_constant_operator():
     lazy = evolve_schrodinger(d, s0, 0.5, 4.5, 60)
     assert lazy.propagator_samples is None
     assert maxabs(lazy.propagator - stepped.propagator) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "source, allow_complex",
+    [
+        (KleinGordonLattice(sites=64, mu=1.0).d_spec, False),
+        (KleinGordonLattice(sites=17, mu=0.5).d_spec, True),
+        (SpectralDecomposition(np.array([-0.5, 1.0, 2.0]), np.eye(3, dtype=complex)), True),
+    ],
+    ids=["lattice-64", "lattice-17-allow-complex", "negative-mode"],
+)
+def test_closed_form_phases_match_full_formula(source, allow_complex):
+    # states are R (e^{-iEt} * L^dagger psi0) with the full phase formula, bit
+    # for bit, chunk by chunk as the loop forms them; with a negative mode the
+    # minus-branch phases are not the conjugates of the plus-branch ones
+    n, steps, t1 = source.n, 200, 2.0
+    rng = generator(12, "evo:phases")
+    s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), 0.8)
+    result = evolve_schrodinger(source, s0, 0.0, t1, steps, allow_complex=allow_complex)
+    system = eigen_system(source, 0.8, allow_complex=allow_complex)
+    coeff = system.left_vectors.conj().T @ s0.vector
+    rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (2 * n)
+    for lo in range(1, steps + 1, chunk):
+        k = np.arange(lo, min(lo + chunk, steps + 1))
+        phases = np.exp(-1j * np.multiply.outer(k * (t1 / steps), system.energies))
+        rows.append((phases * coeff) @ system.right_vectors.T)
+    np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
+    conjugate = np.array_equal(phases[:, n:], phases[:, :n].conj())
+    assert conjugate == bool(np.all(source.eigenvalues > 0))
 
 
 def test_closed_form_propagator_is_pseudo_unitary():

@@ -24,9 +24,13 @@ from kgmetric.errors import (
     NotHermitianError,
     OutOfFamilyError,
 )
+from kgmetric.inner_products import _field_inner
 from kgmetric.models.lattice import (
     KleinGordonLattice,
+    _band_limited_rows,
     _kg_gram,
+    _lattice_solution,
+    _woodard_rows,
     kg_band_limited_solution,
     kg_inner_ri,
     kg_mode_solution,
@@ -291,6 +295,82 @@ def test_lattice_gram_matches_pairwise_products(sites):
             for c, f2 in enumerate(cols):
                 ref = kg_inner_ri(f1, f2, lattice, a)
                 assert abs(gram[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+
+def relmax(got, want):
+    return maxabs(got - want) / maxabs(want)
+
+
+@pytest.mark.parametrize("sites", [7, 64, 128])
+def test_lattice_stacked_draw_matches_single_draws(sites):
+    # one (40, m, 2, 2) draw is the stream of 40 (m, 2, 2) draws, and the
+    # (40, sites) stack holds the 40 single states up to product rounding
+    lattice = KleinGordonLattice(sites=sites, mu=1.5)
+    stacked = generator(8, "models:kg-stack").normal(size=(40, sites, 2, 2))
+    rng = generator(8, "models:kg-stack")
+    np.testing.assert_array_equal(stacked, [rng.normal(size=(sites, 2, 2)) for _ in range(40)])
+    psi, dot = _band_limited_rows(
+        lattice, np.inf, generator(8, "models:kg-stack"), 0.3, False, (40,)
+    )
+    rng = generator(8, "models:kg-stack")
+    singles = [
+        kg_band_limited_solution(lattice, np.inf, rng, t=0.3, positive_energy=False)
+        for _ in range(40)
+    ]
+    assert relmax(psi, np.array([f.psi for f in singles])) <= 1e-14
+    assert relmax(dot, np.array([f.psi_dot for f in singles])) <= 1e-14
+
+
+@pytest.mark.parametrize("sites", [7, 12, 128])
+def test_lattice_row_kernels_match_pair_wrappers(sites):
+    # the pair stage's row-wise routes against the paper-named wrappers
+    lattice = KleinGordonLattice(sites=sites, mu=1.5)
+    psi, dot = _band_limited_rows(
+        lattice, np.inf, generator(9, "models:kg-rows"), 0.0, False, (40,)
+    )
+    pair = (psi[0::2], dot[0::2], psi[1::2], dot[1::2])
+    firsts = [FieldState(p, d) for p, d in zip(psi[0::2], dot[0::2])]
+    seconds = [FieldState(p, d) for p, d in zip(psi[1::2], dot[1::2])]
+    w_rows = _woodard_rows(*pair, lattice)
+    want = [woodard_inner(f1, f2, lattice) for f1, f2 in zip(firsts, seconds)]
+    assert relmax(w_rows, np.array(want)) <= 1e-14
+    for a in (0.0, 0.5, -0.7):
+        rows = np.diagonal(_kg_gram(*pair, lattice, a))
+        want = [kg_inner_ri(f1, f2, lattice, a) for f1, f2 in zip(firsts, seconds)]
+        assert relmax(rows, np.array(want)) <= 1e-14
+        spec = kg_relativistic_spec(lattice, 1.0 + a, 1.0 - a)
+        rows = _field_inner(*pair, lattice.d_spec, spec)
+        want = [solution_inner(f1, f2, lattice.d_spec, spec) for f1, f2 in zip(firsts, seconds)]
+        assert relmax(rows, np.array(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("sites", [2, 17, 64, 128])
+def test_lattice_single_state_rounds_as_matvec(sites):
+    # one state is the matvec modes[:, cols] @ coeff, bit for bit; a basic
+    # mode from a one-hot stack is kg_mode_solution up to the last bit (the
+    # stack's product may round its last column otherwise)
+    lattice = KleinGordonLattice(sites=sites, mu=1.5)
+    for k_max, positive_energy in ((np.inf, False), (2.0, True)):
+        got = kg_band_limited_solution(
+            lattice, k_max, generator(5, "models:matvec"), t=0.8, positive_energy=positive_energy
+        )
+        cols = np.nonzero(np.abs(lattice.wavenumbers) <= k_max)[0]
+        branches = (1,) if positive_energy else (1, -1)
+        draws = generator(5, "models:matvec").normal(size=(cols.size, len(branches), 2))
+        freq = np.tile(branches, cols.size) * lattice.omegas[np.repeat(cols, len(branches))]
+        coeff = (draws[..., 0] + 1j * draws[..., 1]).ravel() * np.exp(-1j * freq * 0.8)
+        v = lattice.modes[:, np.repeat(cols, len(branches))]
+        np.testing.assert_array_equal(got.psi, v @ coeff)
+        np.testing.assert_array_equal(got.psi_dot, v @ (-1j * freq * coeff))
+    count = min(sites, 16)
+    eps = np.tile([1.0, -1.0], count)
+    psi, dot = _lattice_solution(
+        lattice, np.repeat(np.arange(count), 2), eps, np.eye(2 * count), 0.37
+    )
+    for r, (e, c) in enumerate(zip(eps, np.repeat(np.arange(count), 2))):
+        f = kg_mode_solution(lattice, int(e), int(lattice.mode_indices[c]), 0.37)
+        assert relmax(psi[r], f.psi) <= 1e-15
+        assert relmax(dot[r], f.psi_dot) <= 1e-15
 
 
 def test_lattice_positive_energy_projection_annihilation():
