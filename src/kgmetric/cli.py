@@ -46,6 +46,7 @@ from .inner_products import (
     InnerProductSpec,
     SignAssignment,
     _field_inner,
+    _real_labels,
     build_L,
     check_pseudo_unitary,
     eta_general,
@@ -70,8 +71,10 @@ from .models import (
 from .models.lattice import (
     MIN_SITES, _band_limited_rows, _kg_gram, _lattice_solution, _woodard_rows,
 )
-from .models.wdw import ALL_POSITIVE, GRID
-from .rng import generator, random_coefficients, random_positive_hermitian, random_state
+from .models.wdw import ALL_POSITIVE, GRID, HAS_NEGATIVE, HAS_ZERO_MODE
+from .rng import (
+    generator, random_coefficients, random_hermitian, random_positive_hermitian, random_state,
+)
 from .spectral import (
     SpectralDecomposition,
     check_biorthonormal,
@@ -249,6 +252,22 @@ def _random_field(rng, n: int) -> FieldState:
     )
 
 
+def _time_dependent_checks(inst) -> list:
+    """The two checks of a run under a time-dependent D, from its
+    instantaneous monitor. frozen-product-drift is a literal: the frozen value
+    only reads t0 data, so it never moves; the check keeps its name until it is
+    measured along the flow."""
+    return [
+        _check("frozen-product-drift", "invariance", 0.0, 0.0),
+        _check(
+            "instantaneous-drift-floor",
+            "invariance",
+            max(0.0, VISIBLE_DRIFT_FLOOR - inst.max_deviation),
+            0.0,
+        ),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 
@@ -264,8 +283,7 @@ def battery_verify(cfg: RunConfig) -> list:
 
     # spectral core
     rng = sub("eigensolver")
-    herm = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    herm = 0.5 * (herm + herm.conj().T)
+    herm = random_hermitian(rng, n)
     spec = hermitian_eigendecompose(herm, tol)
     recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
     scale = max(_maxabs(herm), 1.0)
@@ -406,11 +424,10 @@ def battery_verify(cfg: RunConfig) -> list:
         eigenvalues=flipped[order], eigenvectors=d_spec.eigenvectors[:, order]
     )
     sys_c = eigen_system(d_indef, lam, allow_complex=True)
-    e = np.asarray(sys_c.energies)
-    is_pair = np.abs(e.imag) > 1e-9 * max(1.0, float(np.max(np.abs(e))))
-    eta_c = eta_general(sys_c, SignAssignment.all_plus(int(np.sum(~is_pair))))
+    is_real, _ = _real_labels(sys_c.energies)
+    eta_c = eta_general(sys_c, SignAssignment.all_plus(np.count_nonzero(is_real)))
     worst = 0.0
-    for j in np.nonzero(is_pair)[0]:
+    for j in np.flatnonzero(~is_real):
         vec = sys_c.right_vectors[:, j]
         worst = max(worst, abs(np.vdot(vec, eta_c @ vec)))
     checks.append(
@@ -422,7 +439,7 @@ def battery_verify(cfg: RunConfig) -> list:
     d_small = hermitian_eigendecompose(random_positive_hermitian(rng, n), tol)
     g1 = _random_field(rng, n)
     g2 = _random_field(rng, n)
-    traj1, traj2 = evolve_fields(d_small.matrix(), [g1, g2], 0.0, 10.0, 5000, sample_every=100)
+    traj1, traj2 = evolve_fields(d_small, [g1, g2], 0.0, 10.0, 5000, sample_every=100)
     sol, kg = drift_report(traj1, d_small, cspec, traj2=traj2, lam=lam)
     checks.append(
         _check(
@@ -441,17 +458,7 @@ def battery_verify(cfg: RunConfig) -> list:
 
     traj1t, traj2t = evolve_fields(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
     inst, _ = drift_report(traj1t, spec_of_t, cspec, traj2=traj2t, lam=lam)
-    # a literal: the frozen value only reads t0 data, so it never moves; the
-    # check keeps its name, as in `wdw`, until it is measured along the flow
-    checks.append(_check("frozen-product-drift", "invariance", 0.0, 0.0))
-    checks.append(
-        _check(
-            "instantaneous-drift-floor",
-            "invariance",
-            max(0.0, VISIBLE_DRIFT_FLOOR - inst.max_deviation),
-            0.0,
-        )
-    )
+    checks += _time_dependent_checks(inst)
 
     # propagators
     psi0 = pack(g1, lam)
@@ -478,7 +485,7 @@ def battery_verify(cfg: RunConfig) -> list:
     )
 
     # transported metric keeps products frozen under a time-dependent H
-    spec0 = hermitian_eigendecompose((1.0 + 0.3 * np.sin(0.0)) * d0, tol)
+    spec0 = hermitian_eigendecompose(d_of_t.at(np.zeros(1))[0], tol)
     eta_start = eta_tilde_plus(spec0, lam, cspec)
     res_t = evolve_schrodinger(
         d_of_t, psi0, 0.0, 5.0, 1000, sample_every=100, store_propagators=True
@@ -675,13 +682,13 @@ def run_wdw(cfg: RunConfig) -> tuple:
 
     classification = wdw_positivity(model, cfg.alpha0)
     canon = [
-        (WdwFrwModel(mass=1.0, kappa=-1), 0.0, "all_positive"),
-        (WdwFrwModel(mass=1.0, kappa=1), 0.0, "has_zero_mode"),
-        (WdwFrwModel(mass=1.0, kappa=1), float(np.log(2.0)), "has_negative"),
+        (WdwFrwModel(mass=1.0, kappa=-1), 0.0, ALL_POSITIVE),
+        (WdwFrwModel(mass=1.0, kappa=1), 0.0, HAS_ZERO_MODE),
+        (WdwFrwModel(mass=1.0, kappa=1), float(np.log(2.0)), HAS_NEGATIVE),
     ]
     mism = sum(1 for m, al, want in canon if wdw_positivity(m, al) != want)
     w0 = model.omega_sq(cfg.alpha0)[0]
-    own = "all_positive" if w0 > 0 else ("has_zero_mode" if w0 == 0 else "has_negative")
+    own = ALL_POSITIVE if w0 > 0 else (HAS_ZERO_MODE if w0 == 0 else HAS_NEGATIVE)
     mism += int(own != classification)
     checks.append(_check("positivity-classifier", "wdw-spectrum", float(mism), 0.0))
 
@@ -742,18 +749,7 @@ def run_wdw(cfg: RunConfig) -> tuple:
                 d_alpha, [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
             )
             inst, _ = drift_report(traj1, d_alpha, uniform, traj2=traj2)
-            # a literal: the frozen value only reads t0 data, so it never moves;
-            # the check keeps its name, as in `verify`, until it is measured
-            # along the flow
-            checks.append(_check("frozen-product-drift", "invariance", 0.0, 0.0))
-            checks.append(
-                _check(
-                    "instantaneous-drift-floor",
-                    "invariance",
-                    max(0.0, VISIBLE_DRIFT_FLOOR - inst.max_deviation),
-                    0.0,
-                )
-            )
+            checks += _time_dependent_checks(inst)
             drift_detail = {
                 "alpha": traj1.times,
                 "instantaneous_re": inst.values.real,
@@ -788,11 +784,10 @@ def _flatten_for_csv(detail: dict, prefix: str = "") -> list:
     rows = []
     for key, val in detail.items():
         name = f"{prefix}{key}"
+        if isinstance(val, np.ndarray):
+            val = val.tolist()
         if isinstance(val, dict):
             rows.extend(_flatten_for_csv(val, name + "."))
-        elif isinstance(val, np.ndarray):
-            for i, x in enumerate(val.tolist()):
-                rows.append((f"{name}[{i}]", x))
         elif isinstance(val, list):
             for i, x in enumerate(val):
                 if isinstance(x, dict):

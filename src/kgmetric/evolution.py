@@ -206,11 +206,12 @@ def _march(y0, t0, dt, steps, sample_every, width, advance, parts, record):
     bound together, the index tuples ``parts`` picking the parts of a state
     to test, in order. So a source error at a later step of a chunk is
     raised before a blow-up earlier in it. The part ``record`` of the state
-    is kept at every sample_every-th step and the last.
+    is kept at every sample_every-th step (below 1 counts as 1) and the last.
 
     Returns the kept step numbers (0 first), the kept parts stacked, and the
     final state.
     """
+    sample_every = max(1, int(sample_every))
     kept = [np.zeros(1, dtype=int)]
     rows = [y0[record][None]]
     y = y0
@@ -274,7 +275,6 @@ def evolve_schrodinger(
     source error at a later step of the same chunk is raised first.
     """
     steps = _check_steps(steps)
-    sample_every = max(1, int(sample_every))
     source, constant = _source(d_of_t, _as_spectral)
     dt = (t1 - t0) / steps
     lam, n2 = psi0.lam, 2 * psi0.n
@@ -408,7 +408,6 @@ def evolve_fields(
     match D.
     """
     steps = _check_steps(steps)
-    sample_every = max(1, int(sample_every))
     source, constant = _source(d_of_t, _as_matrix)
     dt = (t1 - t0) / steps
 

@@ -4,15 +4,16 @@ A positive metric eta turns the doubled evolution into unitary quantum
 mechanics: <Psi1|eta Psi2> is conserved whenever H is eta-pseudo-Hermitian.
 This module builds the canonical positive metric, its full positive family
 (parametrized by per-mode coefficient sequences), the general sign-classified
-metric for pseudo-real spectra, and the equivalent inner products expressed
-directly on field data (psi, psi_dot). It also transports a fixed initial
-metric along a propagator, which is what keeps the product invariant under
-time-dependent D.
+metric for pseudo-real spectra (one classifier, ``_real_labels``, splits the
+spectrum into real labels and conjugate pairs), and the equivalent inner
+products expressed directly on field data (psi, psi_dot). It also transports
+a fixed initial metric along a propagator, which is what keeps the product
+invariant under time-dependent D.
 
 Every metric is returned as a plain (2n, 2n) complex Hermitian array; whether
 it is positive is read from its spectrum where needed (the sign of its lowest
-``eigvalsh``). check_pseudo_unitary returns its defect as a float, for the
-caller to compare with a tolerance.
+eigenvalue from ``hermitian_eigendecompose``). check_pseudo_unitary returns
+its defect as a float, for the caller to compare with a tolerance.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .spectral import (
 )
 from .two_component import FieldState, TwoComponentState, _check_pair, _lam_squared, _nonzero_lam
 
-# relative gap below which eta_general treats an eigenvalue as real, and two
-# eigenvalues as a conjugate pair
+# relative gap below which _real_labels treats an eigenvalue as real, and
+# eta_general two eigenvalues as a conjugate pair
 PAIRING_TOL = 1e-12
 
 
@@ -152,6 +153,14 @@ def eta_tilde_plus(
     return 0.125 * np.block([[sym + shift, skew], [skew, sym - shift]])
 
 
+def _real_labels(energies) -> tuple[np.ndarray, float]:
+    """Mask of the real labels of a doubled spectrum, |Im E| <= PAIRING_TOL *
+    scale, and that scale, max(|E|, 1); the other labels must pair up."""
+    e = np.asarray(energies, dtype=complex)
+    scale = max(float(np.max(np.abs(e))), 1.0)
+    return np.abs(e.imag) <= PAIRING_TOL * scale, scale
+
+
 def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> np.ndarray:
     """Sign-classified metric, as a (2n, 2n) Hermitian array, from a
     biorthonormal eigensystem.
@@ -162,45 +171,31 @@ def eta_general(system: BiorthonormalSystem, signs: SignAssignment) -> np.ndarra
     the right eigenvectors then come out as sigma_j for real labels and 0
     for pair members.
 
-    Raises UnpairedComplexEigenvalueError if some complex eigenvalue has no
-    conjugate partner, and MissingSignError if the sign count does not match
-    the number of real labels.
+    Raises MissingSignError if the sign count does not match the number of
+    real labels (tested first), and UnpairedComplexEigenvalueError if some
+    complex eigenvalue has no conjugate partner.
     """
     e = np.asarray(system.energies, dtype=complex)
-    m = system.size
-    scale = max(float(np.max(np.abs(e))), 1.0)
-    is_real = np.abs(e.imag) <= PAIRING_TOL * scale
-
-    real_idx = [j for j in range(m) if is_real[j]]
-    complex_idx = [j for j in range(m) if not is_real[j]]
-    if signs.n != len(real_idx):
-        raise MissingSignError(
-            f"{len(real_idx)} real labels but {signs.n} signs supplied"
-        )
-
-    pairs = []
-    unused = set(complex_idx)
-    for j in complex_idx:
-        if j not in unused:
-            continue
-        unused.discard(j)
-        partner = None
-        for k in sorted(unused):
-            if abs(e[k] - np.conj(e[j])) <= PAIRING_TOL * scale:
-                partner = k
-                break
-        if partner is None:
-            raise UnpairedComplexEigenvalueError(
-                f"eigenvalue {e[j]:.6g} has no conjugate partner"
-            )
-        unused.discard(partner)
-        pairs.append((j, partner))
+    is_real, scale = _real_labels(e)
+    n_real = np.count_nonzero(is_real)
+    if signs.n != n_real:
+        raise MissingSignError(f"{n_real} real labels but {signs.n} signs supplied")
 
     left = system.left_vectors
     eta = np.zeros((left.shape[0], left.shape[0]), dtype=complex)
-    for sigma, j in zip(signs.sigma, real_idx):
+    for sigma, j in zip(signs.sigma, np.flatnonzero(is_real)):
         eta += sigma * np.outer(left[:, j], left[:, j].conj())
-    for j, k in pairs:
+    # each complex label, in index order, takes its first unused partner
+    unused = np.flatnonzero(~is_real).tolist()
+    while unused:
+        j = unused.pop(0)
+        partners = [k for k in unused if abs(e[k] - np.conj(e[j])) <= PAIRING_TOL * scale]
+        if not partners:
+            raise UnpairedComplexEigenvalueError(
+                f"eigenvalue {e[j]:.6g} has no conjugate partner"
+            )
+        k = partners[0]
+        unused.remove(k)
         eta += np.outer(left[:, j], left[:, k].conj())
         eta += np.outer(left[:, k], left[:, j].conj())
     return eta

@@ -22,24 +22,3 @@ from .wdw import (
     wdw_operator,
     wdw_positivity,
 )
-
-__all__ = [
-    "ShoModel",
-    "sho_basic_solution",
-    "sho_inner",
-    "KleinGordonLattice",
-    "NonRelLimitReport",
-    "kg_band_limited_solution",
-    "kg_inner_ri",
-    "kg_mode_solution",
-    "kg_nonrel_limit_check",
-    "kg_relativistic_spec",
-    "kg_superposition",
-    "woodard_inner",
-    "WdwCrosscheckReport",
-    "WdwFrwModel",
-    "wdw_invariant_inner",
-    "wdw_numeric_crosscheck",
-    "wdw_operator",
-    "wdw_positivity",
-]

@@ -108,6 +108,16 @@ def test_tightened_tolerance_exits_1(capsys):
     # surfaces as a failed run rather than a usage error
     code, _ = run(["verify", "--tol", "1e-18"], capsys)
     assert code == 1
+    # --tol also gates the eigensolve of the time-dependent drift, whose
+    # D(t) stack is Hermitian only to rounding
+    assert main(["verify", "--tol", "2e-16"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert [c["name"] for c in report["checks"]] == ["NotHermitianError"]
+    assert report["summary"] == {"total": 1, "passed": 0}
+    assert captured.err == (
+        "run failed: matrix deviates from Hermiticity by 2.082e-16 (tol 2.000e-16)\n"
+    )
 
 
 def test_sho_run_with_csv_series(tmp_path, capsys):

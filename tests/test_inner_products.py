@@ -30,6 +30,7 @@ from kgmetric.errors import (
     SingularPropagatorError,
     UnpairedComplexEigenvalueError,
 )
+from kgmetric.inner_products import PAIRING_TOL
 from kgmetric.rng import generator, random_positive_hermitian, random_state
 from kgmetric.spectral import hermitian_eigendecompose
 from kgmetric.two_component import TwoComponentState
@@ -209,6 +210,31 @@ def test_eta_general_error_paths():
     broken = BiorthonormalSystem(eye, eye, energies=np.array([1.0j, 2.0]))
     with pytest.raises(UnpairedComplexEigenvalueError):
         eta_general(broken, SignAssignment.all_plus(1))
+    # a wrong sign count is reported before an unpaired label
+    with pytest.raises(MissingSignError):
+        eta_general(broken, SignAssignment.all_plus(2))
+    # partners need not be adjacent: 1j pairs with -1j across the real label 2
+    left = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    apart = BiorthonormalSystem(
+        np.linalg.inv(left).conj().T, left, energies=np.array([1j, 2.0, -1j, 3.0])
+    )
+    sigma = np.array([1, -1])
+    want = (
+        sigma[0] * np.outer(left[:, 1], left[:, 1].conj())
+        + sigma[1] * np.outer(left[:, 3], left[:, 3].conj())
+        + np.outer(left[:, 0], left[:, 2].conj())
+        + np.outer(left[:, 2], left[:, 0].conj())
+    )
+    assert maxabs(eta_general(apart, SignAssignment(sigma)) - want) <= 1e-14
+    # |Im E| up to PAIRING_TOL * max(|E|, 1) counts as real, a little more does not
+    for factor, real in ((0.99, True), (1.01, False)):
+        e = np.array([3.0 + 1j * factor * PAIRING_TOL * 3.0, 1.0])
+        near = BiorthonormalSystem(eye, eye, energies=e)
+        if real:
+            assert maxabs(eta_general(near, SignAssignment.all_plus(2)) - eye) == 0.0
+        else:
+            with pytest.raises(UnpairedComplexEigenvalueError):
+                eta_general(near, SignAssignment.all_plus(1))
 
 
 def mode_state(omega, eps, t):

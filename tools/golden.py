@@ -73,6 +73,7 @@ RUNS = {
     "kg-mu-1e300": ("kg", "--mu", "1e300"),
     "kg-lambda-1e300": ("kg", "--lambda", "1e300"),
     "verify-lambda-1e300": ("verify", "--lambda", "1e300"),
+    "verify-tol-2e-16": ("verify", "--tol", "2e-16"),
 }
 
 _TIMESTAMP = re.compile(rb'^(\s*"timestamp": ).*$', re.MULTILINE)
