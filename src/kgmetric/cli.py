@@ -641,8 +641,9 @@ def run_kg(cfg: RunConfig) -> tuple:
     rng = generator(cfg.seed, "kg:evolve")
     e1 = kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False)
     e2 = kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False)
-    res1 = evolve_schrodinger(lattice.d_spec, pack(e1, cfg.lam), 0.0, cfg.t_final, 200)
-    res2 = evolve_schrodinger(lattice.d_spec, pack(e2, cfg.lam), 0.0, cfg.t_final, 200)
+    res1, res2 = evolve_schrodinger(
+        lattice.d_spec, [pack(e1, cfg.lam), pack(e2, cfg.lam)], 0.0, cfg.t_final, 200
+    )
     sol, kg = drift_report(
         field_trajectory(res1),
         lattice.d_spec,

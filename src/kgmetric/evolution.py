@@ -2,13 +2,15 @@
 
 Two integrators:
 
-* ``evolve_schrodinger`` solves i dPsi/dt = H(t) Psi. For constant D it
-  samples the exact propagator U(t) = R diag(e^{-iEt}) L^dagger from the
-  closed-form biorthonormal eigensystem of H, with no stepping. Only a
-  time-dependent D is stepped, with midpoint-rule propagators
-  exp(-i dt H(t_mid)) built the same way from the spectral data of
-  D(t_mid); the midpoint sampling is the only error source (second order).
-  The step acts on the state and on U(t, t0) together.
+* ``evolve_schrodinger`` solves i dPsi/dt = H(t) Psi for one state or a
+  list. For constant D it samples the exact flow, with no stepping and no
+  doubled eigensystem: per mode of D = V diag(omega^2) V^dagger, cos(omega t)
+  and sin(omega t) times weights folded from V^dagger Psi0, the closed-form
+  factors of ``eigen_system`` and V^T, one real table times one matrix a
+  chunk of steps. Only a time-dependent D is stepped, with midpoint-rule
+  propagators exp(-i dt H(t_mid)) from the eigensystem of H(D(t_mid)); the
+  midpoint sampling is the only error source (second order). The step acts
+  on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
   RK4 on y = (psi, psi_dot), an independent route used to cross-check the
   doubled evolution and to feed the drift monitors. ``evolve_fields`` runs
@@ -58,7 +60,8 @@ from .spectral import (
     hermitian_eigendecompose,
 )
 from .inner_products import _check_state_size, _field_inner
-from .two_component import FieldState, TwoComponentState, _field_data, eigen_system
+from .two_component import FieldState, TwoComponentState, _check_pair, _field_data
+from .two_component import _mode_frequencies, eigen_system
 
 BLOWUP_LIMIT = 1e12
 
@@ -230,30 +233,33 @@ def _march(y0, t0, dt, steps, sample_every, width, advance, parts, record):
 
 def evolve_schrodinger(
     d_of_t,
-    psi0: TwoComponentState,
+    psi0: TwoComponentState | list,
     t0: float,
     t1: float,
     steps: int,
     sample_every: int = 1,
     store_propagators: bool = False,
     allow_complex: bool = False,
-) -> EvolutionResult:
+) -> EvolutionResult | list:
     """Propagate the doubled system over the grid t0 + k (t1 - t0) / steps.
 
     Parameters
     ----------
     d_of_t : matrix, SpectralDecomposition, callable t -> either, or StackedSource
         The spatial operator source. A constant source (matrix or
-        SpectralDecomposition) is diagonalized once and every step's state
-        is sampled from the exact propagator, Psi(t0 + k dt) =
-        R (e^{-iE k dt} * c) with c = L^dagger Psi0, with no stepping. A
-        callable or a StackedSource is time-dependent: it is asked the
-        midpoints of a chunk of steps (a StackedSource in one call), one
-        stacked eigensolve re-diagonalizes it there, and exp(-i dt H(D_mid))
-        steps one (2n, 1 + 2n) block whose column 0 is the state and whose
-        other columns are U(t, t0).
-    psi0 : TwoComponentState
-        Initial doubled state; its lam fixes the Hamiltonian packing.
+        SpectralDecomposition) is diagonalized once, D = V diag(omega^2)
+        V^dagger, and a chunk of steps of every state is sampled from the
+        exact flow as one real (k, 2n) table of cos(omega t) and sin(omega t)
+        (e^{+-|omega| t} for an imaginary omega) times one matrix of weights,
+        folded from the branch amplitudes L^dagger Psi0, the right vectors'
+        factors 1/lam +- omega and V^T. A callable or a StackedSource is
+        time-dependent: it is asked the midpoints of a chunk of steps (a
+        StackedSource in one call), one stacked eigensolve re-diagonalizes it
+        there, and exp(-i dt H(D_mid)) steps one (2n, m + 2n) block whose
+        first m columns are the states (each a matrix-vector product) and
+        whose other columns are U(t, t0).
+    psi0 : TwoComponentState, or a list of m of them
+        Initial doubled state(s); their common lam fixes the packing.
     steps : int
         Number of equal steps from t0 to t1 (ZeroStepsError if < 1).
     sample_every : int
@@ -263,78 +269,93 @@ def evolve_schrodinger(
 
     Returns
     -------
-    EvolutionResult
+    EvolutionResult, or a list of them, one per state, for a list
         samples (the first is psi0 itself), the full-interval propagator
         U(t1, t0) and optionally per-sample propagators. For constant D the
-        propagator is exact and is built on first read; for time-dependent D
-        it is the ordered product of the step exponentials.
+        propagator is exact, from ``eigen_system``, and is built on first
+        read; for time-dependent D it is the ordered product of the step
+        exponentials.
 
-    Raises DimensionMismatchError if psi0 does not match the size of D, and
-    NonFiniteStateError at the first step (recorded or not) whose state
-    leaves the blow-up bound. Steps are formed and tested in chunks, so a
-    source error at a later step of the same chunk is raised first.
+    Raises DimensionMismatchError for an empty list or a state whose size
+    does not match D or the first state, LambdaMismatchError for states of
+    different lam, and NonFiniteStateError at the first step (recorded or
+    not) at which a state leaves the blow-up bound. Steps are formed and
+    tested in chunks, so a source error at a later step of the same chunk
+    is raised first.
     """
     steps = _check_steps(steps)
     source, constant = _source(d_of_t, _as_spectral)
     dt = (t1 - t0) / steps
-    lam, n2 = psi0.lam, 2 * psi0.n
+    states = psi0 if isinstance(psi0, list) else [psi0]
+    if not states:
+        raise DimensionMismatchError("no states to evolve")
+    for s in states[1:]:
+        _check_pair(states[0], s)
+    lam, n, m = states[0].lam, states[0].n, len(states)
+    y0 = np.stack([s.vector for s in states])
     if constant:
         spec = source(t0)
-        _check_state_size(psi0.n, spec.n)
-        system = eigen_system(spec, lam, allow_complex=allow_complex)
+        _check_state_size(n, spec.n)
+        omega, v = _mode_frequencies(spec, allow_complex), spec.eigenvectors
+        rate, grows = np.abs(omega), np.flatnonzero(omega.imag)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows c
-            coeff = system.left_vectors.conj().T @ psi0.vector
-        # real frequencies (not +-i|omega|): minus-branch phases conjugate the plus ones
-        plus = system.energies[: psi0.n]
-        real = not np.any(plus.imag)
+            # c = L^dagger Psi0 mode by mode, then R's factors: the (m, upper or
+            # lower, mode) amplitudes of e^{-i omega t} (plus) and e^{i omega t}
+            a, b = np.stack([y0[:, :n], y0[:, n:]]) @ v.conj()
+            c_plus = 0.25 * ((lam + 1 / omega) * a + (lam - 1 / omega) * b)
+            c_minus = 0.25 * ((lam - 1 / omega) * a + (lam + 1 / omega) * b)
+            plus = c_plus[:, None] * np.stack([1 / lam + omega, 1 / lam - omega])
+            minus = c_minus[:, None] * np.stack([1 / lam - omega, 1 / lam + omega])
+            # the weights of the table's cos and sin columns, or e^{+-|omega| t}
+            coef = np.stack([plus + minus, -1j * (plus - minus)])
+            coef[..., grows] = np.stack([plus, minus])[..., grows]
+            weights = np.multiply(
+                coef.transpose(0, 3, 1, 2)[..., None], v.T[:, None, None], order="C"
+            ).reshape(2 * n, 2 * n * m)
 
         def advance(k, y):
-            if real:
-                half = np.exp(-1j * np.multiply.outer(k * dt, plus))
-                phases = np.concatenate([half, half.conj()], axis=1)
-            else:
-                phases = np.exp(-1j * np.multiply.outer(k * dt, system.energies))
-            return (phases * coeff) @ system.right_vectors.T
+            x = np.multiply.outer(k * dt, rate)
+            table = np.concatenate([np.cos(x), np.sin(x)], axis=1)
+            table[:, grows], table[:, n + grows] = np.exp(x[:, grows]), np.exp(-x[:, grows])
+            return (table @ weights.view(float)).view(complex).reshape(k.size, m, 2 * n)
 
-        kept, states, _ = _march(psi0.vector, t0, dt, steps, sample_every, n2, advance, [()], ())
+        # a chunk's table is 2n entries a step, whatever the number of states
+        kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 2 * n, advance, [()], ())
         # built on first read unless the samples already hold it; the builder
         # holds D, not H's (2n, 2n) eigenvectors, so an unread one costs nothing
         full = lambda: _propagators(eigen_system(spec, lam, allow_complex), steps * dt)
         props = None
         if store_propagators:
-            props = _propagators(system, kept * dt)
-            props[0] = np.eye(n2, dtype=complex)
+            props = _propagators(eigen_system(spec, lam, allow_complex), kept * dt)
+            props[0] = np.eye(2 * n, dtype=complex)
             full = props[-1]
     else:
 
         def advance(k, y):
             spec = source(t0 + (k - 0.5) * dt)
-            _check_state_size(psi0.n, spec.n)
+            _check_state_size(n, spec.n)
             us = _propagators(eigen_system(spec, lam, allow_complex=allow_complex), dt)
             block = np.empty((k.size, *y.shape), dtype=complex)
             for u, row in zip(us, block):
-                # the state as a matrix-vector product, as it steps on its own
-                row[:, 0] = u @ y[:, 0]
-                row[:, 1:] = u @ y[:, 1:]
+                # each state as a matrix-vector product, as it steps on its own
+                for j in range(m):
+                    row[:, j] = u @ y[:, j]
+                row[:, m:] = u @ y[:, m:]
                 y = row
             return block
 
-        y0 = np.concatenate([psi0.vector[:, None], np.eye(n2, dtype=complex)], axis=1)
-        record = np.index_exp[...] if store_propagators else np.index_exp[:, 0]
+        y0 = np.concatenate([y0.T, np.eye(2 * n, dtype=complex)], axis=1)
+        part = np.index_exp[:, :m]
+        record = np.index_exp[...] if store_propagators else part
         kept, rows, y = _march(
-            y0, t0, dt, steps, sample_every, n2 * (n2 + 1), advance, [np.index_exp[:, 0]], record
+            y0, t0, dt, steps, sample_every, 2 * n * (2 * n + m), advance, [part], record
         )
-        states = np.ascontiguousarray(rows[:, :, 0]) if store_propagators else rows
-        props = np.ascontiguousarray(rows[:, :, 1:]) if store_propagators else None
-        full = np.ascontiguousarray(y[:, 1:])
+        props = np.ascontiguousarray(rows[:, :, m:]) if store_propagators else None
+        full = np.ascontiguousarray(y[:, m:])
+        rows = np.ascontiguousarray(rows[:, :, :m].swapaxes(1, 2))
 
-    return EvolutionResult(
-        times=t0 + kept * dt,
-        state_matrix=states,
-        lam=lam,
-        propagator_samples=props,
-        _propagator=full,
-    )
+    results = [EvolutionResult(t0 + kept * dt, rows[:, j], lam, props, full) for j in range(m)]
+    return results if isinstance(psi0, list) else results[0]
 
 
 def _rk4_increments(d0: np.ndarray, dm: np.ndarray, d1: np.ndarray, h: float) -> np.ndarray:

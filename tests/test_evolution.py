@@ -22,7 +22,9 @@ from kgmetric import (
     unpack,
 )
 from kgmetric.errors import (
+    DimensionMismatchError,
     KgMetricError,
+    LambdaMismatchError,
     LengthMismatchError,
     NonFiniteStateError,
     NonPositiveSpectrumError,
@@ -404,23 +406,44 @@ def test_closed_form_matches_stepped_constant_operator():
     ids=["lattice-64", "lattice-17-allow-complex", "negative-mode"],
 )
 def test_closed_form_phases_match_full_formula(source, allow_complex):
-    # states are R (e^{-iEt} * L^dagger psi0) with the full phase formula, bit
-    # for bit, chunk by chunk as the loop forms them; with a negative mode the
-    # minus-branch phases are not the conjugates of the plus-branch ones
-    n, steps, t1 = source.n, 200, 2.0
+    # states are a real table times folded weights, bit for bit, chunk by
+    # chunk as the loop forms them: per mode, cos and sin of omega t for a
+    # real omega and e^{+-|omega| t} for an imaginary one, weighted by the
+    # branch amplitudes L^dagger psi0 times R's factors 1/lam +- omega and V^T
+    n, steps, t1, lam = source.n, 200, 2.0, 0.8
     rng = generator(12, "evo:phases")
-    s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), 0.8)
+    s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), lam)
     result = evolve_schrodinger(source, s0, 0.0, t1, steps, allow_complex=allow_complex)
-    system = eigen_system(source, 0.8, allow_complex=allow_complex)
-    coeff = system.left_vectors.conj().T @ s0.vector
+    omega = np.sqrt(source.eigenvalues.astype(complex))
+    real = source.eigenvalues > 0
+    v = source.eigenvectors
+    a, b = np.stack([s0.upper[None], s0.lower[None]]) @ v.conj()
+    c_plus = 0.25 * ((lam + 1 / omega) * a + (lam - 1 / omega) * b)
+    c_minus = 0.25 * ((lam - 1 / omega) * a + (lam + 1 / omega) * b)
+    plus = [c_plus[0] * (1 / lam + omega), c_plus[0] * (1 / lam - omega)]  # upper, lower
+    minus = [c_minus[0] * (1 / lam - omega), c_minus[0] * (1 / lam + omega)]
+    first = [np.where(real, p + q, p) for p, q in zip(plus, minus)]
+    second = [np.where(real, -1j * (p - q), q) for p, q in zip(plus, minus)]
+    weights = np.ascontiguousarray(
+        np.block([[w[:, None] * v.T for w in part] for part in (first, second)])
+    )
     rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (2 * n)
     for lo in range(1, steps + 1, chunk):
         k = np.arange(lo, min(lo + chunk, steps + 1))
-        phases = np.exp(-1j * np.multiply.outer(k * (t1 / steps), system.energies))
-        rows.append((phases * coeff) @ system.right_vectors.T)
+        x = np.multiply.outer(k * (t1 / steps), np.abs(omega))
+        pair = np.hstack([np.cos(x), np.sin(x)])
+        table = np.where(np.tile(real, 2), pair, np.exp(np.hstack([x, -x])))
+        rows.append((table @ weights.view(float)).view(complex))
     np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
-    conjugate = np.array_equal(phases[:, n:], phases[:, :n].conj())
-    assert conjugate == bool(np.all(source.eigenvalues > 0))
+    # the real cos/sin pair only where every frequency is real
+    assert np.array_equal(table, pair) == bool(np.all(source.eigenvalues > 0))
+    # and R (e^{-iEt} * L^dagger psi0) from the doubled eigensystem to rounding;
+    # the bound was set before the first run
+    system = eigen_system(source, lam, allow_complex=allow_complex)
+    coeff = system.left_vectors.conj().T @ s0.vector
+    phases = np.exp(-1j * np.multiply.outer(result.times, system.energies))
+    full = (phases * coeff) @ system.right_vectors.T
+    assert maxabs(result.state_matrix - full) <= 1e-13 * maxabs(full)
 
 
 def test_closed_form_propagator_is_pseudo_unitary():
@@ -434,16 +457,69 @@ def test_closed_form_propagator_is_pseudo_unitary():
 
 
 def test_blowup_guard_sees_unrecorded_steps():
-    # the closed form trips at the same step as stepping, between samples
+    # the closed form trips at the same step as stepping, between samples; a
+    # list trips where its first state to leave the bound does
     f0 = FieldState(psi=np.array([1.0 + 0j]), psi_dot=np.array([0.0 + 0j]))
+    later = FieldState(psi=np.array([0.5 + 0j]), psi_dot=np.array([0.0 + 0j]))
     messages = []
-    for source in (np.array([[-1.0]]), lambda t: np.array([[-1.0]])):
-        with pytest.raises(NonFiniteStateError) as err:
-            evolve_schrodinger(
-                source, pack(f0, 1.0), 0.0, 40.0, 400, sample_every=1000, allow_complex=True
-            )
-        messages.append(str(err.value).split(" (max")[0])
-    assert messages[0] == messages[1]
+    for psi0 in (pack(f0, 1.0), [pack(later, 1.0), pack(f0, 1.0)]):
+        for source in (np.array([[-1.0]]), lambda t: np.array([[-1.0]])):
+            with pytest.raises(NonFiniteStateError) as err:
+                evolve_schrodinger(
+                    source, psi0, 0.0, 40.0, 400, sample_every=1000, allow_complex=True
+                )
+            messages.append(str(err.value).split(" (max")[0])
+    assert messages == messages[:1] * 4
+
+
+D_LIST = random_positive_hermitian(generator(15, "evo:list"), 5)
+
+
+@pytest.mark.parametrize(
+    "d_of_t", [D_LIST, lambda t: (2.0 + np.sin(t)) * D_LIST], ids=["closed-form", "midpoint"]
+)
+def test_state_list_matches_single_runs(d_of_t):
+    rng = generator(16, "evo:list-states")
+    states = [
+        pack(FieldState(psi=random_state(rng, 5), psi_dot=random_state(rng, 5)), 0.6)
+        for _ in range(3)
+    ]
+    kwargs = dict(sample_every=7, store_propagators=True)
+    single = evolve_schrodinger(d_of_t, states[0], 0.0, 3.0, 150, **kwargs)
+    (alone,) = evolve_schrodinger(d_of_t, states[:1], 0.0, 3.0, 150, **kwargs)
+    np.testing.assert_array_equal(alone.times, single.times)
+    np.testing.assert_array_equal(alone.state_matrix, single.state_matrix)
+    np.testing.assert_array_equal(alone.propagator, single.propagator)
+    np.testing.assert_array_equal(alone.propagator_samples, single.propagator_samples)
+    batch = evolve_schrodinger(d_of_t, states, 0.0, 3.0, 150, **kwargs)
+    assert len(batch) == len(states)
+    for s0, result in zip(states, batch):
+        single = evolve_schrodinger(d_of_t, s0, 0.0, 3.0, 150, **kwargs)
+        np.testing.assert_array_equal(result.times, single.times)
+        assert result.lam == s0.lam
+        scale = maxabs(single.state_matrix)
+        assert maxabs(result.state_matrix - single.state_matrix) <= 1e-13 * scale
+        assert maxabs(result.propagator - single.propagator) <= 1e-13
+        # the propagator carries each state to its last sample
+        last = result.propagator @ s0.vector
+        assert maxabs(last - result.state_matrix[-1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "d_of_t", [np.array([[2.0]]), lambda t: np.array([[2.0 + t]])], ids=["closed-form", "midpoint"]
+)
+@pytest.mark.parametrize(
+    "states, error",
+    [
+        ([], DimensionMismatchError),
+        ([pack(F1, 1.0), pack(F2, 1.0)], DimensionMismatchError),
+        ([pack(F1, 1.0), pack(F1, 0.5)], LambdaMismatchError),
+    ],
+    ids=["empty", "mixed-sizes", "mixed-lam"],
+)
+def test_state_list_contract(d_of_t, states, error):
+    with pytest.raises(error):
+        evolve_schrodinger(d_of_t, states, 0.0, 1.0, 10)
 
 
 def test_batched_field_route_matches_single_runs():

@@ -4,13 +4,20 @@
         Run each argv in RUNS as `python -m kgmetric ...` with
         PYTHONPATH=CHECKOUT/src, and keep its stdout, stderr, exit code and
         data file under DIR/<run name>/.
-    python tools/golden.py compare A B
+    python tools/golden.py compare [--verdicts] A B
         Compare two such directories with `timestamp` lines masked. Exit 1,
         naming each file that differs or exists on one side only. When a
         differing file holds the same keys on both sides (JSON, or a CSV
         table), also print its largest relative numeric difference, the key
         where it occurs and the absolute difference there (a value near
         rounding level can move by a large relative amount).
+        With --verdicts, pass (exit 0) when the only differences are numeric:
+        the same files, the same exit codes, and in each differing file the
+        same keys with every non-numeric value equal (check names, `pass`
+        flags, text), or, in a file that is not keyed (stderr), the same text
+        once its numbers are masked. Each differing file is still printed
+        with its largest move. Numerics that a change or a BLAS kernel set
+        moves at rounding level are then checked in one command.
 
 Every run works inside its own directory and writes its data file to the
 same relative name, so the `config.out` echo in the report is the same
@@ -161,7 +168,29 @@ def _largest_difference(data_a: bytes, data_b: bytes) -> tuple[float, str, float
     return worst
 
 
-def compare(a: str, b: str) -> int:
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _non_numeric_difference(rel: Path, data_a: bytes, data_b: bytes) -> str | None:
+    """Where two differing files differ other than in a number (and the
+    timestamp), or None if only numbers differ. An exit code is not a number
+    here."""
+    if rel.name == "exit_code":
+        return "exit code"
+    keyed_a, keyed_b = _keyed(data_a), _keyed(data_b)
+    if keyed_a is None or keyed_b is None:
+        masked = [_NUMBER.sub(b"#", _TIMESTAMP.sub(rb"\1", d)) for d in (data_a, data_b)]
+        return None if masked[0] == masked[1] else "text"
+    if keyed_a.keys() != keyed_b.keys():
+        return "keys"
+    for key, x in keyed_a.items():
+        y = keyed_b[key]
+        if key != "timestamp" and x != y and (_number(x) is None or _number(y) is None):
+            return key
+    return None
+
+
+def compare(a: str, b: str, verdicts: bool = False) -> int:
     root_a, root_b = Path(a), Path(b)
     names_a, names_b = _files(root_a), _files(root_b)
     differing = sorted(names_a ^ names_b)
@@ -169,23 +198,35 @@ def compare(a: str, b: str) -> int:
         masked = [_TIMESTAMP.sub(rb"\1<masked>", (r / rel).read_bytes()) for r in (root_a, root_b)]
         if masked[0] != masked[1]:
             differing.append(rel)
+    not_numeric = len(names_a ^ names_b)
     for rel in sorted(differing):
         print(f"differs: {rel}")
         if rel in names_a and rel in names_b:
-            largest = _largest_difference((root_a / rel).read_bytes(), (root_b / rel).read_bytes())
+            data = [(r / rel).read_bytes() for r in (root_a, root_b)]
+            largest = _largest_difference(*data)
             if largest is not None:
                 rel_diff, key, abs_diff = largest
                 print(f"  largest relative difference {rel_diff:.3g} at {key or 'top level'}"
                       f" (absolute {abs_diff:.3g})" if rel_diff else "  no numeric difference")
+            where = _non_numeric_difference(rel, *data) if verdicts else None
+            if where is not None:
+                not_numeric += 1
+                print(f"  not only numeric: differs at {where}")
     print(f"{len(names_a | names_b) - len(differing)} files identical, {len(differing)} differ")
+    if verdicts:
+        print(f"{not_numeric} files differ other than in numbers")
+        return 1 if not_numeric else 0
     return 1 if differing else 0
 
 
 def main(argv: list) -> int:
+    verdicts = argv[:2] == ["compare", "--verdicts"]
+    if verdicts:
+        argv = argv[:1] + argv[2:]
     if len(argv) != 3 or argv[0] not in ("write", "compare"):
         print(__doc__, file=sys.stderr)
         return 2
-    return write(*argv[1:]) if argv[0] == "write" else compare(*argv[1:])
+    return write(*argv[1:]) if argv[0] == "write" else compare(*argv[1:], verdicts=verdicts)
 
 
 if __name__ == "__main__":
