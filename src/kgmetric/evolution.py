@@ -3,14 +3,13 @@
 Two integrators:
 
 * ``evolve_schrodinger`` solves i dPsi/dt = H(t) Psi for one state or a
-  list. For constant D it samples the exact flow, with no stepping and no
-  doubled eigensystem: per mode of D = V diag(omega^2) V^dagger, cos(omega t)
-  and sin(omega t) times weights folded from V^dagger Psi0, the closed-form
-  factors of ``eigen_system`` and V^T, one real table times one matrix a
-  chunk of steps. Only a time-dependent D is stepped, with midpoint-rule
-  propagators exp(-i dt H(t_mid)) from the eigensystem of H(D(t_mid)); the
-  midpoint sampling is the only error source (second order). The step acts
-  on the states and on U(t, t0) together.
+  list. Its evolution is the field flow of psi'' + D psi = 0 in the
+  packing's coordinates, built from the per-mode factors of ``_flow``,
+  entire in D's eigenvalues, so no doubled eigensystem is formed and D may
+  have any sign. A constant D is sampled exactly, one real table [c | s]
+  times one matrix of weights a chunk of steps; a time-dependent D is
+  stepped by midpoint-rule field maps exp(-i dt H(D(t_mid))), second order,
+  acting on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
   RK4 on y = (psi, psi_dot), an independent route used to cross-check the
   doubled evolution and to feed the drift monitors. ``evolve_fields`` runs
@@ -24,8 +23,8 @@ Two integrators:
 All three routes (closed form, midpoint, RK4) run through one chunked
 marching loop, ``_march``: each supplies only how a chunk of steps advances
 the state. The loop forms the states of a chunk of steps under
-``np.errstate``, tests them against the blow-up bound together (pseudo-real
-spectra can grow exponentially) and raises at the first step past it,
+``np.errstate``, tests them against the blow-up bound together (a negative
+mode of D grows exponentially) and raises at the first step past it,
 recorded or not; it keeps every sample_every-th step and the last. A source
 error at a later step of a chunk is therefore raised before a blow-up
 earlier in it.
@@ -54,14 +53,9 @@ from .errors import (
     NonFiniteStateError,
     ZeroStepsError,
 )
-from .spectral import (
-    BiorthonormalSystem,
-    SpectralDecomposition,
-    hermitian_eigendecompose,
-)
+from .spectral import SpectralDecomposition, hermitian_eigendecompose
 from .inner_products import _check_state_size, _field_inner
 from .two_component import FieldState, TwoComponentState, _check_pair, _field_data
-from .two_component import _mode_frequencies, eigen_system
 
 BLOWUP_LIMIT = 1e12
 
@@ -186,11 +180,31 @@ def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
         )
 
 
-def _propagators(system: BiorthonormalSystem, elapsed) -> np.ndarray:
-    """exp(-i t H) = R diag(e^{-iEt}) L^dagger for a time t or an array of them,
-    or for stacked systems (stacked along the leading axes)."""
-    phases = np.exp(-1j * np.multiply.outer(elapsed, system.energies))[..., None, :]
-    return (system.right_vectors * phases) @ system.left_vectors.conj().swapaxes(-1, -2)
+def _flow(w: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Field-flow factors c = cos(sqrt(w) t) and s = sin(sqrt(w) t) / sqrt(w)
+    of modes w (..., n) at times t (as t[..., None]), entire in w: cosh and
+    sinh where w < 0, c = 1 and s = t where w = 0."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if np.all(w > 0):
+        r = np.sqrt(w)
+        return np.cos(r * t), np.sin(r * t) / r
+    r = np.sqrt(np.abs(w))
+    x = r * t
+    s = np.where(w > 0, np.sin(x), np.sinh(x)) / np.where(r > 0, r, 1.0)
+    return np.where(w > 0, np.cos(x), np.cosh(x)), np.where(r > 0, s, t)
+
+
+def _field_map(spec: SpectralDecomposition, lam: float, t) -> np.ndarray:
+    """exp(-i t H(D)) for D = V diag(w) V^dagger, stacked along t's axes or the
+    spectra's: the field map [[C, S], [-D S, C]] in the packing's coordinates,
+    [[C - iA, iB], [-iB, C + iA]] with C = V c V^dagger and A, B = V (s (1/lam
+    +- lam w) / 2) V^dagger, from the flow factors c, s of ``_flow``."""
+    w, v = spec.eigenvalues, spec.eigenvectors
+    c, s = _flow(w, t)
+    alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
+    vh = v.conj().swapaxes(-1, -2)
+    cc, a, b = ((v * f[..., None, :]) @ vh for f in (c, s * alpha, s * beta))
+    return np.block([[cc - 1j * a, 1j * b], [-1j * b, cc + 1j * a]])
 
 
 # entries formed per chunk of steps (the chunk's states, or its step maps),
@@ -211,12 +225,14 @@ def _march(y0, t0, dt, steps, sample_every, width, advance, parts, record):
     raised before a blow-up earlier in it. The part ``record`` of the state
     is kept at every sample_every-th step (below 1 counts as 1) and the last.
 
-    Returns the kept step numbers (0 first), the kept parts stacked, and the
-    final state.
+    Returns the kept step numbers (0 first), the kept parts (written into one
+    array sized up front) and the final state.
     """
     sample_every = max(1, int(sample_every))
-    kept = [np.zeros(1, dtype=int)]
-    rows = [y0[record][None]]
+    kept = np.append(np.arange(0, steps, sample_every), steps)
+    rows = np.empty((kept.size, *y0[record].shape), dtype=y0.dtype)
+    rows[0] = y0[record]
+    i = 1
     y = y0
     chunk = max(1, _CHUNK_ENTRIES // width)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,10 +241,11 @@ def _march(y0, t0, dt, steps, sample_every, width, advance, parts, record):
             block = advance(k, y)
             y = block[-1]
             _guard_block(t0 + k * dt, *(block[(slice(None), *p)] for p in parts))
-            keep = (k % sample_every == 0) | (k == steps)
-            kept.append(k[keep])
-            rows.append(block[(slice(None), *record)][keep])
-    return np.concatenate(kept), np.concatenate(rows), y
+            sampled = block[(slice(-lo % sample_every, None, sample_every), *record)]
+            rows[i : i + len(sampled)] = sampled
+            i += len(sampled)
+    rows[-1] = y[record]  # the last step, also off the sampling grid
+    return kept, rows, y
 
 
 def evolve_schrodinger(
@@ -239,25 +256,22 @@ def evolve_schrodinger(
     steps: int,
     sample_every: int = 1,
     store_propagators: bool = False,
-    allow_complex: bool = False,
 ) -> EvolutionResult | list:
     """Propagate the doubled system over the grid t0 + k (t1 - t0) / steps.
 
     Parameters
     ----------
     d_of_t : matrix, SpectralDecomposition, callable t -> either, or StackedSource
-        The spatial operator source. A constant source (matrix or
-        SpectralDecomposition) is diagonalized once, D = V diag(omega^2)
-        V^dagger, and a chunk of steps of every state is sampled from the
-        exact flow as one real (k, 2n) table of cos(omega t) and sin(omega t)
-        (e^{+-|omega| t} for an imaginary omega) times one matrix of weights,
-        folded from the branch amplitudes L^dagger Psi0, the right vectors'
-        factors 1/lam +- omega and V^T. A callable or a StackedSource is
-        time-dependent: it is asked the midpoints of a chunk of steps (a
-        StackedSource in one call), one stacked eigensolve re-diagonalizes it
-        there, and exp(-i dt H(D_mid)) steps one (2n, m + 2n) block whose
-        first m columns are the states (each a matrix-vector product) and
-        whose other columns are U(t, t0).
+        The spatial operator source, of any sign: a negative mode grows as
+        cosh until the blow-up bound, a zero mode moves freely. A constant
+        source is diagonalized once, D = V diag(w) V^dagger, and a chunk of
+        steps of every state is one real (k, 2n) table of c = cos(sqrt(w) t)
+        and s = sin(sqrt(w) t) / sqrt(w) times weights folded from V^dagger
+        Psi0, (1/lam +- lam w) / 2 and V^T. A callable or a StackedSource is
+        asked the midpoints of a chunk of steps (a StackedSource in one
+        call), one stacked eigensolve diagonalizes it there, and the field
+        map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states
+        (each a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
         Initial doubled state(s); their common lam fixes the packing.
     steps : int
@@ -272,9 +286,8 @@ def evolve_schrodinger(
     EvolutionResult, or a list of them, one per state, for a list
         samples (the first is psi0 itself), the full-interval propagator
         U(t1, t0) and optionally per-sample propagators. For constant D the
-        propagator is exact, from ``eigen_system``, and is built on first
-        read; for time-dependent D it is the ordered product of the step
-        exponentials.
+        propagator is the exact field map, built on first read; for
+        time-dependent D it is the ordered product of the step maps.
 
     Raises DimensionMismatchError for an empty list or a state whose size
     does not match D or the first state, LambdaMismatchError for states of
@@ -296,37 +309,28 @@ def evolve_schrodinger(
     if constant:
         spec = source(t0)
         _check_state_size(n, spec.n)
-        omega, v = _mode_frequencies(spec, allow_complex), spec.eigenvectors
-        rate, grows = np.abs(omega), np.flatnonzero(omega.imag)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows c
-            # c = L^dagger Psi0 mode by mode, then R's factors: the (m, upper or
-            # lower, mode) amplitudes of e^{-i omega t} (plus) and e^{i omega t}
-            a, b = np.stack([y0[:, :n], y0[:, n:]]) @ v.conj()
-            c_plus = 0.25 * ((lam + 1 / omega) * a + (lam - 1 / omega) * b)
-            c_minus = 0.25 * ((lam - 1 / omega) * a + (lam + 1 / omega) * b)
-            plus = c_plus[:, None] * np.stack([1 / lam + omega, 1 / lam - omega])
-            minus = c_minus[:, None] * np.stack([1 / lam - omega, 1 / lam + omega])
-            # the weights of the table's cos and sin columns, or e^{+-|omega| t}
-            coef = np.stack([plus + minus, -1j * (plus - minus)])
-            coef[..., grows] = np.stack([plus, minus])[..., grows]
+        w, v = spec.eigenvalues, spec.eigenvectors
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
+            # the (c or s, upper or lower, state, mode) weights of the table's
+            # columns, from x = V^dagger upper0 and y = V^dagger lower0
+            x, y = np.stack([y0[:, :n], y0[:, n:]]) @ v.conj()
+            alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
+            coef = np.array([[x, y], [1j * (beta * y - alpha * x), 1j * (alpha * y - beta * x)]])
             weights = np.multiply(
-                coef.transpose(0, 3, 1, 2)[..., None], v.T[:, None, None], order="C"
+                coef.transpose(0, 3, 2, 1)[..., None], v.T[:, None, None], order="C"
             ).reshape(2 * n, 2 * n * m)
 
-        def advance(k, y):
-            x = np.multiply.outer(k * dt, rate)
-            table = np.concatenate([np.cos(x), np.sin(x)], axis=1)
-            table[:, grows], table[:, n + grows] = np.exp(x[:, grows]), np.exp(-x[:, grows])
+        def advance(k, _):
+            table = np.concatenate(_flow(w, k * dt), axis=1)
             return (table @ weights.view(float)).view(complex).reshape(k.size, m, 2 * n)
 
         # a chunk's table is 2n entries a step, whatever the number of states
         kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 2 * n, advance, [()], ())
-        # built on first read unless the samples already hold it; the builder
-        # holds D, not H's (2n, 2n) eigenvectors, so an unread one costs nothing
-        full = lambda: _propagators(eigen_system(spec, lam, allow_complex), steps * dt)
+        # built on first read from D's spectral data unless the samples hold it
+        full = lambda: _field_map(spec, lam, steps * dt)
         props = None
         if store_propagators:
-            props = _propagators(eigen_system(spec, lam, allow_complex), kept * dt)
+            props = _field_map(spec, lam, kept * dt)
             props[0] = np.eye(2 * n, dtype=complex)
             full = props[-1]
     else:
@@ -334,9 +338,8 @@ def evolve_schrodinger(
         def advance(k, y):
             spec = source(t0 + (k - 0.5) * dt)
             _check_state_size(n, spec.n)
-            us = _propagators(eigen_system(spec, lam, allow_complex=allow_complex), dt)
             block = np.empty((k.size, *y.shape), dtype=complex)
-            for u, row in zip(us, block):
+            for u, row in zip(_field_map(spec, lam, dt), block):
                 # each state as a matrix-vector product, as it steps on its own
                 for j in range(m):
                     row[:, j] = u @ y[:, j]

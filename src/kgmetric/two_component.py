@@ -166,20 +166,6 @@ def gauge_transform(h, g: np.ndarray, g_dot: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _mode_frequencies(
-    d_spec: SpectralDecomposition, allow_complex: bool
-) -> np.ndarray:
-    if not allow_complex:
-        w = _require_positive(d_spec.eigenvalues, "eigen_system without allow_complex")
-        return np.sqrt(w).astype(complex)
-    w = np.asarray(d_spec.eigenvalues, dtype=float)
-    if np.any(np.abs(w) <= 1e-300):
-        raise NonPositiveSpectrumError(
-            "zero eigenvalue of D: the doubled block is not diagonalizable"
-        )
-    return np.sqrt(w.astype(complex))
-
-
 def eigen_system(
     d_spec: SpectralDecomposition, lam: float, allow_complex: bool = False
 ) -> BiorthonormalSystem:
@@ -199,7 +185,16 @@ def eigen_system(
     a conjugation). Zero modes are always an error.
     """
     _nonzero_lam(lam)
-    omega = _mode_frequencies(d_spec, allow_complex)
+    if allow_complex:
+        w = np.asarray(d_spec.eigenvalues, dtype=float)
+        if np.any(np.abs(w) <= 1e-300):
+            raise NonPositiveSpectrumError(
+                "zero eigenvalue of D: the doubled block is not diagonalizable"
+            )
+        omega = np.sqrt(w.astype(complex))
+    else:
+        w = _require_positive(d_spec.eigenvalues, "eigen_system without allow_complex")
+        omega = np.sqrt(w).astype(complex)
     phi = d_spec.eigenvectors
     n = d_spec.n
     inv_lam, w = 1.0 / lam, omega[..., None, :]

@@ -30,7 +30,7 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     ZeroStepsError,
 )
-from kgmetric.evolution import _CHUNK_ENTRIES, BLOWUP_LIMIT
+from kgmetric.evolution import _CHUNK_ENTRIES, BLOWUP_LIMIT, _field_map, _flow
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
@@ -79,14 +79,20 @@ def test_two_routes_agree_for_time_dependent_operator():
 
 
 def test_field_route_free_particle_is_linear():
+    # RK4 and the doubled routes (closed form and midpoint): D = 0 is exact
     f0 = FieldState(
         psi=np.array([1.0 + 2.0j, -0.5 + 0j]), psi_dot=np.array([0.5 - 1.0j, 2.0 + 0j])
     )
-    traj = evolve_field(np.zeros((2, 2)), f0, 0.0, 3.0, 30)
-    for i, t in enumerate(traj.times):
-        f = traj.state(i)
-        assert maxabs(f.psi - (f0.psi + t * f0.psi_dot)) <= 1e-12
-        assert maxabs(f.psi_dot - f0.psi_dot) <= 1e-12
+    zero = np.zeros((2, 2))
+    trajs = [evolve_field(zero, f0, 0.0, 3.0, 30)] + [
+        field_trajectory(evolve_schrodinger(d, pack(f0, 0.7), 0.0, 3.0, 30))
+        for d in (zero, lambda t: zero)
+    ]
+    for traj in trajs:
+        for i, t in enumerate(traj.times):
+            f = traj.state(i)
+            assert maxabs(f.psi - (f0.psi + t * f0.psi_dot)) <= 1e-12
+            assert maxabs(f.psi_dot - f0.psi_dot) <= 1e-12
 
 
 def test_field_route_oscillator_accuracy():
@@ -212,12 +218,6 @@ def shearing(t):
     "run,message",
     [
         pytest.param(
-            lambda: evolve_schrodinger(sinking, pack(F1, 1.0), 0.0, 2.0, 100),
-            "eigen_system without allow_complex needs a strictly positive spectrum "
-            "(min eigenvalue -1.000e-02)",
-            id="midpoint-positivity",
-        ),
-        pytest.param(
             lambda: drift_report(
                 evolve_field(sinking, F1, 0.0, 2.0, 100, sample_every=10),
                 sinking,
@@ -265,6 +265,53 @@ def test_drift_time_dependent_instantaneous_vs_frozen():
     sol, _ = drift_report(traj, spec_of_t, InnerProductSpec.uniform(n))
     # the instantaneous product visibly moves
     assert sol.max_deviation >= 1e-6
+
+
+def test_midpoint_route_crosses_sign_change():
+    # D = 1 - t turns negative at t = 1: the midpoint route carries the state
+    # through, matches a fine RK4 run and stays second order (bounds set
+    # before the first run)
+    reference = evolve_field(sinking, F1, 0.0, 2.0, 4000).state(-1)
+    errors = []
+    for steps in (100, 200):
+        f = unpack(evolve_schrodinger(sinking, pack(F1, 1.0), 0.0, 2.0, steps).state(-1))
+        errors.append(max(maxabs(f.psi - reference.psi), maxabs(f.psi_dot - reference.psi_dot)))
+    print(f"midpoint errors {errors[0]:.3e} -> {errors[1]:.3e}, ratio {errors[0] / errors[1]:.2f}")
+    assert errors[0] <= 1e-3
+    assert 3.0 <= errors[0] / errors[1] <= 5.0
+
+
+def test_field_map_matches_doubled_eigensystem():
+    # the field map is R e^{-iEt} L^dagger from the doubled eigensystem, also
+    # for a mixed-sign spectrum, stacked along t's axes (bound set before the
+    # first run)
+    rng = generator(17, "evo:field-map")
+    v = hermitian_eigendecompose(random_positive_hermitian(rng, 4)).eigenvectors
+    spec = SpectralDecomposition(np.array([-0.8, -0.1, 0.5, 2.0]), v)
+    system = eigen_system(spec, 0.6, allow_complex=True)
+    times = np.array([0.0, 0.3, 1.7])
+    maps = _field_map(spec, 0.6, times)
+    for t, u in zip(times, maps):
+        want = (system.right_vectors * np.exp(-1j * t * system.energies)) @ (
+            system.left_vectors.conj().T
+        )
+        assert maxabs(u - want) <= 1e-13 * maxabs(want)
+        np.testing.assert_array_equal(u, _field_map(spec, 0.6, t))
+
+
+def test_flow_factors_at_and_near_a_zero_mode():
+    # c = 1 and s = t where w = 0, and to rounding for |w| = 1e-300, on the
+    # mixed-sign path and on the all-positive one
+    t = np.array([0.0, 0.5, 3.0])
+    c, s = _flow(np.array([-1e-300, 0.0, 1e-300, 4.0, -4.0]), t)
+    assert np.array_equal(c[:, 1], np.ones(3)) and np.array_equal(s[:, 1], t)
+    for cj, sj in ((c[:, 0], s[:, 0]), (c[:, 2], s[:, 2]), _flow(np.array([1e-300]), t)):
+        assert maxabs(cj - 1.0) <= 1e-15
+        assert maxabs(sj.ravel() - t) <= 1e-15 * maxabs(t)
+    assert maxabs(c[:, 3] - np.cos(2 * t)) <= 1e-15
+    assert maxabs(s[:, 3] - np.sin(2 * t) / 2) <= 1e-15
+    assert maxabs(c[:, 4] - np.cosh(2 * t)) <= 1e-15 * np.cosh(6)
+    assert maxabs(s[:, 4] - np.sinh(2 * t) / 2) <= 1e-15 * np.cosh(6)
 
 
 def exact_decaying_frequency(t):
@@ -355,9 +402,7 @@ def test_step_count_validation_and_blowup_guard():
         evolve_field(np.array([[1.0]]), f0, 0.0, 1.0, -2)
     # an inverted mode grows like e^t; the guard trips long before overflow
     with pytest.raises(NonFiniteStateError):
-        evolve_schrodinger(
-            np.array([[-1.0]]), pack(f0, 1.0), 0.0, 40.0, 400, allow_complex=True
-        )
+        evolve_schrodinger(np.array([[-1.0]]), pack(f0, 1.0), 0.0, 40.0, 400)
 
 
 def test_solution_product_conserved_by_doubled_route():
@@ -407,36 +452,34 @@ def test_closed_form_matches_stepped_constant_operator():
 )
 def test_closed_form_phases_match_full_formula(source, allow_complex):
     # states are a real table times folded weights, bit for bit, chunk by
-    # chunk as the loop forms them: per mode, cos and sin of omega t for a
-    # real omega and e^{+-|omega| t} for an imaginary one, weighted by the
-    # branch amplitudes L^dagger psi0 times R's factors 1/lam +- omega and V^T
+    # chunk as the loop forms them: per mode w of D, c = cos(sqrt(w) t) and
+    # s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for w < 0), weighted by
+    # x = V^dagger upper0 and y = V^dagger lower0 on c and by
+    # i (beta y - alpha x, alpha y - beta x) on s, alpha, beta = (1/lam +- lam w) / 2,
+    # times V^T
     n, steps, t1, lam = source.n, 200, 2.0, 0.8
     rng = generator(12, "evo:phases")
     s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), lam)
-    result = evolve_schrodinger(source, s0, 0.0, t1, steps, allow_complex=allow_complex)
-    omega = np.sqrt(source.eigenvalues.astype(complex))
-    real = source.eigenvalues > 0
-    v = source.eigenvectors
-    a, b = np.stack([s0.upper[None], s0.lower[None]]) @ v.conj()
-    c_plus = 0.25 * ((lam + 1 / omega) * a + (lam - 1 / omega) * b)
-    c_minus = 0.25 * ((lam - 1 / omega) * a + (lam + 1 / omega) * b)
-    plus = [c_plus[0] * (1 / lam + omega), c_plus[0] * (1 / lam - omega)]  # upper, lower
-    minus = [c_minus[0] * (1 / lam - omega), c_minus[0] * (1 / lam + omega)]
-    first = [np.where(real, p + q, p) for p, q in zip(plus, minus)]
-    second = [np.where(real, -1j * (p - q), q) for p, q in zip(plus, minus)]
+    result = evolve_schrodinger(source, s0, 0.0, t1, steps)
+    w, v = source.eigenvalues, source.eigenvectors
+    x, y = np.stack([s0.upper[None], s0.lower[None]]) @ v.conj()
+    alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
+    first = [x[0], y[0]]  # upper, lower
+    second = [1j * (beta * y[0] - alpha * x[0]), 1j * (alpha * y[0] - beta * x[0])]
     weights = np.ascontiguousarray(
-        np.block([[w[:, None] * v.T for w in part] for part in (first, second)])
+        np.block([[f[:, None] * v.T for f in part] for part in (first, second)])
     )
+    rate = np.sqrt(np.abs(w))
     rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (2 * n)
     for lo in range(1, steps + 1, chunk):
         k = np.arange(lo, min(lo + chunk, steps + 1))
-        x = np.multiply.outer(k * (t1 / steps), np.abs(omega))
-        pair = np.hstack([np.cos(x), np.sin(x)])
-        table = np.where(np.tile(real, 2), pair, np.exp(np.hstack([x, -x])))
+        phase = np.multiply.outer(k * (t1 / steps), rate)
+        c = np.where(w > 0, np.cos(phase), np.cosh(phase))
+        table = np.hstack([c, np.where(w > 0, np.sin(phase), np.sinh(phase)) / rate])
         rows.append((table @ weights.view(float)).view(complex))
     np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
-    # the real cos/sin pair only where every frequency is real
-    assert np.array_equal(table, pair) == bool(np.all(source.eigenvalues > 0))
+    # cosh columns only where a mode is negative
+    assert np.array_equal(c, np.cos(phase)) == bool(np.all(w > 0))
     # and R (e^{-iEt} * L^dagger psi0) from the doubled eigensystem to rounding;
     # the bound was set before the first run
     system = eigen_system(source, lam, allow_complex=allow_complex)
@@ -465,9 +508,7 @@ def test_blowup_guard_sees_unrecorded_steps():
     for psi0 in (pack(f0, 1.0), [pack(later, 1.0), pack(f0, 1.0)]):
         for source in (np.array([[-1.0]]), lambda t: np.array([[-1.0]])):
             with pytest.raises(NonFiniteStateError) as err:
-                evolve_schrodinger(
-                    source, psi0, 0.0, 40.0, 400, sample_every=1000, allow_complex=True
-                )
+                evolve_schrodinger(source, psi0, 0.0, 40.0, 400, sample_every=1000)
             messages.append(str(err.value).split(" (max")[0])
     assert messages == messages[:1] * 4
 
@@ -726,9 +767,7 @@ def test_midpoint_guard_trips_like_stepwise_oracle():
     with pytest.raises(NonFiniteStateError) as want:
         stepwise_midpoint(d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, 1000, allow_complex=True)
     with pytest.raises(NonFiniteStateError) as got:
-        evolve_schrodinger(
-            d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, sample_every=1000, allow_complex=True
-        )
+        evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, sample_every=1000)
     assert str(got.value) == str(want.value)
 
 

@@ -16,7 +16,7 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     NotHermitianError,
 )
-from kgmetric.evolution import _propagators
+from kgmetric.evolution import _field_map
 from kgmetric.rng import generator, random_hermitian, random_positive_hermitian, random_unitary
 from kgmetric.two_component import eigen_system
 
@@ -144,13 +144,15 @@ def test_stack_solves_like_one_call_per_matrix():
     systems = eigen_system(
         SpectralDecomposition(stacked.eigenvalues[positive], stacked.eigenvectors[positive]), 0.7
     )
-    steps = _propagators(systems, 0.3)
     for i, j in enumerate(positive):
         one = eigen_system(singles[j], 0.7)
         assert np.array_equal(systems.right_vectors[i], one.right_vectors)
         assert np.array_equal(systems.left_vectors[i], one.left_vectors)
         assert np.array_equal(systems.energies[i], one.energies)
-        assert np.array_equal(steps[i], _propagators(one, 0.3))
+    # the field map of the stack, zero member included, is its members' maps
+    steps = _field_map(stacked, 0.7, 0.3)
+    for i, one in enumerate(singles):
+        assert np.array_equal(steps[i], _field_map(one, 0.7, 0.3))
 
 
 def test_zero_matrix_and_tiny_sizes():
