@@ -168,18 +168,25 @@ class WdwFrwModel:
         w_n(alpha). Raises, at the first failing alpha in order,
         NotHermitianError where an entry would leave the float range and
         NonPositiveSpectrumError below ``_alpha_floor``.
+
+        The range is tested on the whole array at once; only when it fails
+        are the alphas walked in order, to name the first failing one.
         """
         kinetic, potential, eye, limit = self._galerkin
-        alphas = np.atleast_1d(alpha).tolist()
-        for a in alphas:
-            self._check_floor(a)
-            if not a < limit:  # NaN alpha fails too
-                raise NotHermitianError(f"anchored operator at alpha={a} is not finite")
-        # the factors by math.exp, one alpha at a time: np.exp differs from it
-        # in the last bit at some alphas
-        d = np.multiply.outer([math.exp(6.0 * (a - self.alpha0)) for a in alphas], potential)
+        alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+        # NaN fails both comparisons
+        if not (np.all(alphas >= self._alpha_floor) and np.all(alphas < limit)):
+            for a in alphas.tolist():
+                self._check_floor(a)
+                if not a < limit:
+                    raise NotHermitianError(f"anchored operator at alpha={a} is not finite")
+        # the factors by math.exp on each float: np.exp differs from it in the
+        # last bit at some alphas
+        grow = np.array(list(map(math.exp, (6.0 * (alphas - self.alpha0)).tolist())))
+        d = np.multiply.outer(grow, potential)
         d += kinetic
-        d -= np.multiply.outer([self.kappa * math.exp(4.0 * a) for a in alphas], eye)
+        shift = self.kappa * np.array(list(map(math.exp, (4.0 * alphas).tolist())))
+        d -= np.multiply.outer(shift, eye)
         return d if np.ndim(alpha) else d[0]
 
 
@@ -267,6 +274,11 @@ def wdw_invariant_inner(f1: FieldState, f2: FieldState, model: WdwFrwModel) -> c
     )
 
 
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix with this diagonal and off-diagonal."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @dataclass
 class WdwCrosscheckReport:
     """Analytic spectrum vs a finite-difference phi-grid diagonalization."""
@@ -290,6 +302,14 @@ def wdw_numeric_crosscheck(
     whose exact eigenvalue is zero is measured against the largest exact
     eigenvalue in magnitude. This only measures: the `wdw` report's
     ``spectrum-grid-crosscheck`` check holds the largest error to 5%.
+
+    The stencil is even in phi, so its spectrum is the union of an even and
+    an odd block of half the size, built from the diagonal's first half and
+    the off-diagonal e = -1/h^2. On a grid of 2M points both are the leading
+    M x M block, with e added to (even) or taken from (odd) its last
+    diagonal entry, solved in one stacked call. On 2M + 1 points the even
+    block is the leading (M + 1) x (M + 1) one with sqrt(2) e as its last
+    off-diagonal entry, and the odd block the leading M x M one.
     """
     if alpha is None:
         alpha = model.alpha0
@@ -304,14 +324,22 @@ def wdw_numeric_crosscheck(
     if not all(t < _LOG_HALF_MAX for t in log_terms):  # NaN alpha fails too
         raise NotHermitianError(f"grid stencil at alpha={alpha} has non-finite entries")
     h = 2.0 * box / (grid + 1)
-    phi = -box + h * np.arange(1, grid + 1)
+    half = (grid + 1) // 2
+    phi = -box + h * np.arange(1, half + 1)
     diag = 2.0 / h**2 + (model.mass**2) * np.exp(6.0 * alpha) * phi**2 - (
         model.kappa * np.exp(4.0 * alpha)
     )
-    fd = np.diag(diag)
-    off = np.arange(grid - 1)
-    fd[off, off + 1] = fd[off + 1, off] = -1.0 / h**2
-    numeric = np.linalg.eigvalsh(fd)[: model.modes]
+    e = -1.0 / h**2
+    if grid % 2:
+        off = np.full(half - 1, e)
+        off[-1:] *= math.sqrt(2.0)
+        blocks = (_tridiagonal(diag, off), _tridiagonal(diag[:-1], off[:-1]))
+        parts = [np.linalg.eigvalsh(b) for b in blocks]
+    else:
+        pair = np.stack([_tridiagonal(diag, np.full(half - 1, e))] * 2)
+        pair[:, -1, -1] += (e, -e)
+        parts = [np.linalg.eigvalsh(pair).ravel()]
+    numeric = np.sort(np.concatenate(parts))[: model.modes]
     analytic = model.omega_sq(alpha)
     scale = np.abs(analytic)
     scale = np.maximum(np.where(scale == 0.0, np.max(scale), scale), 1e-300)

@@ -513,6 +513,16 @@ def test_blowup_guard_sees_unrecorded_steps():
     assert messages == messages[:1] * 4
 
 
+def test_closed_form_unexcited_negative_mode_stays_bounded():
+    # no state excites the negative mode, so its cosh, which overflows past
+    # t = 710, is never read: the excited mode keeps its exact phase
+    f0 = FieldState(psi=np.array([0.0, 1.0]), psi_dot=np.array([0.0, 0.0]))
+    result = evolve_schrodinger(np.diag([-1.0, 1.0]), pack(f0, 1.0), 0, 1000, 100)
+    psi = field_trajectory(result).psis[-1]
+    assert psi[0] == 0.0
+    assert abs(psi[1] - np.cos(1000.0)) <= 1e-12
+
+
 D_LIST = random_positive_hermitian(generator(15, "evo:list"), 5)
 
 
@@ -659,6 +669,8 @@ def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sampl
         pytest.param(-1.21, 400, id="dot-trips"),
         # coarse steps: both pass the bound at step 79, and psi is reported
         pytest.param(-0.81, 100, id="both-trip"),
+        # a NaN state fails the bound as an inf one does, and is named as NaN
+        pytest.param(np.nan, 400, id="nan-trips"),
     ],
 )
 def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
@@ -673,6 +685,8 @@ def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
         assert str(got.value) == str(want.value)
     if steps == 400 and d[0, 0] == -1.0:
         assert "at t=28.4 " in str(want.value)
+    if np.isnan(d[0, 0]):
+        assert str(want.value) == "state blew past 1e+12 at t=0.1 (max nan)"
 
 
 @pytest.mark.parametrize("value", [-1e200, 1e300])

@@ -42,6 +42,7 @@ from kgmetric.models.lattice import (
 from kgmetric.models.sho import ShoModel, sho_basic_solution, sho_inner
 from kgmetric.models.wdw import (
     ALL_POSITIVE,
+    BOX_HALF_WIDTH,
     HAS_NEGATIVE,
     HAS_ZERO_MODE,
     WdwFrwModel,
@@ -777,6 +778,25 @@ def test_wdw_crosscheck_second_order_in_grid():
     assert rep_fine.rel_errors[-1] < rep_coarse.rel_errors[-1]
     assert 3.0 <= ratio <= 5.0
     np.testing.assert_allclose(rep_fine.analytic, model.omega_sq(0.0), atol=1e-12)
+    # the even and odd parity blocks together hold the dense stencil's lowest
+    # eigenvalues, on even and odd grids; at grids 8 and 9 the 8 modes take
+    # nearly the whole spectrum, so both blocks feed them
+    for mass, kappa, alpha0 in WDW_BENCH_UNIVERSES:
+        model = WdwFrwModel(mass=mass, kappa=kappa, alpha0=alpha0)
+        for grid in (8, 9, 33, 256):
+            dense = np.linalg.eigvalsh(dense_stencil(model, alpha0, grid))
+            numeric = wdw_numeric_crosscheck(model, grid=grid).numeric
+            assert maxabs(numeric - dense[: model.modes]) <= 1e-10 * maxabs(dense)
+
+
+def dense_stencil(model, alpha, grid):
+    """The full grid x grid finite-difference stencil of D(alpha) that
+    ``wdw_numeric_crosscheck`` diagonalizes by parity blocks."""
+    h = 2.0 * BOX_HALF_WIDTH / (grid + 1)
+    phi = -BOX_HALF_WIDTH + h * np.arange(1, grid + 1)
+    diag = 2.0 / h**2 + model.mass**2 * np.exp(6.0 * alpha) * phi**2
+    off = np.full(grid - 1, -1.0 / h**2)
+    return np.diag(diag - model.kappa * np.exp(4.0 * alpha)) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_wdw_crosscheck_unresolved_grid_raises_with_report():
