@@ -62,6 +62,7 @@ from .inner_products import (
     two_component_inner,
 )
 from .evolution import (
+    AffineSource,
     EvolutionResult,
     FieldTrajectory,
     MonitorSeries,

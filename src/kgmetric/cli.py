@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, KgMetricError
 from .evolution import (
+    AffineSource,
     StackedSource,
     drift_report,
     evolve_field,
@@ -452,8 +453,8 @@ def battery_verify(cfg: RunConfig) -> list:
 
     # time-dependent operator: frozen value is flat, instantaneous is not
     d0 = d_small.matrix()
-    # (1 + 0.3 sin t) D0: each chunk of times is asked in one call, as a stack
-    d_of_t = StackedSource(lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None, None] * d0)
+    # (1 + 0.3 sin t) D0: each chunk of times is asked in one call
+    d_of_t = AffineSource(d0[None], lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None])
     spec_of_t = StackedSource(lambda ts: hermitian_eigendecompose(d_of_t.at(ts), tol))
 
     traj1t, traj2t = evolve_fields(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
@@ -745,11 +746,10 @@ def run_wdw(cfg: RunConfig) -> tuple:
         alpha_end = cfg.alpha0 + 0.3
         if wdw_positivity(model, alpha_end) == ALL_POSITIVE:
             steps = 1500
-            d_alpha = StackedSource(model.d_anchored)
             traj1, traj2 = evolve_fields(
-                d_alpha, [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
+                model.anchored, [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
             )
-            inst, _ = drift_report(traj1, d_alpha, uniform, traj2=traj2)
+            inst, _ = drift_report(traj1, model.anchored, uniform, traj2=traj2)
             checks += _time_dependent_checks(inst)
             drift_detail = {
                 "alpha": traj1.times,

@@ -15,10 +15,10 @@ Two integrators:
   doubled evolution and to feed the drift monitors. ``evolve_fields`` runs
   several initial states as the columns of one block. RK4 on this linear
   system is a product of step maps M_k built from D at the start, middle
-  and end of each step, with no spectral data. The maps are built for a
-  chunk of steps by batched matmuls, and each step is one matmul,
-  y <- y + N_k y with the increment N_k = M_k - I (M_k itself would
-  accumulate its rounding coherently; see ``evolve_fields``).
+  and end of each step, with no spectral data, a chunk at once (for an
+  AffineSource, from its stage coefficients by one matmul). Each step is
+  one matmul, y <- y + N_k y with the increment N_k = M_k - I (M_k itself
+  would accumulate its rounding coherently; see ``evolve_fields``).
 
 All three routes (closed form, midpoint, RK4) run through one chunked
 marching loop, ``_march``: each supplies only how a chunk of steps advances
@@ -38,13 +38,15 @@ t0 data, so there is nothing of it to follow.
 Every operator source here (integrators and ``drift_report`` alike) is a
 matrix or a SpectralDecomposition, which is constant and converted once, or
 time-dependent and asked a chunk of times at once: a callable t -> either
-once per time, in order, or a ``StackedSource`` in one call that returns the
-chunk's (k, n, n) stack. The chunk's answers are converted together.
+once per time, in order, or in one call a ``StackedSource``, which returns
+the chunk's (k, n, n) stack, or an ``AffineSource`` D(t) = sum_j c_j(t) B_j,
+which returns the c_j. The chunk's answers are converted together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -151,14 +153,28 @@ class StackedSource:
     at: object
 
 
+@dataclass(frozen=True)
+class AffineSource:
+    """A time-dependent D(t) = sum_j c_j(t) B_j: ``terms`` is the fixed (J, n, n)
+    stack of the B_j, and ``coefficients`` maps a 1-D time array to the real
+    (k, J) array of the c_j, in one call. ``at`` sums the (k, n, n) stack term
+    by term, in order, so it serves wherever a StackedSource does."""
+
+    terms: np.ndarray
+    coefficients: object
+
+    def at(self, times) -> np.ndarray:
+        return reduce(np.add, map(np.multiply.outer, self.coefficients(times).T, self.terms))
+
+
 def _source(d_of_t, convert):
     """Normalize a D source to (times -> value, is_constant).
 
-    A StackedSource is asked a query's time array in one call and a callable
-    each time, in order; either way the answers are converted together. Any
-    other source is converted once.
+    A StackedSource or an AffineSource is asked a query's time array in one
+    call and a callable each time, in order; either way the answers are
+    converted together. Any other source is converted once.
     """
-    if isinstance(d_of_t, StackedSource):
+    if isinstance(d_of_t, (StackedSource, AffineSource)):
         return (lambda times: convert(d_of_t.at(times))), False
     if callable(d_of_t):
         return (lambda times: convert([d_of_t(t) for t in times.tolist()])), False
@@ -265,15 +281,15 @@ def evolve_schrodinger(
 
     Parameters
     ----------
-    d_of_t : matrix, SpectralDecomposition, callable t -> either, or StackedSource
+    d_of_t : matrix, SpectralDecomposition, callable t -> either, StackedSource or AffineSource
         The spatial operator source, of any sign: a negative mode grows as
         cosh until the blow-up bound, a zero mode moves freely. A constant
         source is diagonalized once, D = V diag(w) V^dagger, and a chunk of
         steps of every state is one real (k, 2n) table of c = cos(sqrt(w) t)
         and s = sin(sqrt(w) t) / sqrt(w) times weights folded from V^dagger
-        Psi0, (1/lam +- lam w) / 2 and V^T. A callable or a StackedSource is
-        asked the midpoints of a chunk of steps (a StackedSource in one
-        call), one stacked eigensolve diagonalizes it there, and the field
+        Psi0, (1/lam +- lam w) / 2 and V^T. A time-dependent one is asked the
+        midpoints of a chunk of steps (a StackedSource or an AffineSource in
+        one call), one stacked eigensolve diagonalizes it there, and the field
         map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states
         (each a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
@@ -368,25 +384,62 @@ def evolve_schrodinger(
     return results if isinstance(psi0, list) else results[0]
 
 
-def _rk4_increments(d0: np.ndarray, dm: np.ndarray, d1: np.ndarray, h: float) -> np.ndarray:
-    """N = M - I for the RK4 step map M of (psi, dot)' = (dot, -D psi).
+def _rk4_increments(d: np.ndarray, h: float) -> np.ndarray:
+    """N = M - I for the RK4 step maps M of (psi, dot)' = (dot, -D psi).
 
-    d0, dm and d1 hold D at the start, middle and end of a step of length h,
-    stacked along any leading axes; the (2n, 2n) increments are stacked the
-    same way. The four RK4 stages are linear in (psi, dot), so their
-    composition is these blocks, exactly. h is taken as a numpy float, so
-    its powers overflow to inf, not to an OverflowError.
+    d holds the (2k + 1, n, n) stack of D at the stage times t, t + h/2,
+    ..., t + k h of k steps of length h (each step's start, middle and end);
+    the (k, 2n, 2n) increments follow. The four RK4 stages are linear in
+    (psi, dot), so their composition is these blocks, exactly. h is taken as
+    a numpy float, so its powers overflow to inf, not to an OverflowError.
     """
-    n = d0.shape[-1]
+    n = d.shape[-1]
     h = np.float64(h)
+    # contiguous start, middle and end stacks: the stride-2 views cost their
+    # batched matmuls more than these copies
+    d0, dm, d1 = (np.ascontiguousarray(d[i::2][: len(d) // 2]) for i in range(3))
     dm_d0 = dm @ d0
     d1_dm = d1 @ dm
-    inc = np.empty(d0.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(d0, dm, d1))
+    inc = np.empty((len(dm), 2 * n, 2 * n), dtype=d.dtype)
     inc[..., :n, :n] = (h**4 / 24.0) * dm_d0 - (h * h / 6.0) * (d0 + 2.0 * dm)
     inc[..., :n, n:] = h * np.eye(n) - (h**3 / 6.0) * dm
     inc[..., n:, :n] = (h**3 / 12.0) * (dm_d0 + d1_dm) - (h / 6.0) * (d0 + 4.0 * dm + d1)
     inc[..., n:, n:] = (h**4 / 24.0) * d1_dm - (h * h / 6.0) * (2.0 * dm + d1)
     return inc
+
+
+def _affine_increments(terms: np.ndarray, h: float):
+    """``_rk4_increments`` for D = sum_j c_j B_j, as a function of the (2k + 1, J)
+    stage coefficients alone. Each block of an increment sums the B_j and the
+    B_i B_j (formed here, once), weighted by fixed factors times its step's
+    c0, cm, c1, cm_i c0_j and c1_i cm_j: a chunk's increments are one matmul
+    of these (4k, J + J^2) weights against them, then h I upper right."""
+    j, n = len(terms), terms.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge term or h overflows
+        flat = np.concatenate([terms, *(terms[:, None] @ terms[None])]).reshape(j + j * j, -1)
+        h = np.float64(h)
+        h1, h2, h3, h4 = h / 6.0, h * h / 6.0, h**3 / 12.0, h**4 / 24.0
+        # columns: the blocks upper left, upper right, lower left, lower right
+        linear = [[-h2, 0, -h1, 0], [-2 * h2, -2 * h3, -4 * h1, -2 * h2], [0, 0, -h1, -h2]]
+        quadratic = [[h4, 0, h3, 0], [0, 0, h3, h4]]
+        weights = np.zeros((3 * j + 2 * j * j, 4, j + j * j))
+        weights[: 3 * j, :, :j] = np.kron(linear, np.eye(j)).reshape(3 * j, 4, j)
+        weights[3 * j :, :, j:] = np.kron(quadratic, np.eye(j * j)).reshape(-1, 4, j * j)
+
+    def increments(c: np.ndarray) -> np.ndarray:
+        k = len(c) // 2
+        first, second = c[:-1].reshape(k, 2, j), c[1:].reshape(k, 2, j)  # (c0, cm), (cm, c1)
+        pairs = (second[..., :, None] * first[..., None, :]).reshape(k, -1)
+        feats = np.concatenate([first.reshape(k, -1), c[2::2], pairs], axis=1)
+        # a complex basis is multiplied as its float view, a real gemm
+        weighted = (feats @ weights.reshape(len(weights), -1)).reshape(4 * k, -1)
+        blocks = (weighted @ flat.view(float)).view(flat.dtype)
+        inc = np.empty((k, 2 * n, 2 * n), dtype=flat.dtype)
+        inc.reshape(k, 2, n, 2, n)[...] = blocks.reshape(k, 2, 2, n, n).swapaxes(2, 3)
+        inc.reshape(k, -1)[:, n : 2 * n * n : 2 * n + 1] += h
+        return inc
+
+    return increments
 
 
 def evolve_field(
@@ -426,26 +479,32 @@ def evolve_fields(
     ratio of the kg_inner drift from 31 to 3.9).
 
     ``d_of_t`` takes the forms ``evolve_schrodinger`` takes. A constant one
-    gives one map per chunk of steps. A callable or a StackedSource is asked
-    the times stagewise RK4 asks, once per distinct time (the end of a step
-    is the start of the next), a chunk of steps at once (a StackedSource in
-    one call), and the chunk's maps are built together. Each chunk's states
-    are tested against the blow-up bound together, raising NonFiniteStateError
-    at the first step past it (psi before psi_dot), as stepping would; a
-    source error at a later time in the same chunk is raised first.
+    gives one map per chunk of steps. A time-dependent one is asked the
+    times stagewise RK4 asks, once per distinct time (the end of a step is
+    the start of the next), a chunk of steps at once (a StackedSource or an
+    AffineSource in one call), and the chunk's maps are built together, an
+    AffineSource's from its coefficients alone (``_affine_increments``: no D
+    stack, no per-step product). Each chunk's states are tested against the
+    blow-up bound together, raising NonFiniteStateError at the first step
+    past it (psi before psi_dot), as stepping would; a source error at a
+    later time in the same chunk is raised first.
 
     Returns one FieldTrajectory per state, in order. Raises
     DimensionMismatchError for an empty list or a state whose size does not
     match D.
     """
     steps = _check_steps(steps)
-    source, constant = _source(d_of_t, _as_matrix)
     dt = (t1 - t0) / steps
-
-    d_prev = source(np.array([t0]))  # a stack of one for a callable
+    affine = isinstance(d_of_t, AffineSource)
+    source, constant = _source(d_of_t, _as_matrix)
+    if affine:  # asked only its coefficients; its terms and their products are fixed
+        terms = _as_matrix(d_of_t.terms)
+        increments = _affine_increments(terms, dt)
+        source = lambda times: np.asarray(d_of_t.coefficients(times), dtype=float)
+    d_prev = source(np.array([t0]))  # a stack of one for a callable, a row if affine
     if not states:
         raise DimensionMismatchError("no states to evolve")
-    n = d_prev.shape[-1]
+    n = (terms if affine else d_prev).shape[-1]
     for f in states:
         _check_state_size(f.n, n)
     y0 = np.concatenate(
@@ -455,18 +514,15 @@ def evolve_fields(
     def advance(k, y):
         nonlocal d_prev
         if constant:
-            incs = _rk4_increments(d_prev, d_prev, d_prev, dt)
-            incs = np.broadcast_to(incs, (k.size, *incs.shape))
+            incs = _rk4_increments(np.stack([d_prev] * 3), dt)
+            incs = np.broadcast_to(incs, (k.size, *incs.shape[1:]))
         else:
             stage_times = np.empty(2 * k.size)
             stage_times[0::2] = t0 + (k - 1) * dt + 0.5 * dt
             stage_times[1::2] = t0 + k * dt
             ds = np.concatenate([d_prev, source(stage_times)])
-            # contiguous start, middle and end stacks: the stride-2 views
-            # cost their batched matmuls more than these copies
-            stages = (np.ascontiguousarray(ds[i::2][: k.size]) for i in range(3))
-            incs = _rk4_increments(*stages, dt)
             d_prev = ds[-1:]
+            incs = increments(ds) if affine else _rk4_increments(ds, dt)
         block = np.empty((k.size, *y.shape), dtype=complex)
         # a real map acts on the real and imaginary parts alike, so it steps
         # their float view, which is cheaper than a mixed matmul; each step is
@@ -523,11 +579,11 @@ def drift_report(
     ----------
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
-    d_spec : matrix, SpectralDecomposition, callable t -> either, or StackedSource
+    d_spec : matrix, SpectralDecomposition, callable t -> either, StackedSource or AffineSource
         The operator source, in the same forms the integrators take. A
-        constant source is diagonalized once; a callable or a StackedSource
-        makes ``solution_inner`` instantaneous, on D(t) at each sample time,
-        and is queried at all of them at once (a StackedSource in one call).
+        constant source is diagonalized once; a time-dependent one makes
+        ``solution_inner`` instantaneous, on D(t) at each sample time, and
+        is queried at all of them at once (in one call, unless a callable).
         Every sample is one batch.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive

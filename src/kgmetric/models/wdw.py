@@ -28,6 +28,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ..errors import InvalidParameterError, NonPositiveSpectrumError, NotHermitianError
+from ..evolution import AffineSource
 from ..inner_products import _check_state_size
 from ..spectral import SpectralDecomposition
 from ..two_component import FieldState
@@ -40,7 +41,7 @@ HAS_NEGATIVE = "has_negative"
 # takes another size as an argument), and the half-width of its box
 GRID = 256
 BOX_HALF_WIDTH = 10.0
-# Gauss-Hermite node count of the overlap integrals
+# least Gauss-Hermite node count of the overlap integrals (one a mode past it)
 QUAD_NODES = 64
 # natural log of half the largest float: a sum of two terms below it is finite
 _LOG_HALF_MAX = math.log(np.finfo(float).max / 2.0)
@@ -60,8 +61,8 @@ class WdwFrwModel:
         is the eigenbasis of D(alpha0).
     modes: truncation count N of the Hermite basis.
 
-    The cross-check grid (GRID, BOX_HALF_WIDTH) and the quadrature order
-    (QUAD_NODES) are module constants.
+    The cross-check grid (GRID, BOX_HALF_WIDTH) and the least quadrature
+    order (QUAD_NODES) are module constants.
     """
 
     mass: float = 1.0
@@ -125,9 +126,9 @@ class WdwFrwModel:
         Both bases are scaled Hermite functions; pulling the two Gaussians
         into a single weight exp(-u^2) leaves a polynomial integrand, so
         Gauss-Hermite quadrature with Q nodes is exact while
-        m + n <= 2Q - 1.
+        m + n <= 2Q - 1, so Q is the larger of QUAD_NODES and the mode count.
         """
-        nodes, weights = _gauss_hermite()
+        nodes, weights = _gauss_hermite(max(QUAD_NODES, self.modes))
         s_a = self.basis_scale(alpha_a)
         s_b = self.basis_scale(alpha_b)
         sigma = np.sqrt(0.5 * (s_a * s_a + s_b * s_b))
@@ -157,44 +158,46 @@ class WdwFrwModel:
         limit = min(self.alpha0 + (_LOG_THIRD_MAX - log_v0) / 6.0, _LOG_THIRD_MAX / 4.0)
         return kinetic, potential, np.eye(n), limit
 
-    def d_anchored(self, alpha) -> np.ndarray:
-        """Galerkin projection P D(alpha) P in the basis anchored at alpha0:
-        K + e^(6 (alpha - alpha0)) V0 - kappa e^(4 alpha) I.
+    @property
+    def anchored(self) -> AffineSource:
+        """Galerkin projection P D(alpha) P in the basis anchored at alpha0,
+        K + e^(6 (alpha - alpha0)) V0 - kappa e^(4 alpha) I: terms (K, V0, I);
+        uncached, as a cached source would hold its model in a reference cycle."""
+        return AffineSource(np.stack(self._galerkin[:3]), self._anchored_coefficients)
 
-        A float alpha gives one (N, N) matrix, a 1-D array of them the
-        (k, N, N) stack of those matrices, bit for bit. Equal to
-        diag(omega_sq(alpha0)) at alpha0, up to rounding; elsewhere its
-        eigenvalues are Rayleigh-Ritz upper bounds on the lowest N exact
-        w_n(alpha). Raises, at the first failing alpha in order,
-        NotHermitianError where an entry would leave the float range and
-        NonPositiveSpectrumError below ``_alpha_floor``.
-
-        The range is tested on the whole array at once; only when it fails
-        are the alphas walked in order, to name the first failing one.
-        """
-        kinetic, potential, eye, limit = self._galerkin
-        alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    def _anchored_coefficients(self, alphas: np.ndarray) -> np.ndarray:
+        """Rows (1, e^(6 (alpha - alpha0)), -kappa e^(4 alpha)) at a 1-D alpha
+        array, by math.exp (np.exp differs in the last bit at some alphas).
+        Raises, at the first failing alpha, NotHermitianError where an entry of
+        D would leave the float range and NonPositiveSpectrumError below
+        ``_alpha_floor``; only a failing array is walked alpha by alpha."""
+        limit = self._galerkin[-1]
         # NaN fails both comparisons
         if not (np.all(alphas >= self._alpha_floor) and np.all(alphas < limit)):
             for a in alphas.tolist():
                 self._check_floor(a)
                 if not a < limit:
                     raise NotHermitianError(f"anchored operator at alpha={a} is not finite")
-        # the factors by math.exp on each float: np.exp differs from it in the
-        # last bit at some alphas
-        grow = np.array(list(map(math.exp, (6.0 * (alphas - self.alpha0)).tolist())))
-        d = np.multiply.outer(grow, potential)
-        d += kinetic
-        shift = self.kappa * np.array(list(map(math.exp, (4.0 * alphas).tolist())))
-        d -= np.multiply.outer(shift, eye)
+        c = np.ones((alphas.size, 3))
+        c[:, 1] = list(map(math.exp, (6.0 * (alphas - self.alpha0)).tolist()))
+        c[:, 2] = list(map(math.exp, (4.0 * alphas).tolist()))
+        c[:, 2] *= -self.kappa
+        return c
+
+    def d_anchored(self, alpha) -> np.ndarray:
+        """``anchored`` at alpha: one (N, N) matrix for a float, their (k, N, N)
+        stack, bit for bit, for a 1-D array. Equal to diag(omega_sq(alpha0)) at
+        alpha0, up to rounding; elsewhere its eigenvalues are Rayleigh-Ritz
+        upper bounds on the lowest N exact w_n(alpha)."""
+        d = self.anchored.at(np.atleast_1d(np.asarray(alpha, dtype=float)))
         return d if np.ndim(alpha) else d[0]
 
 
 @cache
-def _gauss_hermite() -> tuple:
-    """Nodes and weights of QUAD_NODES-point Gauss-Hermite quadrature,
-    computed on first use and shared by every model."""
-    return np.polynomial.hermite.hermgauss(QUAD_NODES)
+def _gauss_hermite(order: int) -> tuple:
+    """Nodes and weights of Gauss-Hermite quadrature of this order, computed
+    on first use and shared by every model."""
+    return np.polynomial.hermite.hermgauss(order)
 
 
 def _hermite_poly_table(n_max: int, u: np.ndarray) -> np.ndarray:

@@ -173,21 +173,31 @@ def test_wdw_run_passes(capsys):
 
 
 def test_wdw_drift_queries_operator_per_chunk(monkeypatch, capsys):
-    # the drift asks D(alpha) a chunk of alphas at a time (3012 scalar
-    # queries a report before); a fallback to one call per alpha fails here
+    # the drift asks the coefficients of D(alpha) a chunk of alphas at a time
+    # (3012 scalar queries a report before); a fallback to one call per alpha
+    # fails here
     calls = []
-    d_anchored = WdwFrwModel.d_anchored
+    coefficients = WdwFrwModel._anchored_coefficients
 
-    def counted(self, alpha):
-        calls.append(np.size(alpha))
-        return d_anchored(self, alpha)
+    def counted(self, alphas):
+        calls.append(np.size(alphas))
+        return coefficients(self, alphas)
 
-    monkeypatch.setattr(WdwFrwModel, "d_anchored", counted)
+    monkeypatch.setattr(WdwFrwModel, "_anchored_coefficients", counted)
     code, out = run(["wdw"], capsys)
     assert code == 0
     assert "instantaneous-drift-floor" in out
     assert 0 < len(calls) <= 30
     assert sum(calls) == 3012
+
+
+def test_wdw_past_default_quadrature_passes(capsys):
+    # the basis check once read exactly 1.0 past 64 modes (h_64 at the roots
+    # of H_64); every check passes at 65
+    code, out = run(["wdw", "--modes", "65"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["passed"] == report["summary"]["total"]
 
 
 def test_wdw_zero_mode_crosscheck_is_finite(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgmetric import (
+    AffineSource,
     FieldState,
     InnerProductSpec,
     StackedSource,
@@ -30,7 +31,14 @@ from kgmetric.errors import (
     NonPositiveSpectrumError,
     ZeroStepsError,
 )
-from kgmetric.evolution import _CHUNK_ENTRIES, BLOWUP_LIMIT, _field_map, _flow
+from kgmetric.evolution import (
+    _CHUNK_ENTRIES,
+    BLOWUP_LIMIT,
+    _affine_increments,
+    _field_map,
+    _flow,
+    _rk4_increments,
+)
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
@@ -597,7 +605,7 @@ def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
     """Reference: the classical stage-by-stage RK4 loop on (psi, dot), with
     the blow-up guard after every step (psi before dot). Returns the sample
     times and the (n_samples, n, k) psi and dot stacks."""
-    if isinstance(d_of_t, StackedSource):
+    if isinstance(d_of_t, (StackedSource, AffineSource)):
         source = lambda t: d_of_t.at(np.array([t]))[0]
     else:
         source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
@@ -631,6 +639,11 @@ def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
 
 
 D_COMPLEX = random_positive_hermitian(generator(10, "evo:oracle"), 4)
+# J = 2: a real diagonal term and a complex Hermitian one, both weights moving
+D_TWO_TERMS = AffineSource(
+    np.stack([np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), D_COMPLEX]),
+    lambda ts: np.stack([1.0 + 0.5 * np.cos(ts), 0.3 + 0.1 * ts], axis=1),
+)
 
 
 @pytest.mark.parametrize(
@@ -643,6 +656,17 @@ D_COMPLEX = random_positive_hermitian(generator(10, "evo:oracle"), 4)
         pytest.param(
             lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4, 1, 3.0, 700, 7, id="complex-hermitian"
         ),
+        pytest.param(
+            WdwFrwModel(kappa=-1).anchored, 8, 2, 0.3, 1500, 15, id="wdw-affine-open"
+        ),
+        pytest.param(
+            WdwFrwModel(kappa=1, alpha0=0.3).anchored, 8, 2, 0.3, 1500, 15, id="wdw-affine-closed"
+        ),
+        pytest.param(
+            AffineSource(D_COMPLEX[None], lambda ts: (2.0 + np.sin(ts))[:, None]),
+            4, 1, 3.0, 700, 7, id="affine-complex-hermitian",
+        ),
+        pytest.param(D_TWO_TERMS, 4, 2, 3.0, 700, 7, id="affine-two-terms"),
         pytest.param(np.diag([1.0, 2.5, 4.0]), 3, 2, 10.0, 1000, 100, id="constant-two-states"),
     ],
 )
@@ -657,6 +681,26 @@ def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sampl
         np.testing.assert_array_equal(traj.times, times)
         assert maxabs(traj.psis - psis[:, :, j]) <= 1e-12 * maxabs(psis[:, :, j])
         assert maxabs(traj.psi_dots - dots[:, :, j]) <= 1e-12 * maxabs(dots[:, :, j])
+
+
+@pytest.mark.parametrize(
+    "source,h",
+    [
+        pytest.param(WdwFrwModel(kappa=-1).anchored, 0.3 / 1500, id="wdw-open"),
+        pytest.param(WdwFrwModel(mass=2.0, alpha0=-0.3).anchored, 0.3 / 1500, id="wdw-flat"),
+        pytest.param(WdwFrwModel(kappa=1, modes=40).anchored, 0.01, id="wdw-closed-40-modes"),
+        pytest.param(D_TWO_TERMS, 0.05, id="two-terms"),
+    ],
+)
+def test_affine_increments_match_stack_increments(source, h):
+    # the increments from the stage coefficients are those of the D stack
+    # at() builds at the same stage times, to rounding
+    k = 64
+    times = 0.1 + 0.5 * h * np.arange(2 * k + 1)
+    got = _affine_increments(source.terms, h)(source.coefficients(times))
+    want = _rk4_increments(source.at(times), h)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert maxabs(got - want) <= 1e-14 * maxabs(want)
 
 
 @pytest.mark.parametrize(
@@ -679,7 +723,13 @@ def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
     d = np.array([[d]])
     with pytest.raises(NonFiniteStateError) as want:
         stagewise_rk4(d, [f0], 0.0, 40.0, steps, sample_every=1000)
-    for source in (d, lambda t: d):
+    sources = (
+        d,
+        lambda t: d,
+        StackedSource(lambda ts: np.repeat(d[None], ts.size, 0)),
+        AffineSource(d[None], lambda ts: np.ones((ts.size, 1))),
+    )
+    for source in sources:
         with pytest.raises(NonFiniteStateError) as got:
             evolve_field(source, f0, 0.0, 40.0, steps, sample_every=1000)
         assert str(got.value) == str(want.value)
@@ -709,14 +759,19 @@ def test_field_route_memory_stays_flat_in_steps():
     d0 = random_positive_hermitian(rng, n)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     evolve_field(lambda t: d0, f0, 0.0, 1.0, 10)
-    tracemalloc.start()
-    try:
-        traj = evolve_field(lambda t: (2.0 + np.sin(t)) * d0, f0, 0.0, 20.0, 20000, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
-    assert peak <= kept + 2**21
+    sources = (
+        lambda t: (2.0 + np.sin(t)) * d0,
+        AffineSource(d0[None], lambda ts: (2.0 + np.sin(ts))[:, None]),
+    )
+    for source in sources:
+        tracemalloc.start()
+        try:
+            traj = evolve_field(source, f0, 0.0, 20.0, 20000, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
+        assert peak <= kept + 2**21
 
 
 def stepwise_midpoint(d_of_t, psi0, t0, t1, steps, sample_every=1, allow_complex=False):

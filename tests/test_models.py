@@ -448,6 +448,15 @@ def test_wdw_basis_orthonormal_at_anchor():
     assert maxabs(b - np.eye(8)) <= 1e-12
 
 
+@pytest.mark.parametrize("modes", [65, 100, 256])
+def test_wdw_basis_orthonormal_past_default_quadrature(modes):
+    # 64 nodes integrate h_m h_n exactly only while m + n <= 127, and h_64
+    # vanishes at every root of H_64: past 64 modes the node count follows
+    model = WdwFrwModel(modes=modes)
+    b = model.overlap_matrix(model.alpha0, model.alpha0)
+    assert maxabs(b - np.eye(modes)) <= 1e-12
+
+
 def test_wdw_overlap_against_brute_force_integral():
     model = WdwFrwModel(mass=1.0, kappa=0, alpha0=0.0, modes=5)
     a1, a2 = 0.0, 0.35

@@ -73,6 +73,8 @@ RUNS = {
     ),
     "wdw-mass-1e200": ("wdw", "--mass", "1e200"),
     "wdw-modes300": ("wdw", "--modes", "300"),
+    "wdw-modes65": ("wdw", "--modes", "65"),
+    "wdw-modes32": ("wdw", "--modes", "32", "--out", DATA),
     "wdw-alpha0-minus300": ("wdw", "--alpha0", "-300"),
     "wdw-tol": ("wdw", "--tol", "1e-30"),
     "sho-t-final-1e300": ("sho", "--t-final", "1e300", "--steps", "100"),
