@@ -66,10 +66,8 @@ from .evolution import (
     EvolutionResult,
     FieldTrajectory,
     MonitorSeries,
-    StackedSource,
     drift_report,
     evolve_field,
-    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
 )

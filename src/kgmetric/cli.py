@@ -36,10 +36,8 @@ import numpy as np
 from .errors import ConfigError, KgMetricError
 from .evolution import (
     AffineSource,
-    StackedSource,
     drift_report,
     evolve_field,
-    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
 )
@@ -440,7 +438,7 @@ def battery_verify(cfg: RunConfig) -> list:
     d_small = hermitian_eigendecompose(random_positive_hermitian(rng, n), tol)
     g1 = _random_field(rng, n)
     g2 = _random_field(rng, n)
-    traj1, traj2 = evolve_fields(d_small, [g1, g2], 0.0, 10.0, 5000, sample_every=100)
+    traj1, traj2 = evolve_field(d_small, [g1, g2], 0.0, 10.0, 5000, sample_every=100)
     sol, kg = drift_report(traj1, d_small, cspec, traj2=traj2, lam=lam)
     checks.append(
         _check(
@@ -455,10 +453,10 @@ def battery_verify(cfg: RunConfig) -> list:
     d0 = d_small.matrix()
     # (1 + 0.3 sin t) D0: each chunk of times is asked in one call
     d_of_t = AffineSource(d0[None], lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None])
-    spec_of_t = StackedSource(lambda ts: hermitian_eigendecompose(d_of_t.at(ts), tol))
-
-    traj1t, traj2t = evolve_fields(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
-    inst, _ = drift_report(traj1t, spec_of_t, cspec, traj2=traj2t, lam=lam)
+    traj1t, traj2t = evolve_field(d_of_t, [g1, g2], 0.0, 5.0, 2000, sample_every=100)
+    # D at the samples, diagonalized at --tol in one stacked eigensolve
+    d_samples = hermitian_eigendecompose(d_of_t.at(traj1t.times), tol)
+    inst, _ = drift_report(traj1t, d_samples, cspec, traj2=traj2t, lam=lam)
     checks += _time_dependent_checks(inst)
 
     # propagators
@@ -746,7 +744,7 @@ def run_wdw(cfg: RunConfig) -> tuple:
         alpha_end = cfg.alpha0 + 0.3
         if wdw_positivity(model, alpha_end) == ALL_POSITIVE:
             steps = 1500
-            traj1, traj2 = evolve_fields(
+            traj1, traj2 = evolve_field(
                 model.anchored, [f1, f2], cfg.alpha0, alpha_end, steps, sample_every=150
             )
             inst, _ = drift_report(traj1, model.anchored, uniform, traj2=traj2)

@@ -11,14 +11,14 @@ Two integrators:
   stepped by midpoint-rule field maps exp(-i dt H(D(t_mid))), second order,
   acting on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
-  RK4 on y = (psi, psi_dot), an independent route used to cross-check the
-  doubled evolution and to feed the drift monitors. ``evolve_fields`` runs
-  several initial states as the columns of one block. RK4 on this linear
-  system is a product of step maps M_k built from D at the start, middle
-  and end of each step, with no spectral data, a chunk at once (for an
-  AffineSource, from its stage coefficients by one matmul). Each step is
-  one matmul, y <- y + N_k y with the increment N_k = M_k - I (M_k itself
-  would accumulate its rounding coherently; see ``evolve_fields``).
+  RK4 on y = (psi, psi_dot), for one state or a list riding as the columns
+  of one block: an independent route used to cross-check the doubled
+  evolution and to feed the drift monitors. RK4 on this linear system is a
+  product of step maps M_k built from D at the start, middle and end of
+  each step, with no spectral data, a chunk at once (for an AffineSource,
+  from its stage coefficients by one matmul). Each step is one matmul,
+  y <- y + N_k y with the increment N_k = M_k - I (M_k itself would
+  accumulate its rounding coherently; see ``evolve_field``).
 
 All three routes (closed form, midpoint, RK4) run through one chunked
 marching loop, ``_march``: each supplies only how a chunk of steps advances
@@ -38,9 +38,10 @@ t0 data, so there is nothing of it to follow.
 Every operator source here (integrators and ``drift_report`` alike) is a
 matrix or a SpectralDecomposition, which is constant and converted once, or
 time-dependent and asked a chunk of times at once: a callable t -> either
-once per time, in order, or in one call a ``StackedSource``, which returns
-the chunk's (k, n, n) stack, or an ``AffineSource`` D(t) = sum_j c_j(t) B_j,
-which returns the c_j. The chunk's answers are converted together.
+once per time, in order, or an ``AffineSource`` D(t) = sum_j c_j(t) B_j,
+which returns the c_j of the whole chunk in one call. The chunk's answers
+are converted together, one (n, n) operator per time. ``drift_report`` also
+takes D at its samples, as a stack with one member per sample.
 """
 
 from __future__ import annotations
@@ -143,22 +144,12 @@ def _as_matrix(d) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StackedSource:
-    """A time-dependent D source asked a whole 1-D time array in one call:
-    ``at(times)`` returns D at each time, in order, as a (k, n, n) stack of
-    matrices or a SpectralDecomposition stacked alike. (A plain callable is
-    asked one time a call: a scalar formula can broadcast an array to a wrong
-    (n, n) answer without raising.)"""
-
-    at: object
-
-
-@dataclass(frozen=True)
 class AffineSource:
     """A time-dependent D(t) = sum_j c_j(t) B_j: ``terms`` is the fixed (J, n, n)
     stack of the B_j, and ``coefficients`` maps a 1-D time array to the real
     (k, J) array of the c_j, in one call. ``at`` sums the (k, n, n) stack term
-    by term, in order, so it serves wherever a StackedSource does."""
+    by term, in order. (A plain callable is asked one time a call: a scalar
+    formula can broadcast an array to a wrong (n, n) answer without raising.)"""
 
     terms: np.ndarray
     coefficients: object
@@ -167,19 +158,34 @@ class AffineSource:
         return reduce(np.add, map(np.multiply.outer, self.coefficients(times).T, self.terms))
 
 
-def _source(d_of_t, convert):
+def _checked(value, *shapes):
+    """A converted D value (matrix or SpectralDecomposition): (n, n) operators on
+    leading axes of one of ``shapes``, () for one; else DimensionMismatchError."""
+    full = value.eigenvectors.shape if isinstance(value, SpectralDecomposition) else value.shape
+    if len(full) < 2 or full[-1] != full[-2] or full[:-2] not in shapes:
+        raise DimensionMismatchError(
+            f"D must be (n, n) with leading shape {' or '.join(map(str, shapes))}, got {full}"
+        )
+    return value
+
+
+def _source(d_of_t, convert, shapes):
     """Normalize a D source to (times -> value, is_constant).
 
-    A StackedSource or an AffineSource is asked a query's time array in one
-    call and a callable each time, in order; either way the answers are
-    converted together. Any other source is converted once.
+    An AffineSource is asked a query's 1-D time array in one call and a
+    callable each time, in order; either way the answers are converted
+    together, one (n, n) operator per time. Any other source is converted
+    once, and its leading shape must be one of ``shapes``: () alone for the
+    integrators, or one member per sample too for ``drift_report``.
     """
-    if isinstance(d_of_t, (StackedSource, AffineSource)):
-        return (lambda times: convert(d_of_t.at(times))), False
-    if callable(d_of_t):
-        return (lambda times: convert([d_of_t(t) for t in times.tolist()])), False
-    const = convert(d_of_t)
-    return (lambda times: const), True
+    if isinstance(d_of_t, AffineSource):
+        ask = lambda times: convert(d_of_t.at(times))
+    elif callable(d_of_t):
+        ask = lambda times: convert([d_of_t(t) for t in times.tolist()])
+    else:
+        const = _checked(convert(d_of_t), *shapes)
+        return (lambda times: const), True
+    return (lambda times: _checked(ask(times), times.shape)), False
 
 
 def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
@@ -281,17 +287,17 @@ def evolve_schrodinger(
 
     Parameters
     ----------
-    d_of_t : matrix, SpectralDecomposition, callable t -> either, StackedSource or AffineSource
+    d_of_t : matrix, SpectralDecomposition, callable t -> either, or AffineSource
         The spatial operator source, of any sign: a negative mode grows as
         cosh until the blow-up bound, a zero mode moves freely. A constant
         source is diagonalized once, D = V diag(w) V^dagger, and a chunk of
         steps of every state is one real (k, 2n) table of c = cos(sqrt(w) t)
         and s = sin(sqrt(w) t) / sqrt(w) times weights folded from V^dagger
         Psi0, (1/lam +- lam w) / 2 and V^T. A time-dependent one is asked the
-        midpoints of a chunk of steps (a StackedSource or an AffineSource in
-        one call), one stacked eigensolve diagonalizes it there, and the field
-        map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states
-        (each a matrix-vector product), then U(t, t0).
+        midpoints of a chunk of steps (an AffineSource in one call), one
+        stacked eigensolve diagonalizes it there, and the field map
+        exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states (each
+        a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
         Initial doubled state(s); their common lam fixes the packing.
     steps : int
@@ -317,7 +323,7 @@ def evolve_schrodinger(
     is raised first.
     """
     steps = _check_steps(steps)
-    source, constant = _source(d_of_t, _as_spectral)
+    source, constant = _source(d_of_t, _as_spectral, [()])
     dt = (t1 - t0) / steps
     states = psi0 if isinstance(psi0, list) else [psi0]
     if not states:
@@ -444,64 +450,54 @@ def _affine_increments(terms: np.ndarray, h: float):
 
 def evolve_field(
     d_of_t,
-    f0: FieldState,
+    f0: FieldState | list,
     t0: float,
     t1: float,
     steps: int,
     sample_every: int = 1,
-) -> FieldTrajectory:
+) -> FieldTrajectory | list:
     """Classical RK4 for psi'' + D(t) psi = 0 on stacked (psi, psi_dot).
 
     An integration route independent of the doubled propagator: no spectral
     data is used, only D at the RK4 stage times. Fourth-order accurate in
-    the step; blow-up guarded at 1e12.
-    """
-    return evolve_fields(d_of_t, [f0], t0, t1, steps, sample_every)[0]
-
-
-def evolve_fields(
-    d_of_t,
-    states,
-    t0: float,
-    t1: float,
-    steps: int,
-    sample_every: int = 1,
-) -> list:
-    """``evolve_field`` for several initial FieldStates on one time grid.
-
-    The states ride as the columns of one (2n, k) block y = (psi, psi_dot).
-    Each step is y <- y + N_k y, where N_k = M_k - I is the increment of
-    the exact RK4 step map M_k, built from D at the step's start, middle
-    and end (``_rk4_increments``). Storing the increment rather than M_k
-    matters: the rounding of a stored M_k is the same at every step it is
-    reused, so over thousands of steps it adds up coherently (in a 10000-
-    against 20000-step constant-D run at n = 8 it cut the step-halving
-    ratio of the kg_inner drift from 31 to 3.9).
+    the step; blow-up guarded at 1e12. ``f0`` is one FieldState, giving one
+    FieldTrajectory, or a list, giving one per state, in order; the states
+    ride as the columns of one (2n, m) block y = (psi, psi_dot). Each step is
+    y <- y + N_k y, where N_k = M_k - I is the increment of the exact RK4
+    step map M_k, built from D at the step's start, middle and end
+    (``_rk4_increments``). Storing the increment rather than M_k matters:
+    the rounding of a stored M_k is the same at every step it is reused, so
+    over thousands of steps it adds up coherently (in a 10000- against
+    20000-step constant-D run at n = 8 it cut the step-halving ratio of the
+    kg_inner drift from 31 to 3.9).
 
     ``d_of_t`` takes the forms ``evolve_schrodinger`` takes. A constant one
-    gives one map per chunk of steps. A time-dependent one is asked the
-    times stagewise RK4 asks, once per distinct time (the end of a step is
-    the start of the next), a chunk of steps at once (a StackedSource or an
-    AffineSource in one call), and the chunk's maps are built together, an
-    AffineSource's from its coefficients alone (``_affine_increments``: no D
-    stack, no per-step product). Each chunk's states are tested against the
-    blow-up bound together, raising NonFiniteStateError at the first step
-    past it (psi before psi_dot), as stepping would; a source error at a
-    later time in the same chunk is raised first.
+    gives one increment a call. A time-dependent one is asked the times
+    stagewise RK4 asks, once per distinct time (the end of a step is the
+    start of the next), a chunk of steps at once (an AffineSource in one
+    call), and the chunk's increments are built together, an AffineSource's
+    from its coefficients alone (``_affine_increments``: no D stack, no
+    per-step product). Each chunk's states are tested against the blow-up
+    bound together, raising NonFiniteStateError at the first step past it
+    (psi before psi_dot), as stepping would; a source error at a later time
+    in the same chunk is raised first.
 
-    Returns one FieldTrajectory per state, in order. Raises
-    DimensionMismatchError for an empty list or a state whose size does not
-    match D.
+    Raises DimensionMismatchError for an empty list, a state whose size does
+    not match D, or a D that is not one (n, n) operator per time.
     """
     steps = _check_steps(steps)
     dt = (t1 - t0) / steps
     affine = isinstance(d_of_t, AffineSource)
-    source, constant = _source(d_of_t, _as_matrix)
     if affine:  # asked only its coefficients; its terms and their products are fixed
         terms = _as_matrix(d_of_t.terms)
         increments = _affine_increments(terms, dt)
         source = lambda times: np.asarray(d_of_t.coefficients(times), dtype=float)
-    d_prev = source(np.array([t0]))  # a stack of one for a callable, a row if affine
+        constant = False
+    else:
+        increments = lambda ds: _rk4_increments(ds, dt)
+        source, constant = _source(d_of_t, _as_matrix, [()])
+    d_prev = source(np.array([t0]))  # the answer at the last stage time asked
+    states = f0 if isinstance(f0, list) else [f0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
     n = (terms if affine else d_prev).shape[-1]
@@ -510,19 +506,21 @@ def evolve_fields(
     y0 = np.concatenate(
         [np.stack([f.psi for f in states], axis=1), np.stack([f.psi_dot for f in states], axis=1)]
     )
+    if constant:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
+            fixed = increments(np.stack([d_prev] * 3))
 
     def advance(k, y):
         nonlocal d_prev
         if constant:
-            incs = _rk4_increments(np.stack([d_prev] * 3), dt)
-            incs = np.broadcast_to(incs, (k.size, *incs.shape[1:]))
+            incs = np.broadcast_to(fixed, (k.size, *fixed.shape[1:]))
         else:
             stage_times = np.empty(2 * k.size)
             stage_times[0::2] = t0 + (k - 1) * dt + 0.5 * dt
             stage_times[1::2] = t0 + k * dt
             ds = np.concatenate([d_prev, source(stage_times)])
             d_prev = ds[-1:]
-            incs = increments(ds) if affine else _rk4_increments(ds, dt)
+            incs = increments(ds)
         block = np.empty((k.size, *y.shape), dtype=complex)
         # a real map acts on the real and imaginary parts alike, so it steps
         # their float view, which is cheaper than a mixed matmul; each step is
@@ -540,14 +538,15 @@ def evolve_fields(
         [np.index_exp[:n], np.index_exp[n:]], (),
     )
     times = t0 + kept * dt
-    return [
+    trajs = [
         FieldTrajectory(
             times=times,
             psis=np.ascontiguousarray(rows[:, :n, j]),
             psi_dots=np.ascontiguousarray(rows[:, n:, j]),
         )
-        for j in range(rows.shape[2])
+        for j in range(len(states))
     ]
+    return trajs if isinstance(f0, list) else trajs[0]
 
 
 def field_trajectory(result: EvolutionResult) -> FieldTrajectory:
@@ -579,8 +578,10 @@ def drift_report(
     ----------
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
-    d_spec : matrix, SpectralDecomposition, callable t -> either, StackedSource or AffineSource
-        The operator source, in the same forms the integrators take. A
+    d_spec : matrix, SpectralDecomposition, callable t -> either, or AffineSource
+        The operator source, in the same forms the integrators take, or D
+        at the samples given directly: a (k, n, n) stack of matrices, or a
+        SpectralDecomposition stacked alike, with one member per sample. A
         constant source is diagonalized once; a time-dependent one makes
         ``solution_inner`` instantaneous, on D(t) at each sample time, and
         is queried at all of them at once (in one call, unless a callable).
@@ -590,13 +591,14 @@ def drift_report(
     product under ``spec`` and the indefinite product at packing ``lam``.
     Deviation is relative to the t0 value, falling back to absolute when the
     t0 value is below 1e-12 in magnitude. Raises the errors of
-    ``solution_inner`` (size, spec length, non-positive spectrum).
+    ``solution_inner`` (size, spec length, non-positive spectrum), and
+    DimensionMismatchError for a stack or an answer not one (n, n) a sample.
     """
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
-    spec_at, _ = _source(d_spec, _as_spectral)
+    spec_at, _ = _source(d_spec, _as_spectral, [(), (len(traj),)])
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
     sol_values = _field_inner(*data, spec_at(traj.times), spec)
     kg_values = 2j * lam * (

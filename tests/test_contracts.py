@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kgmetric import (
+    AffineSource,
     FieldState,
     InnerProductSpec,
     SignAssignment,
@@ -23,7 +24,6 @@ from kgmetric import (
     eta_plus,
     eta_tilde_plus,
     evolve_field,
-    evolve_fields,
     evolve_schrodinger,
     gauge_transform,
     hermitian_eigendecompose,
@@ -42,6 +42,7 @@ from kgmetric.errors import (
     ZeroLambdaError,
 )
 from kgmetric.evolution import FieldTrajectory
+from kgmetric.rng import generator, random_state
 from kgmetric.models import (
     KleinGordonLattice,
     ShoModel,
@@ -60,6 +61,10 @@ F2 = FieldState(psi=np.ones(2), psi_dot=np.ones(2))
 F3 = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
 LATTICE4 = KleinGordonLattice(sites=4, mu=1.0)
 TRAJ3 = FieldTrajectory(times=np.zeros(1), psis=np.ones((1, 3)), psi_dots=np.ones((1, 3)))
+TRAJ2 = FieldTrajectory(
+    times=np.linspace(0.0, 1.0, 11), psis=np.ones((11, 2)), psi_dots=np.ones((11, 2))
+)
+STACK2 = np.stack([D2] * 3)
 NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
 NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
@@ -120,11 +125,20 @@ CASES = [
     row("evolve_schrodinger-callable", DimensionMismatchError,
         lambda: evolve_schrodinger(lambda t: D2, pack(F3, 1.0), 0.0, 1.0, 4)),
     row("evolve_field", DimensionMismatchError, lambda: evolve_field(D2, F3, 0.0, 1.0, 4)),
-    row("evolve_fields-mixed", DimensionMismatchError,
-        lambda: evolve_fields(D2, [F2, F3], 0.0, 1.0, 4)),
-    row("evolve_fields-empty", DimensionMismatchError,
-        lambda: evolve_fields(D2, [], 0.0, 1.0, 4)),
+    row("evolve_field-mixed", DimensionMismatchError,
+        lambda: evolve_field(D2, [F2, F3], 0.0, 1.0, 4)),
+    row("evolve_field-empty", DimensionMismatchError,
+        lambda: evolve_field(D2, [], 0.0, 1.0, 4)),
     row("drift_report", DimensionMismatchError, lambda: drift_report(TRAJ3, POSITIVE, SPEC)),
+    # a D that is not one (n, n) operator per time, or a stack not one per sample
+    row("evolve_field-stack", DimensionMismatchError,
+        lambda: evolve_field(STACK2, F2, 0.0, 1.0, 10)),
+    row("evolve_schrodinger-stack", DimensionMismatchError,
+        lambda: evolve_schrodinger(STACK2, pack(F2, 1.0), 0.0, 1.0, 10)),
+    row("evolve_field-callable-stack", DimensionMismatchError,
+        lambda: evolve_field(lambda t: STACK2, F2, 0.0, 1.0, 10)),
+    row("drift_report-stack", DimensionMismatchError,
+        lambda: drift_report(TRAJ2, hermitian_eigendecompose(STACK2), SPEC)),
     # a parameter or argument outside its allowed values
     row("SignAssignment", InvalidParameterError, lambda: SignAssignment([1, 2])),
     row("WdwFrwModel-mass", InvalidParameterError, lambda: WdwFrwModel(mass=0.0)),
@@ -156,3 +170,25 @@ CASES = [
 def test_input_contract_raises_its_error(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_evolve_field_returns_one_trajectory_per_state():
+    # one state gives one trajectory; a list, a list of as many, each member
+    # the single-state run bit for bit
+    rng = generator(25, "contracts:field-list")
+    states = [FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2)) for _ in range(3)]
+    sources = (
+        D2,
+        lambda t: (1.0 + 0.3 * np.sin(t)) * D2,
+        AffineSource(D2[None], lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None]),
+    )
+    for source in sources:
+        singles = [evolve_field(source, f, 0.0, 1.0, 100, 10) for f in states]
+        assert all(isinstance(traj, FieldTrajectory) for traj in singles)
+        for batch in (states[:1], states):
+            trajs = evolve_field(source, batch, 0.0, 1.0, 100, 10)
+            assert isinstance(trajs, list) and len(trajs) == len(batch)
+            for traj, single in zip(trajs, singles):
+                assert np.array_equal(traj.times, single.times)
+                assert np.array_equal(traj.psis, single.psis)
+                assert np.array_equal(traj.psi_dots, single.psi_dots)

@@ -10,12 +10,10 @@ from kgmetric import (
     AffineSource,
     FieldState,
     InnerProductSpec,
-    StackedSource,
     check_pseudo_unitary,
     drift_report,
     eta_plus,
     evolve_field,
-    evolve_fields,
     evolve_schrodinger,
     field_trajectory,
     pack,
@@ -159,9 +157,9 @@ def test_drift_constant_operator_guards():
 
 def test_operator_source_forms_agree():
     # matrix, SpectralDecomposition, callables returning either (or both) and
-    # stacked sources answering either are one source; a callable is asked
-    # once per time, in order, at the times a step-by-step route asks, and a
-    # stacked source is asked the same floats, in the same order, in arrays
+    # an affine source are one source; a callable is asked once per time, in
+    # order, at the times a step-by-step route asks, and an affine source is
+    # asked the same floats, in the same order, in arrays
     rng = generator(5, "evo:source-forms")
     n = 3
     d = random_positive_hermitian(rng, n)
@@ -174,10 +172,10 @@ def test_operator_source_forms_agree():
         asked.append(t)
         return d
 
-    def recording_stack(times):
+    def recording_coefficients(times):
         assert times.ndim == 1
         queried.extend(times.tolist())
-        return np.repeat(d[None], times.size, axis=0)
+        return np.ones((times.size, 1))
 
     forms = (
         d,
@@ -186,8 +184,7 @@ def test_operator_source_forms_agree():
         lambda t: d_spec,
         lambda t: d if t < 1.0 else d_spec,
         recording,
-        StackedSource(recording_stack),
-        StackedSource(lambda times: hermitian_eigendecompose(np.repeat(d[None], times.size, 0))),
+        AffineSource(d[None], recording_coefficients),
     )
     trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
     for traj in trajs[1:]:
@@ -592,7 +589,7 @@ def test_batched_field_route_matches_single_runs():
     states = [
         FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)) for _ in range(3)
     ]
-    batch = evolve_fields(d_of_t, states, 0.0, 2.0, 400, sample_every=40)
+    batch = evolve_field(d_of_t, states, 0.0, 2.0, 400, sample_every=40)
     assert len(batch) == len(states)
     for f0, traj in zip(states, batch):
         single = evolve_field(d_of_t, f0, 0.0, 2.0, 400, sample_every=40)
@@ -605,7 +602,7 @@ def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
     """Reference: the classical stage-by-stage RK4 loop on (psi, dot), with
     the blow-up guard after every step (psi before dot). Returns the sample
     times and the (n_samples, n, k) psi and dot stacks."""
-    if isinstance(d_of_t, (StackedSource, AffineSource)):
+    if isinstance(d_of_t, AffineSource):
         source = lambda t: d_of_t.at(np.array([t]))[0]
     else:
         source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
@@ -651,9 +648,6 @@ D_TWO_TERMS = AffineSource(
     [
         pytest.param(WdwFrwModel().d_anchored, 8, 2, 0.3, 1500, 15, id="wdw-anchored"),
         pytest.param(
-            StackedSource(WdwFrwModel().d_anchored), 8, 2, 0.3, 1500, 15, id="wdw-anchored-stacked"
-        ),
-        pytest.param(
             lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4, 1, 3.0, 700, 7, id="complex-hermitian"
         ),
         pytest.param(
@@ -676,7 +670,7 @@ def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sampl
         FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)) for _ in range(count)
     ]
     times, psis, dots = stagewise_rk4(source, states, 0.0, t1, steps, sample_every)
-    trajs = evolve_fields(source, states, 0.0, t1, steps, sample_every)
+    trajs = evolve_field(source, states, 0.0, t1, steps, sample_every)
     for j, traj in enumerate(trajs):
         np.testing.assert_array_equal(traj.times, times)
         assert maxabs(traj.psis - psis[:, :, j]) <= 1e-12 * maxabs(psis[:, :, j])
@@ -726,7 +720,6 @@ def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
     sources = (
         d,
         lambda t: d,
-        StackedSource(lambda ts: np.repeat(d[None], ts.size, 0)),
         AffineSource(d[None], lambda ts: np.ones((ts.size, 1))),
     )
     for source in sources:

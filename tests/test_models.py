@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from kgmetric import (
+    AffineSource,
     FieldState,
     InnerProductSpec,
-    StackedSource,
     drift_report,
     evolve_field,
-    evolve_fields,
     kg_inner,
     pack,
     solution_inner,
@@ -652,15 +651,16 @@ WDW_BENCH_UNIVERSES = (
 
 def drift_alphas(alpha0):
     """The alphas the `wdw` drift asks its operator, in order: RK4 over
-    alpha0 .. alpha0 + 0.3 in 1500 steps, recorded from its stacked queries."""
+    alpha0 .. alpha0 + 0.3 in 1500 steps, recorded from the coefficient
+    queries of an affine source."""
     asked = []
 
     def record(alphas):
         asked.extend(alphas.tolist())
-        return np.zeros((alphas.size, 1, 1))
+        return np.zeros((alphas.size, 1))
 
     f0 = FieldState(psi=np.ones(1), psi_dot=np.zeros(1))
-    evolve_field(StackedSource(record), f0, alpha0, alpha0 + 0.3, 1500)
+    evolve_field(AffineSource(np.zeros((1, 1, 1)), record), f0, alpha0, alpha0 + 0.3, 1500)
     assert len(asked) == 3001
     return np.array(asked)
 
@@ -708,9 +708,9 @@ def test_wdw_anchored_stack_raises_like_first_failing_alpha(alphas):
     assert str(stacked.value) == str(scalar)
 
 
-def test_wdw_stacked_source_matches_plain_callable():
-    # the `wdw` drift: the wrapped d_anchored answers each chunk in one call
-    # and gives the same trajectories and drift series as one call per alpha
+def test_wdw_affine_drift_report_matches_plain_callable():
+    # the `wdw` drift monitor: the affine source answers the samples in one
+    # call and gives the same drift series as one d_anchored call per alpha
     model = WdwFrwModel(mass=1.0, kappa=-1, alpha0=0.0)
     rng = generator(12, "models:wdw-stacked")
     states = [
@@ -721,15 +721,13 @@ def test_wdw_stacked_source_matches_plain_callable():
         for _ in range(2)
     ]
     uniform = InnerProductSpec.uniform(8)
-    runs = []
-    for source in (model.d_anchored, StackedSource(model.d_anchored)):
-        traj1, traj2 = evolve_fields(source, states, 0.0, 0.3, 1500, sample_every=150)
-        inst, kg = drift_report(traj1, source, uniform, traj2=traj2)
-        runs.append(
-            (traj1.psis, traj1.psi_dots, traj2.psis, traj2.psi_dots, inst.values, kg.values)
-        )
-    for plain, stacked in zip(*runs):
-        assert np.array_equal(plain, stacked)
+    traj1, traj2 = evolve_field(model.anchored, states, 0.0, 0.3, 1500, sample_every=150)
+    runs = [
+        drift_report(traj1, source, uniform, traj2=traj2)
+        for source in (model.d_anchored, model.anchored)
+    ]
+    for plain, affine in zip(*runs):
+        assert np.array_equal(plain.values, affine.values)
 
 
 def test_wdw_positivity_rejects_overflowing_spectrum():
