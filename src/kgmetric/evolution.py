@@ -36,12 +36,10 @@ numbers, for every report: it follows the positive product
 t0 data, so there is nothing of it to follow.
 
 Every operator source here (integrators and ``drift_report`` alike) is a
-matrix or a SpectralDecomposition, which is constant and converted once, or
-time-dependent and asked a chunk of times at once: a callable t -> either
-once per time, in order, or an ``AffineSource`` D(t) = sum_j c_j(t) B_j,
-which returns the c_j of the whole chunk in one call. The chunk's answers
-are converted together, one (n, n) operator per time. ``drift_report`` also
-takes D at its samples, as a stack with one member per sample.
+matrix or a SpectralDecomposition, constant and converted once, or the one
+time-dependent form, an ``AffineSource`` D(t) = sum_j c_j(t) B_j, asked the
+c_j of a chunk of times in one call. ``drift_report`` also takes D at its
+samples, as a stack with one member per sample.
 """
 
 from __future__ import annotations
@@ -123,24 +121,21 @@ def _check_steps(steps) -> int:
 
 
 def _as_spectral(d) -> SpectralDecomposition:
-    """Spectral data of one D value (matrix or SpectralDecomposition) or of a list, stacked."""
+    """Spectral data of a D value (matrix or SpectralDecomposition)."""
     if isinstance(d, SpectralDecomposition):
         return d
-    if isinstance(d, list) and all(isinstance(x, SpectralDecomposition) for x in d):
-        w, v = zip(*((x.eigenvalues, x.eigenvectors) for x in d))
-        return SpectralDecomposition(np.stack(w), np.stack(v))
     return hermitian_eigendecompose(_as_matrix(d))
 
 
 def _as_matrix(d) -> np.ndarray:
-    """Dense float or complex matrix of one D value (matrix or
-    SpectralDecomposition), or of a list of them stacked; a real D stays real."""
-    if isinstance(d, list):
-        return np.stack([_as_matrix(x) for x in d])
+    """Dense float or complex array of a matrix or SpectralDecomposition (a
+    real D stays real); DimensionMismatchError for anything not numeric."""
     if isinstance(d, SpectralDecomposition):
         return d.matrix()
-    d = np.asarray(d)
-    return d if d.dtype.char in "dD" else d.astype(np.result_type(d, float))
+    a = np.asarray(d)
+    if a.dtype.kind not in "biufc":
+        raise DimensionMismatchError(f"D must be an array or AffineSource, got {type(d).__name__}")
+    return a if a.dtype.char in "dD" else a.astype(np.result_type(a, float))
 
 
 @dataclass(frozen=True)
@@ -148,14 +143,29 @@ class AffineSource:
     """A time-dependent D(t) = sum_j c_j(t) B_j: ``terms`` is the fixed (J, n, n)
     stack of the B_j, and ``coefficients`` maps a 1-D time array to the real
     (k, J) array of the c_j, in one call. ``at`` sums the (k, n, n) stack term
-    by term, in order. (A plain callable is asked one time a call: a scalar
-    formula can broadcast an array to a wrong (n, n) answer without raising.)"""
+    by term, in order. Any D(t) is one, over a basis of the (n, n) matrices
+    (such as the unit matrices of its entries) with its coordinates as c_j.
+    Malformed terms or coefficients raise DimensionMismatchError."""
 
     terms: np.ndarray
     coefficients: object
 
+    def __post_init__(self):
+        terms = _as_matrix(self.terms)
+        if terms.ndim != 3 or not len(terms) or terms.shape[1] != terms.shape[2]:
+            raise DimensionMismatchError(f"terms must be (J, n, n) with J >= 1, got {terms.shape}")
+        object.__setattr__(self, "terms", terms)
+
+    def coefficients_at(self, times: np.ndarray) -> np.ndarray:
+        """The c_j at a 1-D time array, a real (k, J) array; else DimensionMismatchError."""
+        c = np.asarray(self.coefficients(times))
+        want = (times.size, len(self.terms))
+        if c.shape != want or c.dtype.kind not in "biuf":
+            raise DimensionMismatchError(f"need real {want} coefficients, got {c.dtype} {c.shape}")
+        return c.astype(float, copy=False)
+
     def at(self, times) -> np.ndarray:
-        return reduce(np.add, map(np.multiply.outer, self.coefficients(times).T, self.terms))
+        return reduce(np.add, map(np.multiply.outer, self.coefficients_at(times).T, self.terms))
 
 
 def _checked(value, *shapes):
@@ -172,20 +182,15 @@ def _checked(value, *shapes):
 def _source(d_of_t, convert, shapes):
     """Normalize a D source to (times -> value, is_constant).
 
-    An AffineSource is asked a query's 1-D time array in one call and a
-    callable each time, in order; either way the answers are converted
-    together, one (n, n) operator per time. Any other source is converted
+    An AffineSource is asked a query's 1-D time array in one call, and its
+    (k, n, n) answer is converted together. Any other source is converted
     once, and its leading shape must be one of ``shapes``: () alone for the
     integrators, or one member per sample too for ``drift_report``.
     """
     if isinstance(d_of_t, AffineSource):
-        ask = lambda times: convert(d_of_t.at(times))
-    elif callable(d_of_t):
-        ask = lambda times: convert([d_of_t(t) for t in times.tolist()])
-    else:
-        const = _checked(convert(d_of_t), *shapes)
-        return (lambda times: const), True
-    return (lambda times: _checked(ask(times), times.shape)), False
+        return (lambda times: convert(d_of_t.at(times))), False
+    const = _checked(convert(d_of_t), *shapes)
+    return (lambda times: const), True
 
 
 def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
@@ -287,15 +292,15 @@ def evolve_schrodinger(
 
     Parameters
     ----------
-    d_of_t : matrix, SpectralDecomposition, callable t -> either, or AffineSource
+    d_of_t : matrix, SpectralDecomposition, or AffineSource
         The spatial operator source, of any sign: a negative mode grows as
         cosh until the blow-up bound, a zero mode moves freely. A constant
         source is diagonalized once, D = V diag(w) V^dagger, and a chunk of
         steps of every state is one real (k, 2n) table of c = cos(sqrt(w) t)
         and s = sin(sqrt(w) t) / sqrt(w) times weights folded from V^dagger
-        Psi0, (1/lam +- lam w) / 2 and V^T. A time-dependent one is asked the
-        midpoints of a chunk of steps (an AffineSource in one call), one
-        stacked eigensolve diagonalizes it there, and the field map
+        Psi0, (1/lam +- lam w) / 2 and V^T. An AffineSource is asked the
+        midpoints of a chunk of steps in one call, one stacked eigensolve
+        diagonalizes it there, and the field map
         exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states (each
         a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
@@ -315,12 +320,12 @@ def evolve_schrodinger(
         propagator is the exact field map, built on first read; for
         time-dependent D it is the ordered product of the step maps.
 
-    Raises DimensionMismatchError for an empty list or a state whose size
-    does not match D or the first state, LambdaMismatchError for states of
-    different lam, and NonFiniteStateError at the first step (recorded or
-    not) at which a state leaves the blow-up bound. Steps are formed and
-    tested in chunks, so a source error at a later step of the same chunk
-    is raised first.
+    Raises DimensionMismatchError for an empty list, a state whose size
+    does not match D or the first state, or a malformed source,
+    LambdaMismatchError for states of different lam, and NonFiniteStateError
+    at the first step (recorded or not) at which a state leaves the blow-up
+    bound. Steps are formed and tested in chunks, so a source error at a
+    later step of the same chunk is raised first.
     """
     steps = _check_steps(steps)
     source, constant = _source(d_of_t, _as_spectral, [()])
@@ -471,56 +476,51 @@ def evolve_field(
     20000-step constant-D run at n = 8 it cut the step-halving ratio of the
     kg_inner drift from 31 to 3.9).
 
-    ``d_of_t`` takes the forms ``evolve_schrodinger`` takes. A constant one
-    gives one increment a call. A time-dependent one is asked the times
-    stagewise RK4 asks, once per distinct time (the end of a step is the
-    start of the next), a chunk of steps at once (an AffineSource in one
-    call), and the chunk's increments are built together, an AffineSource's
-    from its coefficients alone (``_affine_increments``: no D stack, no
-    per-step product). Each chunk's states are tested against the blow-up
-    bound together, raising NonFiniteStateError at the first step past it
-    (psi before psi_dot), as stepping would; a source error at a later time
-    in the same chunk is raised first.
+    ``d_of_t`` takes the forms ``evolve_schrodinger`` takes: a constant one
+    gives one increment a call, and an AffineSource a chunk's increments from
+    its coefficients alone (``_affine_increments``: no D stack), asked at the
+    chunk's stage times in one call, once per distinct time. Each chunk's
+    states are tested against the blow-up bound together, raising
+    NonFiniteStateError at the first step past it (psi before psi_dot), as
+    stepping would; a source error at a later time in the same chunk is
+    raised first.
 
     Raises DimensionMismatchError for an empty list, a state whose size does
-    not match D, or a D that is not one (n, n) operator per time.
+    not match D, a constant D that is not one (n, n) operator, or a
+    malformed AffineSource.
     """
     steps = _check_steps(steps)
     dt = (t1 - t0) / steps
-    affine = isinstance(d_of_t, AffineSource)
-    if affine:  # asked only its coefficients; its terms and their products are fixed
-        terms = _as_matrix(d_of_t.terms)
-        increments = _affine_increments(terms, dt)
-        source = lambda times: np.asarray(d_of_t.coefficients(times), dtype=float)
-        constant = False
-    else:
-        increments = lambda ds: _rk4_increments(ds, dt)
-        source, constant = _source(d_of_t, _as_matrix, [()])
-    d_prev = source(np.array([t0]))  # the answer at the last stage time asked
+    constant = not isinstance(d_of_t, AffineSource)
+    if constant:
+        d = _checked(_as_matrix(d_of_t), ())
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
+            fixed = _rk4_increments(np.stack([d] * 3), dt)
+    else:  # asked only its coefficients; its terms and their products are fixed
+        d = d_of_t.terms
+        increments = _affine_increments(d, dt)
+        c_prev = d_of_t.coefficients_at(np.array([t0]))  # at the last stage time asked
     states = f0 if isinstance(f0, list) else [f0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
-    n = (terms if affine else d_prev).shape[-1]
+    n = d.shape[-1]
     for f in states:
         _check_state_size(f.n, n)
     y0 = np.concatenate(
         [np.stack([f.psi for f in states], axis=1), np.stack([f.psi_dot for f in states], axis=1)]
     )
-    if constant:
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
-            fixed = increments(np.stack([d_prev] * 3))
 
     def advance(k, y):
-        nonlocal d_prev
+        nonlocal c_prev
         if constant:
             incs = np.broadcast_to(fixed, (k.size, *fixed.shape[1:]))
         else:
             stage_times = np.empty(2 * k.size)
             stage_times[0::2] = t0 + (k - 1) * dt + 0.5 * dt
             stage_times[1::2] = t0 + k * dt
-            ds = np.concatenate([d_prev, source(stage_times)])
-            d_prev = ds[-1:]
-            incs = increments(ds)
+            c = np.concatenate([c_prev, d_of_t.coefficients_at(stage_times)])
+            c_prev = c[-1:]
+            incs = increments(c)
         block = np.empty((k.size, *y.shape), dtype=complex)
         # a real map acts on the real and imaginary parts alike, so it steps
         # their float view, which is cheaper than a mixed matmul; each step is
@@ -578,21 +578,20 @@ def drift_report(
     ----------
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
-    d_spec : matrix, SpectralDecomposition, callable t -> either, or AffineSource
+    d_spec : matrix, SpectralDecomposition, or AffineSource
         The operator source, in the same forms the integrators take, or D
         at the samples given directly: a (k, n, n) stack of matrices, or a
         SpectralDecomposition stacked alike, with one member per sample. A
-        constant source is diagonalized once; a time-dependent one makes
+        constant source is diagonalized once; an AffineSource makes
         ``solution_inner`` instantaneous, on D(t) at each sample time, and
-        is queried at all of them at once (in one call, unless a callable).
-        Every sample is one batch.
+        is queried at all of them in one call. Every sample is one batch.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive
     product under ``spec`` and the indefinite product at packing ``lam``.
     Deviation is relative to the t0 value, falling back to absolute when the
     t0 value is below 1e-12 in magnitude. Raises the errors of
     ``solution_inner`` (size, spec length, non-positive spectrum), and
-    DimensionMismatchError for a stack or an answer not one (n, n) a sample.
+    DimensionMismatchError for a malformed source, or a stack not one (n, n) a sample.
     """
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kgmetric import (
+    AffineSource,
     FieldState,
     InnerProductSpec,
     SignAssignment,
@@ -285,14 +286,11 @@ def test_criterion_08_minisuperspace_spectrum_crosscheck():
 
 def test_criterion_09_transported_metric_machinery():
     lam = 1.0
-
-    def d_of_t(t):
-        w = 2.0 + np.sin(t)
-        return np.array([[w * w]])
-
+    # D(t) = (2 + sin t)^2
+    d_of_t = AffineSource(np.ones((1, 1, 1)), lambda ts: ((2.0 + np.sin(ts)) ** 2)[:, None])
     f1 = FieldState(psi=np.array([1.0 + 0.2j]), psi_dot=np.array([0.3 - 0.8j]))
     f2 = FieldState(psi=np.array([-0.5 + 1.0j]), psi_dot=np.array([0.6 + 0.4j]))
-    eta0 = eta_plus(hermitian_eigendecompose(d_of_t(0.0)), lam)
+    eta0 = eta_plus(hermitian_eigendecompose(d_of_t.at(np.zeros(1))[0]), lam)
     steps = 20000
     sched = evolve_schrodinger(
         d_of_t, pack(f1, lam), 0.0, 10.0, steps,

@@ -69,6 +69,22 @@ NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
 NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 
+# each builds its source when called: malformed terms raise at construction
+MALFORMED_SOURCES = {
+    "too-wide-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 2))),
+    "1d-terms": lambda: AffineSource(np.ones(2), lambda ts: np.ones((ts.size, 1))),
+    "2d-terms": lambda: AffineSource(D2, lambda ts: np.ones((ts.size, 2))),
+    "wrong-row-count": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size + 1, 1))),
+    "complex-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 1)) + 0j),
+    "plain-callable": lambda: lambda t: D2,
+}
+SOURCE_ROUTES = {
+    "evolve_schrodinger": lambda source: evolve_schrodinger(source, pack(F2, 1.0), 0.0, 1.0, 4),
+    "evolve_field": lambda source: evolve_field(source, F2, 0.0, 1.0, 10),
+    "drift_report": lambda source: drift_report(TRAJ2, source, SPEC),
+}
+
+
 def row(name, error, call):
     return pytest.param(error, call, id=f"{name}-{error.__name__}")
 
@@ -122,8 +138,6 @@ CASES = [
     # state size against operator size
     row("evolve_schrodinger-constant", DimensionMismatchError,
         lambda: evolve_schrodinger(D2, pack(F3, 1.0), 0.0, 1.0, 4)),
-    row("evolve_schrodinger-callable", DimensionMismatchError,
-        lambda: evolve_schrodinger(lambda t: D2, pack(F3, 1.0), 0.0, 1.0, 4)),
     row("evolve_field", DimensionMismatchError, lambda: evolve_field(D2, F3, 0.0, 1.0, 4)),
     row("evolve_field-mixed", DimensionMismatchError,
         lambda: evolve_field(D2, [F2, F3], 0.0, 1.0, 4)),
@@ -135,10 +149,14 @@ CASES = [
         lambda: evolve_field(STACK2, F2, 0.0, 1.0, 10)),
     row("evolve_schrodinger-stack", DimensionMismatchError,
         lambda: evolve_schrodinger(STACK2, pack(F2, 1.0), 0.0, 1.0, 10)),
-    row("evolve_field-callable-stack", DimensionMismatchError,
-        lambda: evolve_field(lambda t: STACK2, F2, 0.0, 1.0, 10)),
     row("drift_report-stack", DimensionMismatchError,
         lambda: drift_report(TRAJ2, hermitian_eigendecompose(STACK2), SPEC)),
+    # a malformed AffineSource, or a time-dependent D in another form, on every route
+    *(
+        row(f"{name}-{case}", DimensionMismatchError, lambda run=run, source=source: run(source()))
+        for name, run in SOURCE_ROUTES.items()
+        for case, source in MALFORMED_SOURCES.items()
+    ),
     # a parameter or argument outside its allowed values
     row("SignAssignment", InvalidParameterError, lambda: SignAssignment([1, 2])),
     row("WdwFrwModel-mass", InvalidParameterError, lambda: WdwFrwModel(mass=0.0)),
@@ -177,11 +195,7 @@ def test_evolve_field_returns_one_trajectory_per_state():
     # the single-state run bit for bit
     rng = generator(25, "contracts:field-list")
     states = [FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2)) for _ in range(3)]
-    sources = (
-        D2,
-        lambda t: (1.0 + 0.3 * np.sin(t)) * D2,
-        AffineSource(D2[None], lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None]),
-    )
+    sources = (D2, AffineSource(D2[None], lambda ts: (1.0 + 0.3 * np.sin(ts))[:, None]))
     for source in sources:
         singles = [evolve_field(source, f, 0.0, 1.0, 100, 10) for f in states]
         assert all(isinstance(traj, FieldTrajectory) for traj in singles)

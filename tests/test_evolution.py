@@ -48,6 +48,30 @@ def maxabs(a):
     return float(np.max(np.abs(a)))
 
 
+def scaled(d, f):
+    """D(t) = f(t) d as an AffineSource, f taking the time array."""
+    return AffineSource(np.asarray(d)[None], lambda ts: f(ts)[:, None])
+
+
+def entrywise(d_of_t, n):
+    """A Hermitian D(t), given one time a call, as an AffineSource over a real
+    basis of the Hermitian (n, n) matrices: E_jj, then E_jk + E_kj and
+    i (E_jk - E_kj) for j < k, with coordinates D_jj, Re D_jk and Im D_jk."""
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[j, k] = E_jk
+    upper = np.triu_indices(n, 1)
+    e = units[upper]
+    terms = np.concatenate(
+        [units[np.diag_indices(n)], e + e.swapaxes(1, 2), 1j * (e - e.swapaxes(1, 2))]
+    )
+
+    def coefficients(ts):
+        m = np.stack([d_of_t(t) for t in ts.tolist()])
+        off = m[:, upper[0], upper[1]]
+        return np.concatenate([np.diagonal(m, axis1=1, axis2=2).real, off.real, off.imag], axis=1)
+
+    return AffineSource(terms, coefficients)
+
+
 def test_unit_operator_half_period_is_minus_identity():
     f0 = FieldState(psi=np.array([1.0 + 0j]), psi_dot=np.array([0.0 + 0j]))
     result = evolve_schrodinger(np.array([[1.0]]), pack(f0, 1.0), 0.0, np.pi, 50)
@@ -71,10 +95,7 @@ def test_two_routes_agree_for_time_dependent_operator():
     rng = generator(0, "evo:routes")
     n = 3
     d0 = random_positive_hermitian(rng, n)
-
-    def d_of_t(t):
-        return (2.0 + np.sin(t)) * d0
-
+    d_of_t = scaled(d0, lambda ts: 2.0 + np.sin(ts))
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     result = evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 2.0, 8000)
     f_mid = unpack(result.state(-1))
@@ -92,7 +113,7 @@ def test_field_route_free_particle_is_linear():
     zero = np.zeros((2, 2))
     trajs = [evolve_field(zero, f0, 0.0, 3.0, 30)] + [
         field_trajectory(evolve_schrodinger(d, pack(f0, 0.7), 0.0, 3.0, 30))
-        for d in (zero, lambda t: zero)
+        for d in (zero, scaled(zero, np.ones_like))
     ]
     for traj in trajs:
         for i, t in enumerate(traj.times):
@@ -137,7 +158,7 @@ def test_drift_constant_operator_stays_flat():
 
 
 def test_drift_constant_operator_guards():
-    # the batch over samples, and the stacked samples of a callable source,
+    # the batch over samples, and the stacked samples of an affine source,
     # raise what solution_inner raises, never NaN
     rng = generator(4, "evo:drift-guards")
     f0 = FieldState(psi=random_state(rng, 2), psi_dot=random_state(rng, 2))
@@ -149,28 +170,23 @@ def test_drift_constant_operator_guards():
     # a singular D (all zeros) and an indefinite one, read off at each sample
     for d in (np.zeros((2, 2)), np.diag([-1.0, 2.0])):
         with pytest.raises(NonPositiveSpectrumError):
-            drift_report(traj, lambda t, d=d: d, InnerProductSpec.uniform(2))
+            drift_report(traj, scaled(d, np.ones_like), InnerProductSpec.uniform(2))
     d_spec = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
     with pytest.raises(LengthMismatchError):
         drift_report(traj, d_spec, InnerProductSpec.uniform(3))
 
 
 def test_operator_source_forms_agree():
-    # matrix, SpectralDecomposition, callables returning either (or both) and
-    # an affine source are one source; a callable is asked once per time, in
-    # order, at the times a step-by-step route asks, and an affine source is
-    # asked the same floats, in the same order, in arrays
+    # matrix, SpectralDecomposition and affine sources (one term, or the
+    # entry basis) are one source; an affine source is asked, in arrays and
+    # in order, the floats a step-by-step route asks
     rng = generator(5, "evo:source-forms")
     n = 3
     d = random_positive_hermitian(rng, n)
     d_spec = hermitian_eigendecompose(d)
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     spec = InnerProductSpec.uniform(n)
-    asked, queried = [], []
-
-    def recording(t):
-        asked.append(t)
-        return d
+    queried = []
 
     def recording_coefficients(times):
         assert times.ndim == 1
@@ -180,43 +196,39 @@ def test_operator_source_forms_agree():
     forms = (
         d,
         d_spec,
-        lambda t: d,
-        lambda t: d_spec,
-        lambda t: d if t < 1.0 else d_spec,
-        recording,
         AffineSource(d[None], recording_coefficients),
+        entrywise(lambda t: d, n),
     )
     trajs = [evolve_field(src, f0, 0.0, 2.0, 200, sample_every=20) for src in forms]
     for traj in trajs[1:]:
         assert maxabs(traj.psis - trajs[0].psis) <= 1e-12
     dt = 2.0 / 200
-    assert asked == [0.0] + [t for k in range(1, 201) for t in ((k - 1) * dt + 0.5 * dt, k * dt)]
-    assert queried == asked
-    asked.clear()
+    assert queried == [0.0] + [
+        t for k in range(1, 201) for t in ((k - 1) * dt + 0.5 * dt, k * dt)
+    ]
     queried.clear()
     values = [drift_report(trajs[0], src, spec)[0].values for src in forms]
     for v in values[1:]:
         assert maxabs(v - values[0]) <= 1e-12
-    assert asked == [k * dt for k in range(0, 201, 20)] == list(trajs[0].times) == queried
-    asked.clear()
+    assert queried == [k * dt for k in range(0, 201, 20)] == list(trajs[0].times)
     queried.clear()
     psi0 = pack(f0, 1.0)
     states = [evolve_schrodinger(src, psi0, 0.0, 2.0, 50).state_matrix for src in forms]
     for m in states[1:]:
         assert maxabs(m - states[0]) <= 1e-10
-    assert asked == [(k - 0.5) * (2.0 / 50) for k in range(1, 51)] == queried
+    assert queried == [(k - 0.5) * (2.0 / 50) for k in range(1, 51)]
 
 
 F1 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.5]))
 F2 = FieldState(psi=np.array([1.0, 0.0]), psi_dot=np.array([0.0, 0.5]))
 
 
-def sinking(t):
-    return np.array([[1.0 - t]])
-
-
-def shearing(t):
-    return np.array([[1.0, t], [0.0, 1.0]])
+# D = 1 - t, and the non-Hermitian I + t E_01
+sinking = AffineSource(np.ones((1, 1, 1)), lambda ts: (1.0 - ts)[:, None])
+shearing = AffineSource(
+    np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]),
+    lambda ts: np.stack([np.ones_like(ts), ts], axis=1),
+)
 
 
 @pytest.mark.parametrize(
@@ -259,15 +271,10 @@ def test_drift_time_dependent_instantaneous_vs_frozen():
     rng = generator(2, "evo:drift-td")
     n = 3
     d0 = random_positive_hermitian(rng, n)
-
-    def spec_of_t(t):
-        return hermitian_eigendecompose((1.0 + 0.3 * np.sin(t)) * d0)
-
+    d_of_t = scaled(d0, lambda ts: 1.0 + 0.3 * np.sin(ts))
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
-    traj = evolve_field(
-        lambda t: (1.0 + 0.3 * np.sin(t)) * d0, f0, 0.0, 6.0, 3000, sample_every=30
-    )
-    sol, _ = drift_report(traj, spec_of_t, InnerProductSpec.uniform(n))
+    traj = evolve_field(d_of_t, f0, 0.0, 6.0, 3000, sample_every=30)
+    sol, _ = drift_report(traj, d_of_t, InnerProductSpec.uniform(n))
     # the instantaneous product visibly moves
     assert sol.max_deviation >= 1e-6
 
@@ -328,10 +335,7 @@ def exact_decaying_frequency(t):
 
 def run_error(route, steps):
     f0 = FieldState(psi=np.array([1.0 + 0j]), psi_dot=np.array([0.5 + 0j]))
-
-    def d_of_t(t):
-        return np.array([[1.25 / (1.0 + t) ** 2]])
-
+    d_of_t = scaled([[1.25]], lambda ts: 1.0 / (1.0 + ts) ** 2)
     if route == "midpoint":
         result = evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 2.0, steps)
         f = unpack(result.state(-1))
@@ -358,11 +362,7 @@ def test_field_route_is_fourth_order():
 def test_propagator_composition():
     rng = generator(3, "evo:compose")
     n = 2
-    d0 = random_positive_hermitian(rng, n)
-
-    def d_of_t(t):
-        return (1.5 + 0.5 * np.cos(t)) * d0
-
+    d_of_t = scaled(random_positive_hermitian(rng, n), lambda ts: 1.5 + 0.5 * np.cos(ts))
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     s0 = pack(f0, 1.0)
     u_a = evolve_schrodinger(d_of_t, s0, 0.0, 1.0, 500).propagator
@@ -426,7 +426,7 @@ def test_solution_product_conserved_by_doubled_route():
 
 
 def test_closed_form_matches_stepped_constant_operator():
-    # the same operator as a callable is re-diagonalized and stepped
+    # the same operator as an affine source is re-diagonalized and stepped
     rng = generator(6, "evo:closed-form")
     n = 3
     d = random_positive_hermitian(rng, n)
@@ -434,7 +434,7 @@ def test_closed_form_matches_stepped_constant_operator():
     s0 = pack(f0, 0.7)
     kwargs = dict(sample_every=7, store_propagators=True)
     closed = evolve_schrodinger(d, s0, 0.5, 4.5, 60, **kwargs)
-    stepped = evolve_schrodinger(lambda t: d, s0, 0.5, 4.5, 60, **kwargs)
+    stepped = evolve_schrodinger(scaled(d, np.ones_like), s0, 0.5, 4.5, 60, **kwargs)
     np.testing.assert_array_equal(closed.times, stepped.times)
     np.testing.assert_array_equal(closed.state_matrix[0], s0.vector)
     assert maxabs(closed.state_matrix - stepped.state_matrix) <= 1e-12
@@ -511,7 +511,7 @@ def test_blowup_guard_sees_unrecorded_steps():
     later = FieldState(psi=np.array([0.5 + 0j]), psi_dot=np.array([0.0 + 0j]))
     messages = []
     for psi0 in (pack(f0, 1.0), [pack(later, 1.0), pack(f0, 1.0)]):
-        for source in (np.array([[-1.0]]), lambda t: np.array([[-1.0]])):
+        for source in (np.array([[-1.0]]), scaled([[-1.0]], np.ones_like)):
             with pytest.raises(NonFiniteStateError) as err:
                 evolve_schrodinger(source, psi0, 0.0, 40.0, 400, sample_every=1000)
             messages.append(str(err.value).split(" (max")[0])
@@ -532,7 +532,9 @@ D_LIST = random_positive_hermitian(generator(15, "evo:list"), 5)
 
 
 @pytest.mark.parametrize(
-    "d_of_t", [D_LIST, lambda t: (2.0 + np.sin(t)) * D_LIST], ids=["closed-form", "midpoint"]
+    "d_of_t",
+    [D_LIST, scaled(D_LIST, lambda ts: 2.0 + np.sin(ts))],
+    ids=["closed-form", "midpoint"],
 )
 def test_state_list_matches_single_runs(d_of_t):
     rng = generator(16, "evo:list-states")
@@ -562,7 +564,9 @@ def test_state_list_matches_single_runs(d_of_t):
 
 
 @pytest.mark.parametrize(
-    "d_of_t", [np.array([[2.0]]), lambda t: np.array([[2.0 + t]])], ids=["closed-form", "midpoint"]
+    "d_of_t",
+    [np.array([[2.0]]), scaled([[1.0]], lambda ts: 2.0 + ts)],
+    ids=["closed-form", "midpoint"],
 )
 @pytest.mark.parametrize(
     "states, error",
@@ -581,11 +585,7 @@ def test_state_list_contract(d_of_t, states, error):
 def test_batched_field_route_matches_single_runs():
     rng = generator(8, "evo:batch")
     n = 3
-    d0 = random_positive_hermitian(rng, n)
-
-    def d_of_t(t):
-        return (1.0 + 0.3 * np.sin(t)) * d0
-
+    d_of_t = scaled(random_positive_hermitian(rng, n), lambda ts: 1.0 + 0.3 * np.sin(ts))
     states = [
         FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)) for _ in range(3)
     ]
@@ -605,7 +605,7 @@ def stagewise_rk4(d_of_t, states, t0, t1, steps, sample_every=1):
     if isinstance(d_of_t, AffineSource):
         source = lambda t: d_of_t.at(np.array([t]))[0]
     else:
-        source = d_of_t if callable(d_of_t) else (lambda t: d_of_t)
+        source = lambda t: d_of_t
     dt = (t1 - t0) / steps
     psi = np.stack([f.psi for f in states], axis=1)
     dot = np.stack([f.psi_dot for f in states], axis=1)
@@ -646,9 +646,10 @@ D_TWO_TERMS = AffineSource(
 @pytest.mark.parametrize(
     "source,n,count,t1,steps,sample_every",
     [
-        pytest.param(WdwFrwModel().d_anchored, 8, 2, 0.3, 1500, 15, id="wdw-anchored"),
+        pytest.param(WdwFrwModel().anchored, 8, 2, 0.3, 1500, 15, id="wdw-anchored"),
         pytest.param(
-            lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4, 1, 3.0, 700, 7, id="complex-hermitian"
+            entrywise(lambda t: (2.0 + np.sin(t)) * D_COMPLEX, 4),
+            4, 1, 3.0, 700, 7, id="complex-hermitian",
         ),
         pytest.param(
             WdwFrwModel(kappa=-1).anchored, 8, 2, 0.3, 1500, 15, id="wdw-affine-open"
@@ -717,12 +718,7 @@ def test_field_route_guard_trips_like_stagewise_oracle(d, steps):
     d = np.array([[d]])
     with pytest.raises(NonFiniteStateError) as want:
         stagewise_rk4(d, [f0], 0.0, 40.0, steps, sample_every=1000)
-    sources = (
-        d,
-        lambda t: d,
-        AffineSource(d[None], lambda ts: np.ones((ts.size, 1))),
-    )
-    for source in sources:
+    for source in (d, scaled(d, np.ones_like)):
         with pytest.raises(NonFiniteStateError) as got:
             evolve_field(source, f0, 0.0, 40.0, steps, sample_every=1000)
         assert str(got.value) == str(want.value)
@@ -738,7 +734,7 @@ def test_field_route_overflow_raises_without_warnings(value):
     f0 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for source in (np.array([[value]]), lambda t: np.array([[value]])):
+        for source in (np.array([[value]]), scaled([[value]], np.ones_like)):
             with pytest.raises(NonFiniteStateError):
                 evolve_field(source, f0, 0.0, 1.0, 10)
 
@@ -749,22 +745,17 @@ def test_field_route_memory_stays_flat_in_steps():
     # size are about 82 MB)
     rng = generator(12, "evo:memory")
     n = 8
-    d0 = random_positive_hermitian(rng, n)
+    source = scaled(random_positive_hermitian(rng, n), lambda ts: 2.0 + np.sin(ts))
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
-    evolve_field(lambda t: d0, f0, 0.0, 1.0, 10)
-    sources = (
-        lambda t: (2.0 + np.sin(t)) * d0,
-        AffineSource(d0[None], lambda ts: (2.0 + np.sin(ts))[:, None]),
-    )
-    for source in sources:
-        tracemalloc.start()
-        try:
-            traj = evolve_field(source, f0, 0.0, 20.0, 20000, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
-        assert peak <= kept + 2**21
+    evolve_field(source, f0, 0.0, 1.0, 10)
+    tracemalloc.start()
+    try:
+        traj = evolve_field(source, f0, 0.0, 20.0, 20000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = traj.times.nbytes + traj.psis.nbytes + traj.psi_dots.nbytes
+    assert peak <= kept + 2**21
 
 
 def stepwise_midpoint(d_of_t, psi0, t0, t1, steps, sample_every=1, allow_complex=False):
@@ -777,7 +768,7 @@ def stepwise_midpoint(d_of_t, psi0, t0, t1, steps, sample_every=1, allow_complex
     u_total = np.eye(vec.size, dtype=complex)
     times, states, props = [t0], [vec.copy()], [u_total.copy()]
     for k in range(1, steps + 1):
-        d_mid = hermitian_eigendecompose(np.asarray(d_of_t(t0 + (k - 0.5) * dt), dtype=complex))
+        d_mid = hermitian_eigendecompose(d_of_t.at(np.array([t0 + (k - 0.5) * dt]))[0])
         system = eigen_system(d_mid, psi0.lam, allow_complex=allow_complex)
         u_step = (system.right_vectors * np.exp(-1j * dt * system.energies)) @ (
             system.left_vectors.conj().T
@@ -802,10 +793,7 @@ def test_midpoint_route_matches_stepwise_oracle():
     n = 4
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
     s0 = pack(f0, 0.7)
-
-    def d_of_t(t):
-        return (2.0 + np.sin(t)) * D_COMPLEX
-
+    d_of_t = scaled(D_COMPLEX, lambda ts: 2.0 + np.sin(ts))
     times, states, props, u_total = stepwise_midpoint(d_of_t, s0, 0.5, 3.5, 700, 9)
     stored = evolve_schrodinger(d_of_t, s0, 0.5, 3.5, 700, 9, store_propagators=True)
     bare = evolve_schrodinger(d_of_t, s0, 0.5, 3.5, 700, 9)
@@ -822,10 +810,7 @@ def test_midpoint_guard_trips_like_stepwise_oracle():
     # (5596) lies past the first chunk of steps (2730 at n = 1)
     steps = 8000
     f0 = FieldState(psi=np.array([1.0]), psi_dot=np.array([0.0]))
-
-    def d_of_t(t):
-        return np.array([[-1.0]])
-
+    d_of_t = scaled([[-1.0]], np.ones_like)
     with pytest.raises(NonFiniteStateError) as want:
         stepwise_midpoint(d_of_t, pack(f0, 1.0), 0.0, 40.0, steps, 1000, allow_complex=True)
     with pytest.raises(NonFiniteStateError) as got:
@@ -839,12 +824,8 @@ def test_midpoint_memory_records_only_states():
     # each (6.1 MB here)
     rng = generator(14, "evo:midpoint-memory")
     n = 4
-    d0 = random_positive_hermitian(rng, n)
+    d_of_t = scaled(random_positive_hermitian(rng, n), lambda ts: 2.0 + np.sin(ts))
     f0 = FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n))
-
-    def d_of_t(t):
-        return (2.0 + np.sin(t)) * d0
-
     evolve_schrodinger(d_of_t, pack(f0, 1.0), 0.0, 1.0, 10)
     tracemalloc.start()
     try:

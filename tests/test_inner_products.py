@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kgmetric import (
+    AffineSource,
     BiorthonormalSystem,
     FieldState,
     InnerProductSpec,
@@ -386,14 +387,11 @@ def test_metric_rate_identity_time_dependent():
     lam = 1.0
     spec = InnerProductSpec([1.7], [0.6])
 
-    def omega_sq(t):
-        return 4.0 + 2.0 * np.sin(t)
-
-    def d_of_t(t):
-        return np.array([[omega_sq(t)]])
+    # D(t) = 4 + 2 sin t
+    d_of_t = AffineSource(np.ones((1, 1, 1)), lambda ts: (4.0 + 2.0 * np.sin(ts))[:, None])
 
     def eta_at(t):
-        return eta_tilde_plus(hermitian_eigendecompose(d_of_t(t)), lam, spec)
+        return eta_tilde_plus(hermitian_eigendecompose(d_of_t.at(np.array([t]))[0]), lam, spec)
 
     f1 = FieldState(psi=np.array([1.0 + 0.3j]), psi_dot=np.array([0.2 - 1.1j]))
     f2 = FieldState(psi=np.array([-0.4 + 0.9j]), psi_dot=np.array([0.7 + 0.5j]))

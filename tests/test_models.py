@@ -52,7 +52,7 @@ from kgmetric.models.wdw import (
     wdw_positivity,
 )
 from kgmetric.rng import generator
-from kgmetric.spectral import hermitian_eigendecompose
+from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
 
 
 def maxabs(a):
@@ -579,15 +579,20 @@ def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
     assert wdw_positivity(model, 0.0) == HAS_ZERO_MODE
     uniform = InnerProductSpec.uniform(8)
     traj = evolve_field(np.eye(8), f, 0.0, 0.1, 10)
+    at_samples = [wdw_operator(model, alpha) for alpha in traj.times.tolist()]
+    stack = SpectralDecomposition(
+        np.stack([s.eigenvalues for s in at_samples]),
+        np.stack([s.eigenvectors for s in at_samples]),
+    )
     with pytest.raises(NonPositiveSpectrumError):
-        drift_report(traj, lambda alpha: wdw_operator(model, alpha), uniform)
+        drift_report(traj, stack, uniform)
     # a singular anchored operator where the spectrum is positive still raises
     monkeypatch.setattr(
-        WdwFrwModel, "d_anchored", lambda self, alpha, anchor=None: np.zeros((8, 8))
+        WdwFrwModel, "_anchored_coefficients", lambda self, alphas: np.zeros((alphas.size, 3))
     )
     traj = evolve_field(np.eye(8), f, -0.5, -0.4, 10)
     with pytest.raises(NonPositiveSpectrumError):
-        drift_report(traj, model.d_anchored, uniform)
+        drift_report(traj, model.anchored, uniform)
 
 
 def test_wdw_crosscheck_zero_mode_is_measured_against_block_scale():
@@ -708,28 +713,6 @@ def test_wdw_anchored_stack_raises_like_first_failing_alpha(alphas):
     assert str(stacked.value) == str(scalar)
 
 
-def test_wdw_affine_drift_report_matches_plain_callable():
-    # the `wdw` drift monitor: the affine source answers the samples in one
-    # call and gives the same drift series as one d_anchored call per alpha
-    model = WdwFrwModel(mass=1.0, kappa=-1, alpha0=0.0)
-    rng = generator(12, "models:wdw-stacked")
-    states = [
-        FieldState(
-            psi=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-            psi_dot=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-        )
-        for _ in range(2)
-    ]
-    uniform = InnerProductSpec.uniform(8)
-    traj1, traj2 = evolve_field(model.anchored, states, 0.0, 0.3, 1500, sample_every=150)
-    runs = [
-        drift_report(traj1, source, uniform, traj2=traj2)
-        for source in (model.d_anchored, model.anchored)
-    ]
-    for plain, affine in zip(*runs):
-        assert np.array_equal(plain.values, affine.values)
-
-
 def test_wdw_positivity_rejects_overflowing_spectrum():
     # no errstate wrapper: the suite turns any RuntimeWarning into an error
     for kappa in (-1, 0, 1):
@@ -748,7 +731,7 @@ def test_wdw_frozen_product_constant_along_flow():
         psi=rng.standard_normal(6) + 1j * rng.standard_normal(6),
         psi_dot=rng.standard_normal(6) + 1j * rng.standard_normal(6),
     )
-    source = model.d_anchored
+    source = model.anchored
     traj1 = evolve_field(source, f1, 0.0, 0.4, 2000, sample_every=200)
     traj2 = evolve_field(source, f2, 0.0, 0.4, 2000, sample_every=200)
     uniform = InnerProductSpec.uniform(6)
