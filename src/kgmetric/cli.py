@@ -143,7 +143,15 @@ _CHOICES = {"kappa": (-1, 0, 1), "fmt": ("json", "csv")}
 _MINIMA = {"dim": 1, "modes": 1, "sites": MIN_SITES, "steps": 1}
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of a RunConfig field."""
+    return "--" + _RENAMES.get(name, name).replace("_", "-")
+
+
 def _validate(cfg: RunConfig) -> None:
+    for f in fields(cfg):  # inf or NaN would turn bounds and inputs into no test at all
+        if isinstance(f.default, float) and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{_flag(f.name)} must be finite, got {getattr(cfg, f.name)}")
     for name, least in _MINIMA.items():
         if getattr(cfg, name) < least:
             raise ConfigError(f"--{name} must be at least {least}, got {getattr(cfg, name)}")
@@ -687,7 +695,8 @@ def run_wdw(cfg: RunConfig) -> tuple:
         (WdwFrwModel(mass=1.0, kappa=1), float(np.log(2.0)), HAS_NEGATIVE),
     ]
     mism = sum(1 for m, al, want in canon if wdw_positivity(m, al) != want)
-    w0 = model.omega_sq(cfg.alpha0)[0]
+    spectrum = model.omega_sq(cfg.alpha0)
+    w0 = spectrum[0]
     own = ALL_POSITIVE if w0 > 0 else (HAS_ZERO_MODE if w0 == 0 else HAS_NEGATIVE)
     mism += int(own != classification)
     checks.append(_check("positivity-classifier", "wdw-spectrum", float(mism), 0.0))
@@ -717,6 +726,16 @@ def run_wdw(cfg: RunConfig) -> tuple:
     report = wdw_numeric_crosscheck(model, cfg.alpha0)
     checks.append(
         _check("spectrum-grid-crosscheck", "wdw-spectrum", report.max_rel_error, 0.05)
+    )
+    # the Galerkin D(alpha0) against the exact spectrum, relative to its
+    # largest mode (absolute when all are zero: one mode at the crossing)
+    checks.append(
+        _check(
+            "anchored-operator-at-anchor",
+            "wdw-basis",
+            _maxabs(model.d_anchored(cfg.alpha0) - np.diag(spectrum)) / (_maxabs(spectrum) or 1.0),
+            EXACT_BOUND,
+        )
     )
     crosscheck_detail = {
         "grid": report.grid,
@@ -759,7 +778,7 @@ def run_wdw(cfg: RunConfig) -> tuple:
 
     detail = {
         "classification": classification,
-        "spectrum": model.omega_sq(cfg.alpha0),
+        "spectrum": spectrum,
         "crosscheck": crosscheck_detail,
         "drift": drift_detail,
     }
@@ -829,10 +848,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for f in fields(RunConfig):
             if f.name in reads:
-                flag = "--" + _RENAMES.get(f.name, f.name).replace("_", "-")
                 kind = str if f.default is None else type(f.default)
                 p.add_argument(
-                    flag, dest=f.name, type=kind, choices=_CHOICES.get(f.name), default=f.default
+                    _flag(f.name), dest=f.name, type=kind, choices=_CHOICES.get(f.name),
+                    default=f.default,
                 )
         if name == "sho":
             p.set_defaults(fmt="csv")  # the oscillator's data file is a series

@@ -132,7 +132,10 @@ def _as_matrix(d) -> np.ndarray:
     real D stays real); DimensionMismatchError for anything not numeric."""
     if isinstance(d, SpectralDecomposition):
         return d.matrix()
-    a = np.asarray(d)
+    try:
+        a = np.asarray(d)
+    except ValueError:  # a ragged nesting of lists, not numeric either
+        a = np.asarray(None)
     if a.dtype.kind not in "biufc":
         raise DimensionMismatchError(f"D must be an array or AffineSource, got {type(d).__name__}")
     return a if a.dtype.char in "dD" else a.astype(np.result_type(a, float))

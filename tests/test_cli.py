@@ -44,6 +44,18 @@ def test_usage_errors_exit_2(capsys):
     assert run(["kg", "--steps", "3"], capsys)[0] == 2
     assert run(["sho", "--steps", "100", "--seed", "1"], capsys)[0] == 2
     assert run(["verify", "--dim", "2", "--format", "csv"], capsys)[0] == 2
+    # a non-finite float makes every bound or input meaningless
+    for argv in (
+        ["verify", "--tol", "inf"],
+        ["kg", "--tol", "inf"],
+        ["sho", "--lambda", "nan"],
+        ["verify", "--lambda", "nan"],
+        ["sho", "--omega", "inf"],
+        ["kg", "--t-final", "inf"],
+        ["wdw", "--mass", "inf"],
+        ["wdw", "--alpha0", "nan"],
+    ):
+        assert run(argv, capsys)[0] == 2
 
 
 def test_cached_parser_reports_usage_errors_in_one_process(capsys, monkeypatch):
@@ -169,13 +181,33 @@ def test_wdw_run_passes(capsys):
     names = [c["name"] for c in report["checks"]]
     assert "positivity-classifier" in names
     assert "spectrum-grid-crosscheck" in names
+    assert "anchored-operator-at-anchor" in names
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_wdw_anchor_check_catches_wrong_potential_weight(monkeypatch, capsys):
+    # a Galerkin D(alpha) whose e^(6 (alpha - alpha0)) weight is off by 1e-3
+    # is wrong but consistent: the flow and drift checks all pass on it, and
+    # only the comparison with the exact spectrum at alpha0 fails
+    assert run(["wdw"], capsys)[0] == 0
+    coefficients = WdwFrwModel._anchored_coefficients
+
+    def skewed(self, alphas):
+        c = coefficients(self, alphas)
+        c[:, 1] *= 1 + 1e-3
+        return c
+
+    monkeypatch.setattr(WdwFrwModel, "_anchored_coefficients", skewed)
+    code, out = run(["wdw"], capsys)
+    assert code == 1
+    failing = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failing == {"anchored-operator-at-anchor"}
 
 
 def test_wdw_drift_queries_operator_per_chunk(monkeypatch, capsys):
     # the drift asks the coefficients of D(alpha) a chunk of alphas at a time
-    # (3012 scalar queries a report before); a fallback to one call per alpha
-    # fails here
+    # (3012 scalar queries a report before), and the anchor check asks alpha0
+    # once; a fallback to one call per alpha fails here
     calls = []
     coefficients = WdwFrwModel._anchored_coefficients
 
@@ -188,7 +220,7 @@ def test_wdw_drift_queries_operator_per_chunk(monkeypatch, capsys):
     assert code == 0
     assert "instantaneous-drift-floor" in out
     assert 0 < len(calls) <= 30
-    assert sum(calls) == 3012
+    assert sum(calls) == 3012 + 1
 
 
 def test_wdw_past_default_quadrature_passes(capsys):

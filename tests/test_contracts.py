@@ -77,6 +77,7 @@ MALFORMED_SOURCES = {
     "wrong-row-count": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size + 1, 1))),
     "complex-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 1)) + 0j),
     "plain-callable": lambda: lambda t: D2,
+    "ragged-list": lambda: [[1.0, 2.0], [3.0]],
 }
 SOURCE_ROUTES = {
     "evolve_schrodinger": lambda source: evolve_schrodinger(source, pack(F2, 1.0), 0.0, 1.0, 4),
