@@ -886,9 +886,6 @@ def main(argv=None) -> int:
             checks, payload = run_kg(cfg)
         else:
             checks, payload = run_wdw(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except KgMetricError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         print(_render_json(_assemble(cfg, [_abort_check(exc)])))

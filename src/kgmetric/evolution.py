@@ -35,11 +35,13 @@ numbers, for every report: it follows the positive product
 ``kg_inner`` against their t0 values. The paper's frozen product reads only
 t0 data, so there is nothing of it to follow.
 
-Every operator source here (integrators and ``drift_report`` alike) is a
-matrix or a SpectralDecomposition, constant and converted once, or the one
-time-dependent form, an ``AffineSource`` D(t) = sum_j c_j(t) B_j, asked the
-c_j of a chunk of times in one call. ``drift_report`` also takes D at its
-samples, as a stack with one member per sample.
+Every entry point (both integrators and ``drift_report``) reads its operator
+source one of two ways. An ``AffineSource`` D(t) = sum_j c_j(t) B_j, the one
+time-dependent form, is asked the c_j of a chunk of times in one call; the
+integrators check the states' size against its terms before asking it. Any
+other source is a constant matrix or SpectralDecomposition, converted and
+checked once by ``_constant``. ``drift_report`` also takes D at its samples,
+as a stack with one member per sample.
 """
 
 from __future__ import annotations
@@ -157,6 +159,10 @@ class AffineSource:
         terms = _as_matrix(self.terms)
         if terms.ndim != 3 or not len(terms) or terms.shape[1] != terms.shape[2]:
             raise DimensionMismatchError(f"terms must be (J, n, n) with J >= 1, got {terms.shape}")
+        if not callable(self.coefficients):
+            raise DimensionMismatchError(
+                f"coefficients must map times to an array, got {type(self.coefficients).__name__}"
+            )
         object.__setattr__(self, "terms", terms)
 
     def coefficients_at(self, times: np.ndarray) -> np.ndarray:
@@ -171,29 +177,17 @@ class AffineSource:
         return reduce(np.add, map(np.multiply.outer, self.coefficients_at(times).T, self.terms))
 
 
-def _checked(value, *shapes):
-    """A converted D value (matrix or SpectralDecomposition): (n, n) operators on
-    leading axes of one of ``shapes``, () for one; else DimensionMismatchError."""
+def _constant(d, convert, *shapes):
+    """A constant D source converted by ``convert`` (``_as_matrix`` or
+    ``_as_spectral``): (n, n) operators on leading axes of one of ``shapes``,
+    () for one; else DimensionMismatchError."""
+    value = convert(d)
     full = value.eigenvectors.shape if isinstance(value, SpectralDecomposition) else value.shape
     if len(full) < 2 or full[-1] != full[-2] or full[:-2] not in shapes:
         raise DimensionMismatchError(
             f"D must be (n, n) with leading shape {' or '.join(map(str, shapes))}, got {full}"
         )
     return value
-
-
-def _source(d_of_t, convert, shapes):
-    """Normalize a D source to (times -> value, is_constant).
-
-    An AffineSource is asked a query's 1-D time array in one call, and its
-    (k, n, n) answer is converted together. Any other source is converted
-    once, and its leading shape must be one of ``shapes``: () alone for the
-    integrators, or one member per sample too for ``drift_report``.
-    """
-    if isinstance(d_of_t, AffineSource):
-        return (lambda times: convert(d_of_t.at(times))), False
-    const = _checked(convert(d_of_t), *shapes)
-    return (lambda times: const), True
 
 
 def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
@@ -205,13 +199,11 @@ def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
     if all(np.max(np.abs(p)) <= BLOWUP_LIMIT for p in parts):
         return
     peaks = np.stack([np.max(np.abs(p), axis=tuple(range(1, p.ndim))) for p in parts])
-    bad = np.nonzero(~np.all(peaks <= BLOWUP_LIMIT, axis=0))[0]
-    if bad.size:
-        i = bad[0]
-        peak = next(x for x in peaks[:, i] if not x <= BLOWUP_LIMIT)
-        raise NonFiniteStateError(
-            f"state blew past {BLOWUP_LIMIT:.0e} at t={times[i]:.6g} (max {peak:.3e})"
-        )
+    i = np.nonzero(~np.all(peaks <= BLOWUP_LIMIT, axis=0))[0][0]
+    peak = next(x for x in peaks[:, i] if not x <= BLOWUP_LIMIT)
+    raise NonFiniteStateError(
+        f"state blew past {BLOWUP_LIMIT:.0e} at t={times[i]:.6g} (max {peak:.3e})"
+    )
 
 
 def _flow(w: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +323,6 @@ def evolve_schrodinger(
     later step of the same chunk is raised first.
     """
     steps = _check_steps(steps)
-    source, constant = _source(d_of_t, _as_spectral, [()])
     dt = (t1 - t0) / steps
     states = psi0 if isinstance(psi0, list) else [psi0]
     if not states:
@@ -340,8 +331,8 @@ def evolve_schrodinger(
         _check_pair(states[0], s)
     lam, n, m = states[0].lam, states[0].n, len(states)
     y0 = np.stack([s.vector for s in states])
-    if constant:
-        spec = source(t0)
+    if not isinstance(d_of_t, AffineSource):
+        spec = _constant(d_of_t, _as_spectral, ())
         _check_state_size(n, spec.n)
         w, v = spec.eigenvalues, spec.eigenvectors
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
@@ -371,10 +362,10 @@ def evolve_schrodinger(
             props[0] = np.eye(2 * n, dtype=complex)
             full = props[-1]
     else:
+        _check_state_size(n, d_of_t.terms.shape[-1])  # before the source is asked
 
         def advance(k, y):
-            spec = source(t0 + (k - 0.5) * dt)
-            _check_state_size(n, spec.n)
+            spec = _as_spectral(d_of_t.at(t0 + (k - 0.5) * dt))
             block = np.empty((k.size, *y.shape), dtype=complex)
             for u, row in zip(_field_map(spec, lam, dt), block):
                 # each state as a matrix-vector product, as it steps on its own
@@ -495,14 +486,7 @@ def evolve_field(
     steps = _check_steps(steps)
     dt = (t1 - t0) / steps
     constant = not isinstance(d_of_t, AffineSource)
-    if constant:
-        d = _checked(_as_matrix(d_of_t), ())
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
-            fixed = _rk4_increments(np.stack([d] * 3), dt)
-    else:  # asked only its coefficients; its terms and their products are fixed
-        d = d_of_t.terms
-        increments = _affine_increments(d, dt)
-        c_prev = d_of_t.coefficients_at(np.array([t0]))  # at the last stage time asked
+    d = _constant(d_of_t, _as_matrix, ()) if constant else d_of_t.terms
     states = f0 if isinstance(f0, list) else [f0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
@@ -512,6 +496,12 @@ def evolve_field(
     y0 = np.concatenate(
         [np.stack([f.psi for f in states], axis=1), np.stack([f.psi_dot for f in states], axis=1)]
     )
+    if constant:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
+            fixed = _rk4_increments(np.stack([d] * 3), dt)
+    else:  # asked only its coefficients; its terms and their products are fixed
+        increments = _affine_increments(d, dt)
+        c_prev = d_of_t.coefficients_at(np.array([t0]))  # at the last stage time asked
 
     def advance(k, y):
         nonlocal c_prev
@@ -600,9 +590,12 @@ def drift_report(
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
-    spec_at, _ = _source(d_spec, _as_spectral, [(), (len(traj),)])
+    if isinstance(d_spec, AffineSource):
+        d_at = _as_spectral(d_spec.at(traj.times))
+    else:
+        d_at = _constant(d_spec, _as_spectral, (), (len(traj),))
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
-    sol_values = _field_inner(*data, spec_at(traj.times), spec)
+    sol_values = _field_inner(*data, d_at, spec)
     kg_values = 2j * lam * (
         np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
         - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)

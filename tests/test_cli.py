@@ -44,6 +44,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(["kg", "--steps", "3"], capsys)[0] == 2
     assert run(["sho", "--steps", "100", "--seed", "1"], capsys)[0] == 2
     assert run(["verify", "--dim", "2", "--format", "csv"], capsys)[0] == 2
+    # a bound at or below zero (a negative value needs the = form under argparse)
+    assert run(["verify", "--tol", "0"], capsys)[0] == 2
+    assert run(["kg", "--tol=-1e-3"], capsys)[0] == 2
     # a non-finite float makes every bound or input meaningless
     for argv in (
         ["verify", "--tol", "inf"],
@@ -172,6 +175,43 @@ def test_kg_run_with_json_detail(tmp_path, capsys):
     detail = json.loads(out_file.read_text())
     assert "mode_table" in detail
     assert "nonrel_limit" in detail
+
+
+def _flattened(node, name=""):
+    """(name, value) rows of a JSON detail, named a.b[i]; a None block gives none."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _flattened(val, f"{name}.{key}" if name else key)
+    elif isinstance(node, list):
+        for i, x in enumerate(node):
+            yield from _flattened(x, f"{name}[{i}]")
+    elif node is not None:
+        yield name, node
+
+
+@pytest.mark.parametrize(
+    "argv, drift",
+    [
+        (["kg", "--sites", "8"], None),
+        (["wdw"], True),
+        (["wdw", "--kappa", "1", "--alpha0", "0"], False),  # a negative mode: no drift run
+    ],
+)
+def test_csv_data_file_is_the_flattened_json_detail(argv, drift, tmp_path, capsys):
+    files = {fmt: tmp_path / f"data.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in files.items():
+        assert run([*argv, "--format", fmt, "--out", str(path)], capsys)[0] == 0
+    detail = json.loads(files["json"].read_text())
+    with open(files["csv"], newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["name", "value"]
+    want = list(_flattened(detail))
+    assert [name for name, _ in rows] == [name for name, _ in want]
+    for (name, text), (_, value) in zip(rows, want):
+        assert (float(text) == value) if isinstance(value, float) else text == str(value), name
+    if drift is not None:
+        assert (detail["drift"] is not None) == drift
+        assert any(name.startswith("drift.") for name, _ in rows) == drift
 
 
 def test_wdw_run_passes(capsys):

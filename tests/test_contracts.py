@@ -11,12 +11,14 @@ import pytest
 
 from kgmetric import (
     AffineSource,
+    BiorthonormalSystem,
     FieldState,
     InnerProductSpec,
     SignAssignment,
     SpectralDecomposition,
     TwoComponentState,
     build_hamiltonian,
+    check_biorthonormal,
     check_pseudo_unitary,
     drift_report,
     eigen_system,
@@ -37,8 +39,10 @@ from kgmetric.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     LambdaMismatchError,
+    NonPositiveAError,
     NonPositiveSpectrumError,
     NotHermitianError,
+    SingularPropagatorError,
     ZeroLambdaError,
 )
 from kgmetric.evolution import FieldTrajectory
@@ -48,6 +52,7 @@ from kgmetric.models import (
     ShoModel,
     WdwFrwModel,
     kg_mode_solution,
+    kg_relativistic_spec,
     sho_basic_solution,
     sho_inner,
     wdw_numeric_crosscheck,
@@ -67,6 +72,8 @@ TRAJ2 = FieldTrajectory(
 STACK2 = np.stack([D2] * 3)
 NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
 NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
+# the 12 x 12 Hilbert matrix: its computed inverse misses the identity by about 0.1
+HILBERT12 = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None] + 1.0)
 
 
 # each builds its source when called: malformed terms raise at construction
@@ -76,6 +83,7 @@ MALFORMED_SOURCES = {
     "2d-terms": lambda: AffineSource(D2, lambda ts: np.ones((ts.size, 2))),
     "wrong-row-count": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size + 1, 1))),
     "complex-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 1)) + 0j),
+    "non-callable-coefficients": lambda: AffineSource(D2[None], 3.0),
     "plain-callable": lambda: lambda t: D2,
     "ragged-list": lambda: [[1.0, 2.0], [3.0]],
 }
@@ -128,14 +136,38 @@ CASES = [
         lambda: two_component_inner(pack(F2, 1.0), pack(F3, 1.0), np.eye(4))),
     row("two_component_inner", LambdaMismatchError,
         lambda: two_component_inner(pack(F2, 1.0), pack(F2, 2.0), np.eye(4))),
+    row("two_component_inner-eta", DimensionMismatchError,
+        lambda: two_component_inner(pack(F2, 1.0), pack(F2, 1.0), np.eye(3))),
+    row("solution_inner", DimensionMismatchError,
+        lambda: solution_inner(F2, F3, POSITIVE, SPEC)),
+    row("drift_report-pair", DimensionMismatchError,
+        lambda: drift_report(TRAJ2, POSITIVE, SPEC, traj2=TRAJ3)),
+    # field data of different sizes in one state
+    row("FieldState", DimensionMismatchError, lambda: FieldState(np.ones(2), np.ones(3))),
+    row("TwoComponentState", DimensionMismatchError,
+        lambda: TwoComponentState(np.ones(2), np.ones(3), 1.0)),
+    row("TwoComponentState.from_vector", DimensionMismatchError,
+        lambda: TwoComponentState.from_vector(np.ones(3), 1.0)),
+    row("check_biorthonormal", DimensionMismatchError,
+        lambda: check_biorthonormal(BiorthonormalSystem(np.eye(2), np.eye(3), np.zeros(2)))),
     # a non-square propagator, or a doubled generator that is not square of even size
     row("eta_inv", DimensionMismatchError, lambda: eta_inv(np.ones((4, 2)), np.eye(4))),
+    row("eta_inv-size", DimensionMismatchError, lambda: eta_inv(np.eye(4), np.eye(2))),
     row("check_pseudo_unitary", DimensionMismatchError,
         lambda: check_pseudo_unitary(np.ones((4, 2)), np.eye(4))),
     row("gauge_transform-non-square", DimensionMismatchError,
         lambda: gauge_transform(np.ones((4, 2)), np.eye(2))),
     row("gauge_transform-odd", DimensionMismatchError,
         lambda: gauge_transform(np.eye(3), np.eye(2))),
+    row("gauge_transform-g-size", DimensionMismatchError,
+        lambda: gauge_transform(np.eye(4), np.eye(3))),
+    row("gauge_transform-eta-size", DimensionMismatchError,
+        lambda: gauge_transform(np.eye(4), np.eye(2), np.eye(3))),
+    # a propagator too ill-conditioned to invert, or a singular metric
+    row("eta_inv-ill-conditioned", SingularPropagatorError,
+        lambda: eta_inv(HILBERT12, np.eye(12))),
+    row("check_pseudo_unitary-singular-eta", SingularPropagatorError,
+        lambda: check_pseudo_unitary(np.eye(2), np.zeros((2, 2)))),
     # state size against operator size
     row("evolve_schrodinger-constant", DimensionMismatchError,
         lambda: evolve_schrodinger(D2, pack(F3, 1.0), 0.0, 1.0, 4)),
@@ -170,6 +202,8 @@ CASES = [
     # mu^2 past the float range
     row("KleinGordonLattice-mu-overflow", InvalidParameterError,
         lambda: KleinGordonLattice(sites=4, mu=1e160)),
+    row("kg_relativistic_spec-a", NonPositiveAError,
+        lambda: kg_relativistic_spec(LATTICE4, 0.0, 1.0)),
     row("ShoModel", InvalidParameterError, lambda: ShoModel(omega=0.0)),
     row("column_of", InvalidParameterError, lambda: LATTICE4.column_of(7)),
     row("kg_mode_solution-eps", InvalidParameterError,
@@ -189,6 +223,25 @@ CASES = [
 def test_input_contract_raises_its_error(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_state_size_checked_before_source_is_asked():
+    # a 3-mode state against 2-mode terms is refused before any coefficient
+    # query (or, on the midpoint route, any eigensolve of a queried chunk)
+    calls = []
+
+    def recorded(ts):
+        calls.append(ts.size)
+        return np.ones((ts.size, 1))
+
+    source = AffineSource(D2[None], recorded)
+    for run in (
+        lambda: evolve_schrodinger(source, pack(F3, 1.0), 0.0, 1.0, 10),
+        lambda: evolve_field(source, F3, 0.0, 1.0, 10),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            run()
+        assert calls == []
 
 
 def test_evolve_field_returns_one_trajectory_per_state():
