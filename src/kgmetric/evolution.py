@@ -37,11 +37,10 @@ t0 data, so there is nothing of it to follow.
 
 Every entry point (both integrators and ``drift_report``) reads its operator
 source one of two ways. An ``AffineSource`` D(t) = sum_j c_j(t) B_j, the one
-time-dependent form, is asked the c_j of a chunk of times in one call; the
-integrators check the states' size against its terms before asking it. Any
-other source is a constant matrix or SpectralDecomposition, converted and
-checked once by ``_constant``. ``drift_report`` also takes D at its samples,
-as a stack with one member per sample.
+time-dependent form, is asked the c_j of a chunk of times in one call, each
+entry point checking the states' size against its terms before asking it.
+Any other source is one constant (n, n) matrix or SpectralDecomposition,
+converted and checked once by ``_constant``.
 """
 
 from __future__ import annotations
@@ -53,12 +52,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NonFiniteStateError,
     ZeroStepsError,
 )
 from .spectral import SpectralDecomposition, hermitian_eigendecompose
 from .inner_products import _check_state_size, _field_inner
-from .two_component import FieldState, TwoComponentState, _check_pair, _field_data
+from .two_component import FieldState, TwoComponentState, _check_pair, _field_data, _nonzero_lam
 
 BLOWUP_LIMIT = 1e12
 
@@ -177,16 +177,13 @@ class AffineSource:
         return reduce(np.add, map(np.multiply.outer, self.coefficients_at(times).T, self.terms))
 
 
-def _constant(d, convert, *shapes):
+def _constant(d, convert):
     """A constant D source converted by ``convert`` (``_as_matrix`` or
-    ``_as_spectral``): (n, n) operators on leading axes of one of ``shapes``,
-    () for one; else DimensionMismatchError."""
+    ``_as_spectral``), one (n, n) operator; else DimensionMismatchError."""
     value = convert(d)
     full = value.eigenvectors.shape if isinstance(value, SpectralDecomposition) else value.shape
-    if len(full) < 2 or full[-1] != full[-2] or full[:-2] not in shapes:
-        raise DimensionMismatchError(
-            f"D must be (n, n) with leading shape {' or '.join(map(str, shapes))}, got {full}"
-        )
+    if len(full) != 2 or full[0] != full[1]:
+        raise DimensionMismatchError(f"D must be one (n, n) operator, got shape {full}")
     return value
 
 
@@ -332,7 +329,7 @@ def evolve_schrodinger(
     lam, n, m = states[0].lam, states[0].n, len(states)
     y0 = np.stack([s.vector for s in states])
     if not isinstance(d_of_t, AffineSource):
-        spec = _constant(d_of_t, _as_spectral, ())
+        spec = _constant(d_of_t, _as_spectral)
         _check_state_size(n, spec.n)
         w, v = spec.eigenvalues, spec.eigenvectors
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
@@ -389,36 +386,15 @@ def evolve_schrodinger(
     return results if isinstance(psi0, list) else results[0]
 
 
-def _rk4_increments(d: np.ndarray, h: float) -> np.ndarray:
-    """N = M - I for the RK4 step maps M of (psi, dot)' = (dot, -D psi).
-
-    d holds the (2k + 1, n, n) stack of D at the stage times t, t + h/2,
-    ..., t + k h of k steps of length h (each step's start, middle and end);
-    the (k, 2n, 2n) increments follow. The four RK4 stages are linear in
-    (psi, dot), so their composition is these blocks, exactly. h is taken as
-    a numpy float, so its powers overflow to inf, not to an OverflowError.
-    """
-    n = d.shape[-1]
-    h = np.float64(h)
-    # contiguous start, middle and end stacks: the stride-2 views cost their
-    # batched matmuls more than these copies
-    d0, dm, d1 = (np.ascontiguousarray(d[i::2][: len(d) // 2]) for i in range(3))
-    dm_d0 = dm @ d0
-    d1_dm = d1 @ dm
-    inc = np.empty((len(dm), 2 * n, 2 * n), dtype=d.dtype)
-    inc[..., :n, :n] = (h**4 / 24.0) * dm_d0 - (h * h / 6.0) * (d0 + 2.0 * dm)
-    inc[..., :n, n:] = h * np.eye(n) - (h**3 / 6.0) * dm
-    inc[..., n:, :n] = (h**3 / 12.0) * (dm_d0 + d1_dm) - (h / 6.0) * (d0 + 4.0 * dm + d1)
-    inc[..., n:, n:] = (h**4 / 24.0) * d1_dm - (h * h / 6.0) * (2.0 * dm + d1)
-    return inc
-
-
 def _affine_increments(terms: np.ndarray, h: float):
-    """``_rk4_increments`` for D = sum_j c_j B_j, as a function of the (2k + 1, J)
-    stage coefficients alone. Each block of an increment sums the B_j and the
+    """N = M - I for the RK4 step maps M of (psi, dot)' = (dot, -D psi), D =
+    sum_j c_j B_j, as a function of the (2k + 1, J) c_j at the stage times t,
+    t + h/2, ..., t + k h of k steps of length h; the (k, 2n, 2n) increments
+    follow, exactly, as the RK4 stages are linear. Each block sums the B_j and
     B_i B_j (formed here, once), weighted by fixed factors times its step's
-    c0, cm, c1, cm_i c0_j and c1_i cm_j: a chunk's increments are one matmul
-    of these (4k, J + J^2) weights against them, then h I upper right."""
+    c0, cm, c1, cm_i c0_j and c1_i cm_j: one matmul of these (4k, J + J^2)
+    weights against them, then h I upper right. A constant D is one term with
+    unit c_j. h is a numpy float: its powers overflow to inf, not an error."""
     j, n = len(terms), terms.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a huge term or h overflows
         flat = np.concatenate([terms, *(terms[:, None] @ terms[None])]).reshape(j + j * j, -1)
@@ -463,21 +439,21 @@ def evolve_field(
     FieldTrajectory, or a list, giving one per state, in order; the states
     ride as the columns of one (2n, m) block y = (psi, psi_dot). Each step is
     y <- y + N_k y, where N_k = M_k - I is the increment of the exact RK4
-    step map M_k, built from D at the step's start, middle and end
-    (``_rk4_increments``). Storing the increment rather than M_k matters:
+    step map M_k, from D's coefficients at the step's start, middle and end
+    (``_affine_increments``). Storing the increment rather than M_k matters:
     the rounding of a stored M_k is the same at every step it is reused, so
     over thousands of steps it adds up coherently (in a 10000- against
     20000-step constant-D run at n = 8 it cut the step-halving ratio of the
     kg_inner drift from 31 to 3.9).
 
-    ``d_of_t`` takes the forms ``evolve_schrodinger`` takes: a constant one
-    gives one increment a call, and an AffineSource a chunk's increments from
-    its coefficients alone (``_affine_increments``: no D stack), asked at the
-    chunk's stage times in one call, once per distinct time. Each chunk's
-    states are tested against the blow-up bound together, raising
-    NonFiniteStateError at the first step past it (psi before psi_dot), as
-    stepping would; a source error at a later time in the same chunk is
-    raised first.
+    ``d_of_t`` takes the forms ``evolve_schrodinger`` takes: a constant D is
+    one term with unit coefficients, giving one increment a call, and an
+    AffineSource a chunk's increments from its coefficients alone (no D
+    stack), asked at the chunk's stage times in one call, once per distinct
+    time. Each chunk's states are tested against the blow-up bound together,
+    raising NonFiniteStateError at the first step past it (psi before
+    psi_dot), as stepping would; a source error at a later time in the same
+    chunk is raised first.
 
     Raises DimensionMismatchError for an empty list, a state whose size does
     not match D, a constant D that is not one (n, n) operator, or a
@@ -486,7 +462,7 @@ def evolve_field(
     steps = _check_steps(steps)
     dt = (t1 - t0) / steps
     constant = not isinstance(d_of_t, AffineSource)
-    d = _constant(d_of_t, _as_matrix, ()) if constant else d_of_t.terms
+    d = _constant(d_of_t, _as_matrix) if constant else d_of_t.terms
     states = f0 if isinstance(f0, list) else [f0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
@@ -498,7 +474,7 @@ def evolve_field(
     )
     if constant:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge D or step overflows
-            fixed = _rk4_increments(np.stack([d] * 3), dt)
+            fixed = _affine_increments(d[None], dt)(np.ones((3, 1)))
     else:  # asked only its coefficients; its terms and their products are fixed
         increments = _affine_increments(d, dt)
         c_prev = d_of_t.coefficients_at(np.array([t0]))  # at the last stage time asked
@@ -572,28 +548,32 @@ def drift_report(
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
     d_spec : matrix, SpectralDecomposition, or AffineSource
-        The operator source, in the same forms the integrators take, or D
-        at the samples given directly: a (k, n, n) stack of matrices, or a
-        SpectralDecomposition stacked alike, with one member per sample. A
-        constant source is diagonalized once; an AffineSource makes
+        The operator source, in the forms the integrators take. A constant
+        (n, n) source is diagonalized once; an AffineSource makes
         ``solution_inner`` instantaneous, on D(t) at each sample time, and
-        is queried at all of them in one call. Every sample is one batch.
+        is queried at all of them in one call, after the trajectory's size
+        is checked against its terms. Every sample is one batch.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive
     product under ``spec`` and the indefinite product at packing ``lam``.
     Deviation is relative to the t0 value, falling back to absolute when the
-    t0 value is below 1e-12 in magnitude. Raises the errors of
+    t0 value is below 1e-12 in magnitude. Raises ZeroLambdaError or
+    InvalidParameterError for a zero or non-finite ``lam``, the errors of
     ``solution_inner`` (size, spec length, non-positive spectrum), and
-    DimensionMismatchError for a malformed source, or a stack not one (n, n) a sample.
+    DimensionMismatchError for a malformed source.
     """
+    _nonzero_lam(lam)
+    if not np.isfinite(lam):
+        raise InvalidParameterError(f"lam must be finite, got lam = {lam:g}")
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
     if isinstance(d_spec, AffineSource):
+        _check_state_size(traj.n, d_spec.terms.shape[-1])  # before the source is asked
         d_at = _as_spectral(d_spec.at(traj.times))
     else:
-        d_at = _constant(d_spec, _as_spectral, (), (len(traj),))
+        d_at = _constant(d_spec, _as_spectral)
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
     sol_values = _field_inner(*data, d_at, spec)
     kg_values = 2j * lam * (

@@ -125,10 +125,11 @@ def test_tightened_tolerance_exits_1(capsys):
     # surfaces as a failed run rather than a usage error
     code, _ = run(["verify", "--tol", "1e-18"], capsys)
     assert code == 1
-    # --tol also gates the eigensolve of the time-dependent drift, whose
-    # D(t) = (1 + 0.3 sin t) D0 stack is Hermitian only to rounding; the
-    # error names its first sample past the tolerance, and that sample's
-    # defect depends on the BLAS kernel, so it is computed here the same way
+    # --tol also gates the Hermiticity of D at the samples of the
+    # time-dependent drift, whose D(t) = (1 + 0.3 sin t) D0 stack is Hermitian
+    # only to rounding; the error names its first sample past the tolerance,
+    # and that sample's defect depends on the BLAS kernel, so it is computed
+    # here the same way
     cfg = RunConfig("verify")
     rng = generator(cfg.seed, "verify:invariance")
     d0 = hermitian_eigendecompose(random_positive_hermitian(rng, cfg.dim)).matrix()

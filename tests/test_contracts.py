@@ -106,10 +106,14 @@ CASES = [
     row("eigen_system", ZeroLambdaError, lambda: eigen_system(POSITIVE, 0.0)),
     row("eta_plus", ZeroLambdaError, lambda: eta_plus(POSITIVE, 0.0)),
     row("eta_tilde_plus", ZeroLambdaError, lambda: eta_tilde_plus(POSITIVE, 0.0, SPEC)),
-    # lambda^2 past the float range
+    row("drift_report-lam-zero", ZeroLambdaError,
+        lambda: drift_report(TRAJ2, POSITIVE, SPEC, lam=0.0)),
+    # lambda^2 past the float range, or a non-finite lambda
     row("eta_plus-lam-overflow", InvalidParameterError, lambda: eta_plus(POSITIVE, 1e300)),
     row("eta_tilde_plus-lam-overflow", InvalidParameterError,
         lambda: eta_tilde_plus(POSITIVE, 1e300, SPEC)),
+    row("drift_report-lam-inf", InvalidParameterError,
+        lambda: drift_report(TRAJ2, POSITIVE, SPEC, lam=np.inf)),
     # a non-positive spectrum
     row("eta_plus", NonPositiveSpectrumError, lambda: eta_plus(NON_POSITIVE, 1.0)),
     row("eta_tilde_plus", NonPositiveSpectrumError,
@@ -177,13 +181,15 @@ CASES = [
     row("evolve_field-empty", DimensionMismatchError,
         lambda: evolve_field(D2, [], 0.0, 1.0, 4)),
     row("drift_report", DimensionMismatchError, lambda: drift_report(TRAJ3, POSITIVE, SPEC)),
-    # a D that is not one (n, n) operator per time, or a stack not one per sample
+    # a D that is not one (n, n) operator per time
     row("evolve_field-stack", DimensionMismatchError,
         lambda: evolve_field(STACK2, F2, 0.0, 1.0, 10)),
     row("evolve_schrodinger-stack", DimensionMismatchError,
         lambda: evolve_schrodinger(STACK2, pack(F2, 1.0), 0.0, 1.0, 10)),
     row("drift_report-stack", DimensionMismatchError,
         lambda: drift_report(TRAJ2, hermitian_eigendecompose(STACK2), SPEC)),
+    row("drift_report-per-sample-stack", DimensionMismatchError,
+        lambda: drift_report(TRAJ2, np.stack([D2] * 11), SPEC)),
     # a malformed AffineSource, or a time-dependent D in another form, on every route
     *(
         row(f"{name}-{case}", DimensionMismatchError, lambda run=run, source=source: run(source()))
@@ -227,7 +233,8 @@ def test_input_contract_raises_its_error(error, call):
 
 def test_state_size_checked_before_source_is_asked():
     # a 3-mode state against 2-mode terms is refused before any coefficient
-    # query (or, on the midpoint route, any eigensolve of a queried chunk)
+    # query (or, on the midpoint route and in drift_report, any eigensolve of
+    # the queried times)
     calls = []
 
     def recorded(ts):
@@ -238,6 +245,7 @@ def test_state_size_checked_before_source_is_asked():
     for run in (
         lambda: evolve_schrodinger(source, pack(F3, 1.0), 0.0, 1.0, 10),
         lambda: evolve_field(source, F3, 0.0, 1.0, 10),
+        lambda: drift_report(TRAJ3, source, InnerProductSpec.uniform(3)),
     ):
         with pytest.raises(DimensionMismatchError):
             run()

@@ -35,7 +35,6 @@ from kgmetric.evolution import (
     _affine_increments,
     _field_map,
     _flow,
-    _rk4_increments,
 )
 from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
 from kgmetric.models.wdw import WdwFrwModel
@@ -678,6 +677,22 @@ def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sampl
         assert maxabs(traj.psi_dots - dots[:, :, j]) <= 1e-12 * maxabs(dots[:, :, j])
 
 
+def stack_increments(d: np.ndarray, h: float) -> np.ndarray:
+    """Reference: N = M - I for the RK4 step maps M of (psi, dot)' = (dot,
+    -D psi), from the (2k + 1, n, n) stack of D at the stage times t, t + h/2,
+    ..., t + k h of k steps of length h, as products of the stacked D."""
+    n = d.shape[-1]
+    d0, dm, d1 = (d[i::2][: len(d) // 2] for i in range(3))
+    dm_d0 = dm @ d0
+    d1_dm = d1 @ dm
+    inc = np.empty((len(dm), 2 * n, 2 * n), dtype=d.dtype)
+    inc[..., :n, :n] = (h**4 / 24.0) * dm_d0 - (h * h / 6.0) * (d0 + 2.0 * dm)
+    inc[..., :n, n:] = h * np.eye(n) - (h**3 / 6.0) * dm
+    inc[..., n:, :n] = (h**3 / 12.0) * (dm_d0 + d1_dm) - (h / 6.0) * (d0 + 4.0 * dm + d1)
+    inc[..., n:, n:] = (h**4 / 24.0) * d1_dm - (h * h / 6.0) * (2.0 * dm + d1)
+    return inc
+
+
 @pytest.mark.parametrize(
     "source,h",
     [
@@ -685,6 +700,10 @@ def test_field_route_matches_stagewise_oracle(source, n, count, t1, steps, sampl
         pytest.param(WdwFrwModel(mass=2.0, alpha0=-0.3).anchored, 0.3 / 1500, id="wdw-flat"),
         pytest.param(WdwFrwModel(kappa=1, modes=40).anchored, 0.01, id="wdw-closed-40-modes"),
         pytest.param(D_TWO_TERMS, 0.05, id="two-terms"),
+        # a constant D, as evolve_field steps it: one term, every weight 1
+        pytest.param(
+            AffineSource(D_COMPLEX[None], lambda ts: np.ones((ts.size, 1))), 0.05, id="constant"
+        ),
     ],
 )
 def test_affine_increments_match_stack_increments(source, h):
@@ -693,7 +712,7 @@ def test_affine_increments_match_stack_increments(source, h):
     k = 64
     times = 0.1 + 0.5 * h * np.arange(2 * k + 1)
     got = _affine_increments(source.terms, h)(source.coefficients(times))
-    want = _rk4_increments(source.at(times), h)
+    want = stack_increments(source.at(times), h)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert maxabs(got - want) <= 1e-14 * maxabs(want)
 

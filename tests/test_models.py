@@ -52,7 +52,7 @@ from kgmetric.models.wdw import (
     wdw_positivity,
 )
 from kgmetric.rng import generator
-from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
+from kgmetric.spectral import hermitian_eigendecompose
 
 
 def maxabs(a):
@@ -579,13 +579,20 @@ def test_wdw_instantaneous_refuses_zero_mode(monkeypatch):
     assert wdw_positivity(model, 0.0) == HAS_ZERO_MODE
     uniform = InnerProductSpec.uniform(8)
     traj = evolve_field(np.eye(8), f, 0.0, 0.1, 10)
-    at_samples = [wdw_operator(model, alpha) for alpha in traj.times.tolist()]
-    stack = SpectralDecomposition(
-        np.stack([s.eigenvalues for s in at_samples]),
-        np.stack([s.eigenvectors for s in at_samples]),
+    # the exact spectrum m e^(3 alpha) (2n + 1) - kappa e^(4 alpha), zero at alpha = 0
+    exact = AffineSource(
+        np.stack([np.diag(2.0 * np.arange(8) + 1.0), np.eye(8)]),
+        lambda alphas: np.stack(
+            [model.mass * np.exp(3.0 * alphas), -model.kappa * np.exp(4.0 * alphas)], axis=1
+        ),
+    )
+    np.testing.assert_allclose(
+        np.diagonal(exact.at(traj.times), axis1=1, axis2=2),
+        [wdw_operator(model, alpha).eigenvalues for alpha in traj.times.tolist()],
+        rtol=1e-14,
     )
     with pytest.raises(NonPositiveSpectrumError):
-        drift_report(traj, stack, uniform)
+        drift_report(traj, exact, uniform)
     # a singular anchored operator where the spectrum is positive still raises
     monkeypatch.setattr(
         WdwFrwModel, "_anchored_coefficients", lambda self, alphas: np.zeros((alphas.size, 3))
