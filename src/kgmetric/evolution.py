@@ -40,7 +40,7 @@ source one of two ways. An ``AffineSource`` D(t) = sum_j c_j(t) B_j, the one
 time-dependent form, is asked the c_j of a chunk of times in one call, each
 entry point checking the states' size against its terms before asking it.
 Any other source is one constant (n, n) matrix or SpectralDecomposition,
-converted and checked once by ``_constant``.
+read by ``_constant``, which checks its shape before any eigensolve.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InvalidParameterError,
     NonFiniteStateError,
     ZeroStepsError,
 )
-from .spectral import SpectralDecomposition, hermitian_eigendecompose
+from .spectral import SpectralDecomposition, _as_array, _as_square, hermitian_eigendecompose
 from .inner_products import _check_state_size, _field_inner
 from .two_component import FieldState, TwoComponentState, _check_pair, _field_data, _nonzero_lam
 
@@ -122,27 +121,6 @@ def _check_steps(steps) -> int:
     return int(steps)
 
 
-def _as_spectral(d) -> SpectralDecomposition:
-    """Spectral data of a D value (matrix or SpectralDecomposition)."""
-    if isinstance(d, SpectralDecomposition):
-        return d
-    return hermitian_eigendecompose(_as_matrix(d))
-
-
-def _as_matrix(d) -> np.ndarray:
-    """Dense float or complex array of a matrix or SpectralDecomposition (a
-    real D stays real); DimensionMismatchError for anything not numeric."""
-    if isinstance(d, SpectralDecomposition):
-        return d.matrix()
-    try:
-        a = np.asarray(d)
-    except ValueError:  # a ragged nesting of lists, not numeric either
-        a = np.asarray(None)
-    if a.dtype.kind not in "biufc":
-        raise DimensionMismatchError(f"D must be an array or AffineSource, got {type(d).__name__}")
-    return a if a.dtype.char in "dD" else a.astype(np.result_type(a, float))
-
-
 @dataclass(frozen=True)
 class AffineSource:
     """A time-dependent D(t) = sum_j c_j(t) B_j: ``terms`` is the fixed (J, n, n)
@@ -156,7 +134,7 @@ class AffineSource:
     coefficients: object
 
     def __post_init__(self):
-        terms = _as_matrix(self.terms)
+        terms = _as_array(self.terms, "terms")
         if terms.ndim != 3 or not len(terms) or terms.shape[1] != terms.shape[2]:
             raise DimensionMismatchError(f"terms must be (J, n, n) with J >= 1, got {terms.shape}")
         if not callable(self.coefficients):
@@ -177,14 +155,15 @@ class AffineSource:
         return reduce(np.add, map(np.multiply.outer, self.coefficients_at(times).T, self.terms))
 
 
-def _constant(d, convert):
-    """A constant D source converted by ``convert`` (``_as_matrix`` or
-    ``_as_spectral``), one (n, n) operator; else DimensionMismatchError."""
-    value = convert(d)
-    full = value.eigenvectors.shape if isinstance(value, SpectralDecomposition) else value.shape
-    if len(full) != 2 or full[0] != full[1]:
-        raise DimensionMismatchError(f"D must be one (n, n) operator, got shape {full}")
-    return value
+def _constant(d, spectral: bool):
+    """A constant D source (a matrix or SpectralDecomposition), checked to be
+    one (n, n) operator before any eigensolve (else DimensionMismatchError):
+    spectral data if ``spectral``, else a dense float or complex matrix."""
+    if isinstance(d, SpectralDecomposition):
+        _as_square(d.eigenvectors, "D's eigenvectors")
+        return d if spectral else d.matrix()
+    d = _as_square(d, "D")
+    return hermitian_eigendecompose(d) if spectral else d
 
 
 def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
@@ -329,7 +308,7 @@ def evolve_schrodinger(
     lam, n, m = states[0].lam, states[0].n, len(states)
     y0 = np.stack([s.vector for s in states])
     if not isinstance(d_of_t, AffineSource):
-        spec = _constant(d_of_t, _as_spectral)
+        spec = _constant(d_of_t, spectral=True)
         _check_state_size(n, spec.n)
         w, v = spec.eigenvalues, spec.eigenvectors
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
@@ -362,7 +341,7 @@ def evolve_schrodinger(
         _check_state_size(n, d_of_t.terms.shape[-1])  # before the source is asked
 
         def advance(k, y):
-            spec = _as_spectral(d_of_t.at(t0 + (k - 0.5) * dt))
+            spec = hermitian_eigendecompose(d_of_t.at(t0 + (k - 0.5) * dt))
             block = np.empty((k.size, *y.shape), dtype=complex)
             for u, row in zip(_field_map(spec, lam, dt), block):
                 # each state as a matrix-vector product, as it steps on its own
@@ -462,7 +441,7 @@ def evolve_field(
     steps = _check_steps(steps)
     dt = (t1 - t0) / steps
     constant = not isinstance(d_of_t, AffineSource)
-    d = _constant(d_of_t, _as_matrix) if constant else d_of_t.terms
+    d = _constant(d_of_t, spectral=False) if constant else d_of_t.terms
     states = f0 if isinstance(f0, list) else [f0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
@@ -563,17 +542,15 @@ def drift_report(
     DimensionMismatchError for a malformed source.
     """
     _nonzero_lam(lam)
-    if not np.isfinite(lam):
-        raise InvalidParameterError(f"lam must be finite, got lam = {lam:g}")
     other = traj if traj2 is None else traj2
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
     if isinstance(d_spec, AffineSource):
         _check_state_size(traj.n, d_spec.terms.shape[-1])  # before the source is asked
-        d_at = _as_spectral(d_spec.at(traj.times))
+        d_at = hermitian_eigendecompose(d_spec.at(traj.times))
     else:
-        d_at = _constant(d_spec, _as_spectral)
+        d_at = _constant(d_spec, spectral=True)
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
     sol_values = _field_inner(*data, d_at, spec)
     kg_values = 2j * lam * (

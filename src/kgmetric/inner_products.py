@@ -34,7 +34,8 @@ from .errors import (
 from .spectral import (
     BiorthonormalSystem,
     SpectralDecomposition,
-    _as_square_complex,
+    _as_array,
+    _as_square,
     _require_positive,
     operator_power,
 )
@@ -49,7 +50,7 @@ PAIRING_TOL = 1e-12
 class InnerProductSpec:
     """Per-mode coefficient sequences |a_n+|^2 and |a_n-|^2.
 
-    Both sequences must be strictly positive; they fix one member of the
+    Both sequences must be real and strictly positive; they fix one member of the
     positive-definite inner-product family. The uniform spec (all ones)
     reproduces the canonical metric.
     """
@@ -58,17 +59,17 @@ class InnerProductSpec:
     a_minus_sq: np.ndarray
 
     def __post_init__(self):
-        self.a_plus_sq = np.atleast_1d(np.asarray(self.a_plus_sq, dtype=float))
-        self.a_minus_sq = np.atleast_1d(np.asarray(self.a_minus_sq, dtype=float))
+        self.a_plus_sq = np.atleast_1d(_as_array(self.a_plus_sq, "a_plus_sq"))
+        self.a_minus_sq = np.atleast_1d(_as_array(self.a_minus_sq, "a_minus_sq"))
         if self.a_plus_sq.shape != self.a_minus_sq.shape or self.a_plus_sq.ndim != 1:
             raise LengthMismatchError(
                 f"coefficient sequences must be matching vectors, "
                 f"got {self.a_plus_sq.shape} and {self.a_minus_sq.shape}"
             )
         for name, arr in (("a_plus_sq", self.a_plus_sq), ("a_minus_sq", self.a_minus_sq)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            if arr.dtype.kind == "c" or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise NonPositiveCoefficientError(
-                    f"{name} must be strictly positive and finite"
+                    f"{name} must be real, strictly positive and finite"
                 )
 
     @classmethod
@@ -97,9 +98,10 @@ class SignAssignment:
     sigma: np.ndarray
 
     def __post_init__(self):
-        self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=int))
-        if self.sigma.ndim != 1 or not np.all(np.isin(self.sigma, (-1, 1))):
+        sigma = np.atleast_1d(_as_array(self.sigma, "sigma"))
+        if sigma.ndim != 1 or not np.all(np.isin(sigma, (-1, 1))):
             raise InvalidParameterError("sigma must be a vector of +-1 entries")
+        self.sigma = sigma.real.astype(int)
 
     @classmethod
     def all_plus(cls, n: int) -> "SignAssignment":
@@ -206,7 +208,7 @@ def two_component_inner(
 ) -> complex:
     """<Psi1|eta Psi2> on doubled states, eta a (2n, 2n) matrix."""
     _check_pair(s1, s2)
-    mat = np.asarray(eta, dtype=complex)
+    mat = _as_array(eta, "metric").astype(complex, copy=False)
     if mat.shape != (2 * s1.n, 2 * s1.n):
         raise DimensionMismatchError(
             f"metric shape {mat.shape} does not match doubled size {2 * s1.n}"
@@ -277,8 +279,8 @@ def solution_inner(
 
 def _propagator_and_metric(u, eta0) -> tuple[np.ndarray, np.ndarray]:
     """Square propagator U and metric eta0, which must match U, as complex arrays."""
-    u = _as_square_complex(u, "propagator")
-    m0 = np.asarray(eta0, dtype=complex)
+    u = _as_square(u, "propagator").astype(complex, copy=False)
+    m0 = _as_array(eta0, "metric").astype(complex, copy=False)
     if m0.shape != u.shape:
         raise DimensionMismatchError(
             f"metric shape {m0.shape} does not match propagator shape {u.shape}"

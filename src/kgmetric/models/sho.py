@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidParameterError, NonPositiveAError
-from ..spectral import SpectralDecomposition
+from ..spectral import SpectralDecomposition, _as_array
 from ..two_component import FieldState
 
 
@@ -49,12 +49,10 @@ def sho_basic_solution(omega: float, eps: int, t: float) -> FieldState:
 
 
 def _as_pair(x) -> tuple[complex, complex]:
-    if isinstance(x, FieldState):
-        if x.n != 1:
-            raise InvalidParameterError(f"oscillator samples are one-dimensional, got n={x.n}")
-        return complex(x.psi[0]), complex(x.psi_dot[0])
-    a, b = x
-    return complex(a), complex(b)
+    pair = _as_array(np.append(x.psi, x.psi_dot) if isinstance(x, FieldState) else x, "sample")
+    if pair.shape != (2,):
+        raise InvalidParameterError(f"oscillator samples are (x, xdot) pairs, got {pair.shape}")
+    return complex(pair[0]), complex(pair[1])
 
 
 def sho_inner(x1, x2, omega: float, l_plus: float = 1.0, l_minus: float = 0.0) -> complex:

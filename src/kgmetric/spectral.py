@@ -6,6 +6,7 @@ spatial operator D, so this module owns the eigensolver and the
 fractional-power calculus. The eigensolver, for one matrix or a stack, is
 LAPACK's Hermitian driver (``numpy.linalg.eigh``) with fixed conventions for
 ordering and eigenvector phase, so results do not depend on the BLAS/LAPACK build.
+``_as_array``, here in the lowest module, is the one reader of every array argument.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NoConvergenceError,
     NonPositiveSpectrumError,
     NotHermitianError,
@@ -65,8 +67,22 @@ class BiorthonormalSystem:
         return self.right_vectors.shape[1]
 
 
-def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
+def _as_array(x, what: str) -> np.ndarray:
+    """The one reader of an array argument: ``x`` as a float array if it is
+    real, else as a complex one; DimensionMismatchError for anything not
+    numeric (a ragged nesting, None, a string, an object array)."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting of lists, not numeric either
+        a = np.asarray(None)
+    if a.dtype.kind not in "biufc":
+        raise DimensionMismatchError(f"need a numeric array for {what}, got {type(x).__name__}")
+    return a.astype(complex if a.dtype.kind == "c" else float, copy=False)
+
+
+def _as_square(x, what: str) -> np.ndarray:
+    """``_as_array`` of one (n, n) matrix; else DimensionMismatchError."""
+    a = _as_array(x, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
     return a
@@ -74,8 +90,11 @@ def _as_square_complex(matrix, what: str = "matrix") -> np.ndarray:
 
 def _as_hermitian(matrix, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Complex array of one square matrix or a stack, each finite and Hermitian
-    up to ``tol`` in max norm (else NotHermitianError on the first that is not)."""
-    a = np.asarray(matrix, dtype=complex)
+    up to ``tol`` in max norm (else NotHermitianError on the first that is not);
+    InvalidParameterError unless ``tol`` is finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    a = _as_array(matrix, what).astype(complex, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
     flat = (math.prod(a.shape[:-2]), a.shape[-1] ** 2)  # members, entries of one
@@ -125,8 +144,12 @@ def hermitian_eigendecompose(matrix, tol: float = DEFAULT_TOL) -> SpectralDecomp
 
     Raises
     ------
+    InvalidParameterError
+        If ``tol`` is negative or not finite.
+    DimensionMismatchError
+        If the input is not numeric or not square.
     NotHermitianError
-        If the input is not square/finite/Hermitian at ``tol``.
+        If the input is not finite/Hermitian at ``tol``.
     NoConvergenceError
         If LAPACK reports that the eigenvalue iteration failed.
     """
@@ -154,8 +177,11 @@ def operator_power(spec: SpectralDecomposition, gamma: float) -> np.ndarray:
     Builds ``sum_n eigenvalue_n**gamma |v_n><v_n|``, for stacked spectral
     data stacked the same way. Negative or fractional powers require a
     strictly positive spectrum; nonnegative integer powers work for any
-    spectrum. ``gamma = 0`` returns the (n, n) identity.
+    spectrum. ``gamma = 0`` returns the (n, n) identity. A non-finite
+    ``gamma`` raises InvalidParameterError.
     """
+    if not np.isfinite(gamma):
+        raise InvalidParameterError(f"power must be finite, got {gamma!r}")
     w = np.asarray(spec.eigenvalues, dtype=float)
     v = spec.eigenvectors
     if gamma == 0:
@@ -170,13 +196,10 @@ def check_biorthonormal(system: BiorthonormalSystem) -> tuple[float, float]:
     """Defects (orthonormality, completeness) of the system: the max-norm
     distances of <left_m|right_n> and sum_n |right_n><left_n| from the
     identity."""
-    r = np.asarray(system.right_vectors, dtype=complex)
-    l = np.asarray(system.left_vectors, dtype=complex)
-    if r.shape != l.shape or r.shape[0] != r.shape[1]:
-        raise DimensionMismatchError(
-            f"left/right vector matrices must be square and matching, "
-            f"got {l.shape} and {r.shape}"
-        )
+    r = _as_square(system.right_vectors, "right vectors").astype(complex, copy=False)
+    l = _as_array(system.left_vectors, "left vectors").astype(complex, copy=False)
+    if r.shape != l.shape:
+        raise DimensionMismatchError(f"left/right vectors differ in shape: {l.shape} vs {r.shape}")
     eye = np.eye(r.shape[0])
     ortho = float(np.max(np.abs(l.conj().T @ r - eye)))
     complete = float(np.max(np.abs(r @ l.conj().T - eye)))

@@ -24,17 +24,20 @@ from .errors import (
 from .spectral import (
     BiorthonormalSystem,
     SpectralDecomposition,
+    _as_array,
     _as_hermitian,
-    _as_square_complex,
+    _as_square,
     _require_positive,
     operator_power,
 )
 
 
 def _nonzero_lam(lam: float) -> None:
-    """Raise ZeroLambdaError unless the packing constant is nonzero."""
+    """ZeroLambdaError unless lam is nonzero, InvalidParameterError unless finite."""
     if lam == 0.0:
         raise ZeroLambdaError("packing constant lam must be nonzero")
+    if not np.isfinite(lam):
+        raise InvalidParameterError(f"lam must be finite, got lam = {lam:g}")
 
 
 def _lam_squared(lam: float) -> float:
@@ -42,6 +45,14 @@ def _lam_squared(lam: float) -> float:
     if not np.isfinite(sq := float(lam) * float(lam)):
         raise InvalidParameterError(f"lam^2 overflows, got lam = {lam:g}")
     return sq
+
+
+def _vector_pair(x, y, what: str) -> tuple:
+    """Two complex vectors of one length (``_as_array``); else DimensionMismatchError."""
+    x, y = (np.atleast_1d(_as_array(v, what).astype(complex, copy=False)) for v in (x, y))
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionMismatchError(f"{what} must be matching vectors: {x.shape}, {y.shape}")
+    return x, y
 
 
 @dataclass
@@ -52,13 +63,7 @@ class FieldState:
     psi_dot: np.ndarray
 
     def __post_init__(self):
-        self.psi = np.atleast_1d(np.asarray(self.psi, dtype=complex))
-        self.psi_dot = np.atleast_1d(np.asarray(self.psi_dot, dtype=complex))
-        if self.psi.shape != self.psi_dot.shape or self.psi.ndim != 1:
-            raise DimensionMismatchError(
-                f"psi and psi_dot must be matching vectors, "
-                f"got {self.psi.shape} and {self.psi_dot.shape}"
-            )
+        self.psi, self.psi_dot = _vector_pair(self.psi, self.psi_dot, "psi and psi_dot")
 
     @property
     def n(self) -> int:
@@ -74,13 +79,7 @@ class TwoComponentState:
     lam: float
 
     def __post_init__(self):
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=complex))
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=complex))
-        if self.upper.shape != self.lower.shape or self.upper.ndim != 1:
-            raise DimensionMismatchError(
-                f"upper and lower components must be matching vectors, "
-                f"got {self.upper.shape} and {self.lower.shape}"
-            )
+        self.upper, self.lower = _vector_pair(self.upper, self.lower, "upper and lower components")
         _nonzero_lam(self.lam)
 
     @property
@@ -94,7 +93,7 @@ class TwoComponentState:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, lam: float) -> "TwoComponentState":
-        vec = np.asarray(vec, dtype=complex)
+        vec = _as_array(vec, "vector")
         if vec.ndim != 1 or vec.shape[0] % 2 != 0:
             raise DimensionMismatchError(f"expected an even-length vector, got {vec.shape}")
         n = vec.shape[0] // 2
@@ -103,6 +102,7 @@ class TwoComponentState:
 
 def pack(state: FieldState, lam: float) -> TwoComponentState:
     """Fold field data into the doubled representation."""
+    _nonzero_lam(lam)
     shift = 1j * lam * state.psi_dot
     return TwoComponentState(state.psi + shift, state.psi - shift, lam)
 
@@ -128,7 +128,7 @@ def build_hamiltonian(d_matrix, lam: float) -> np.ndarray:
     Hermiticity tolerance.
     """
     _nonzero_lam(lam)
-    d = _as_hermitian(_as_square_complex(d_matrix, "D"), what="D")  # one (n, n) D
+    d = _as_hermitian(_as_square(d_matrix, "D"), what="D")  # one (n, n) D
     n = d.shape[0]
     eye = np.eye(n, dtype=complex)
     a = lam * d + eye / lam
@@ -144,10 +144,10 @@ def gauge_transform(h, g: np.ndarray, g_dot: np.ndarray | None = None) -> np.nda
     enters for time-dependent gauges). Raises DimensionMismatchError unless
     H is square of even size, and SingularGaugeError if g is not invertible.
     """
-    h = _as_square_complex(h, "H")
+    h = _as_square(h, "H").astype(complex, copy=False)
     if h.shape[0] % 2:
         raise DimensionMismatchError(f"H must have even size, got shape {h.shape}")
-    g = np.asarray(g, dtype=complex)
+    g = _as_array(g, "gauge factor").astype(complex, copy=False)
     if g.shape != (2, 2):
         raise DimensionMismatchError(f"gauge factor must be 2x2, got {g.shape}")
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
@@ -159,7 +159,7 @@ def gauge_transform(h, g: np.ndarray, g_dot: np.ndarray | None = None) -> np.nda
     big_ginv = np.kron(ginv, eye)
     out = big_g @ h @ big_ginv
     if g_dot is not None:
-        g_dot = np.asarray(g_dot, dtype=complex)
+        g_dot = _as_array(g_dot, "gauge derivative").astype(complex, copy=False)
         if g_dot.shape != (2, 2):
             raise DimensionMismatchError(f"gauge derivative must be 2x2, got {g_dot.shape}")
         out = out + 1j * np.kron(g_dot @ ginv, eye)

@@ -40,6 +40,7 @@ from kgmetric.errors import (
     InvalidParameterError,
     LambdaMismatchError,
     NonPositiveAError,
+    NonPositiveCoefficientError,
     NonPositiveSpectrumError,
     NotHermitianError,
     SingularPropagatorError,
@@ -76,6 +77,13 @@ NON_FINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
 HILBERT12 = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None] + 1.0)
 
 
+# anything the one array reader refuses, built when called
+MALFORMED_ARRAYS = {
+    "ragged-list": lambda: [[1.0, 2.0], [3.0]],
+    "string": lambda: "ab",
+    "none": lambda: None,
+    "object": lambda: object(),
+}
 # each builds its source when called: malformed terms raise at construction
 MALFORMED_SOURCES = {
     "too-wide-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 2))),
@@ -85,12 +93,40 @@ MALFORMED_SOURCES = {
     "complex-coefficients": lambda: AffineSource(D2[None], lambda ts: np.ones((ts.size, 1)) + 0j),
     "non-callable-coefficients": lambda: AffineSource(D2[None], 3.0),
     "plain-callable": lambda: lambda t: D2,
-    "ragged-list": lambda: [[1.0, 2.0], [3.0]],
+    **MALFORMED_ARRAYS,
 }
 SOURCE_ROUTES = {
     "evolve_schrodinger": lambda source: evolve_schrodinger(source, pack(F2, 1.0), 0.0, 1.0, 4),
     "evolve_field": lambda source: evolve_field(source, F2, 0.0, 1.0, 10),
     "drift_report": lambda source: drift_report(TRAJ2, source, SPEC),
+}
+# every array argument of the public API but a D source; a partner vector is
+# (1,), the shape of None converted to a NaN, so no size check can hide a None
+ARRAY_SLOTS = {
+    "hermitian_eigendecompose": lambda a: hermitian_eigendecompose(a),
+    "build_hamiltonian": lambda a: build_hamiltonian(a, 1.0),
+    "gauge_transform-H": lambda a: gauge_transform(a, np.eye(2)),
+    "gauge_transform-g": lambda a: gauge_transform(np.eye(4), a),
+    "gauge_transform-g_dot": lambda a: gauge_transform(np.eye(4), np.eye(2), a),
+    "FieldState-psi": lambda a: FieldState(a, np.ones(1)),
+    "FieldState-psi_dot": lambda a: FieldState(np.ones(1), a),
+    "TwoComponentState-upper": lambda a: TwoComponentState(a, np.ones(1), 1.0),
+    "TwoComponentState-lower": lambda a: TwoComponentState(np.ones(1), a, 1.0),
+    "TwoComponentState.from_vector": lambda a: TwoComponentState.from_vector(a, 1.0),
+    "InnerProductSpec-a_plus_sq": lambda a: InnerProductSpec(a, [1.0]),
+    "InnerProductSpec-a_minus_sq": lambda a: InnerProductSpec([1.0], a),
+    "SignAssignment": lambda a: SignAssignment(a),
+    "two_component_inner-eta": lambda a: two_component_inner(pack(F2, 1.0), pack(F2, 1.0), a),
+    "eta_inv-u": lambda a: eta_inv(a, np.eye(2)),
+    "eta_inv-eta0": lambda a: eta_inv(np.eye(2), a),
+    "check_pseudo_unitary-u": lambda a: check_pseudo_unitary(a, np.eye(2)),
+    "check_pseudo_unitary-eta0": lambda a: check_pseudo_unitary(np.eye(2), a),
+    "check_biorthonormal-right": lambda a: check_biorthonormal(
+        BiorthonormalSystem(a, a, np.zeros(2))),
+    "check_biorthonormal-left": lambda a: check_biorthonormal(
+        BiorthonormalSystem(np.eye(2), a, np.zeros(2))),
+    "AffineSource-terms": lambda a: AffineSource(a, lambda ts: np.ones((ts.size, 1))),
+    "sho_inner-pair": lambda a: sho_inner(a, (1.0, 0.0), 1.0),
 }
 
 
@@ -114,6 +150,13 @@ CASES = [
         lambda: eta_tilde_plus(POSITIVE, 1e300, SPEC)),
     row("drift_report-lam-inf", InvalidParameterError,
         lambda: drift_report(TRAJ2, POSITIVE, SPEC, lam=np.inf)),
+    row("eigen_system-lam-inf", InvalidParameterError, lambda: eigen_system(POSITIVE, np.inf)),
+    row("build_hamiltonian-lam-inf", InvalidParameterError,
+        lambda: build_hamiltonian(D2, np.inf)),
+    row("TwoComponentState-lam-nan", InvalidParameterError,
+        lambda: TwoComponentState(np.ones(2), np.ones(2), np.nan)),
+    row("pack-lam-nan", InvalidParameterError, lambda: pack(F2, np.nan)),
+    row("pack-lam-inf", InvalidParameterError, lambda: pack(F2, np.inf)),
     # a non-positive spectrum
     row("eta_plus", NonPositiveSpectrumError, lambda: eta_plus(NON_POSITIVE, 1.0)),
     row("eta_tilde_plus", NonPositiveSpectrumError,
@@ -122,6 +165,16 @@ CASES = [
         lambda: solution_inner(F2, F2, NON_POSITIVE, SPEC)),
     row("operator_power", NonPositiveSpectrumError,
         lambda: operator_power(NON_POSITIVE, -0.5)),
+    *(
+        row(f"operator_power-gamma-{gamma}", InvalidParameterError,
+            lambda gamma=gamma: operator_power(POSITIVE, gamma))
+        for gamma in (np.nan, np.inf, -np.inf)
+    ),
+    *(
+        row(f"hermitian_eigendecompose-tol-{tol}", InvalidParameterError,
+            lambda tol=tol: hermitian_eigendecompose(D2, tol))
+        for tol in (-1.0, np.nan, np.inf)
+    ),
     row("eigen_system", NonPositiveSpectrumError, lambda: eigen_system(NON_POSITIVE, 1.0)),
     # a non-Hermitian or non-finite D
     row("hermitian_eigendecompose", NotHermitianError,
@@ -154,6 +207,8 @@ CASES = [
         lambda: TwoComponentState.from_vector(np.ones(3), 1.0)),
     row("check_biorthonormal", DimensionMismatchError,
         lambda: check_biorthonormal(BiorthonormalSystem(np.eye(2), np.eye(3), np.zeros(2)))),
+    row("check_biorthonormal-1d", DimensionMismatchError,
+        lambda: check_biorthonormal(BiorthonormalSystem(np.ones(2), np.ones(2), np.zeros(2)))),
     # a non-square propagator, or a doubled generator that is not square of even size
     row("eta_inv", DimensionMismatchError, lambda: eta_inv(np.ones((4, 2)), np.eye(4))),
     row("eta_inv-size", DimensionMismatchError, lambda: eta_inv(np.eye(4), np.eye(2))),
@@ -190,7 +245,14 @@ CASES = [
         lambda: drift_report(TRAJ2, hermitian_eigendecompose(STACK2), SPEC)),
     row("drift_report-per-sample-stack", DimensionMismatchError,
         lambda: drift_report(TRAJ2, np.stack([D2] * 11), SPEC)),
-    # a malformed AffineSource, or a time-dependent D in another form, on every route
+    # a malformed array, in every array argument but a source (None is g_dot's default)
+    *(
+        row(f"{name}-{case}", DimensionMismatchError, lambda run=run, value=value: run(value()))
+        for name, run in ARRAY_SLOTS.items()
+        for case, value in MALFORMED_ARRAYS.items()
+        if (name, case) != ("gauge_transform-g_dot", "none")
+    ),
+    # a malformed array or AffineSource, or a time-dependent D in another form, on every route
     *(
         row(f"{name}-{case}", DimensionMismatchError, lambda run=run, source=source: run(source()))
         for name, run in SOURCE_ROUTES.items()
@@ -198,6 +260,9 @@ CASES = [
     ),
     # a parameter or argument outside its allowed values
     row("SignAssignment", InvalidParameterError, lambda: SignAssignment([1, 2])),
+    row("SignAssignment-fraction", InvalidParameterError, lambda: SignAssignment([1.5, -1])),
+    row("InnerProductSpec-complex", NonPositiveCoefficientError,
+        lambda: InnerProductSpec(np.array([1 + 2j]), [1.0])),
     row("WdwFrwModel-mass", InvalidParameterError, lambda: WdwFrwModel(mass=0.0)),
     row("WdwFrwModel-kappa", InvalidParameterError, lambda: WdwFrwModel(kappa=2)),
     row("WdwFrwModel-modes", InvalidParameterError, lambda: WdwFrwModel(modes=0)),
@@ -220,6 +285,8 @@ CASES = [
         lambda: sho_basic_solution(0.0, 1, 0.0)),
     row("sho_inner-omega", InvalidParameterError, lambda: sho_inner((1.0, 0.0), (1.0, 0.0), 0.0)),
     row("sho_inner-size", InvalidParameterError, lambda: sho_inner(F2, F2, 1.0)),
+    row("sho_inner-pair-size", InvalidParameterError,
+        lambda: sho_inner((1, 2, 3), (1.0, 0.0), 1.0)),
     row("wdw_numeric_crosscheck-grid", InvalidParameterError,
         lambda: wdw_numeric_crosscheck(WdwFrwModel(modes=16), grid=8)),
 ]
@@ -268,3 +335,19 @@ def test_evolve_field_returns_one_trajectory_per_state():
                 assert np.array_equal(traj.times, single.times)
                 assert np.array_equal(traj.psis, single.psis)
                 assert np.array_equal(traj.psi_dots, single.psi_dots)
+
+
+def test_stack_refused_before_any_eigensolve(monkeypatch):
+    # a stack where one constant D belongs is refused by its shape, unsolved
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for run in (
+        lambda: drift_report(TRAJ2, np.stack([D2] * 11), SPEC),
+        lambda: evolve_schrodinger(STACK2, pack(F2, 1.0), 0.0, 1.0, 10),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            run()
+        assert calls == []
+    drift_report(TRAJ2, D2, SPEC)  # the recorder sees a solve that does run
+    assert calls == [(1, 2, 2)]

@@ -110,6 +110,10 @@ def test_non_hermitian_input_is_rejected():
         hermitian_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatchError):
         hermitian_eigendecompose(np.ones((2, 3)))
+    # tol = 0 asks for exact Hermiticity: a defect of one ulp fails it
+    assert hermitian_eigendecompose(np.diag([1.0, 2.0]), tol=0.0).n == 2
+    with pytest.raises(NotHermitianError):
+        hermitian_eigendecompose(np.array([[1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0]]), tol=0.0)
 
 
 def test_stack_solves_like_one_call_per_matrix():
