@@ -6,8 +6,8 @@ Two integrators:
   list. Its evolution is the field flow of psi'' + D psi = 0 in the
   packing's coordinates, built from the per-mode factors of ``_flow``,
   entire in D's eigenvalues, so no doubled eigensystem is formed and D may
-  have any sign. A constant D is sampled exactly, one real table [c | s]
-  times one matrix of weights a chunk of steps; a time-dependent D is
+  have any sign. A constant D is sampled exactly, its mode coordinates
+  flowed a chunk of steps at once and synthesized; a time-dependent D is
   stepped by midpoint-rule field maps exp(-i dt H(D(t_mid))), second order,
   acting on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NonFiniteStateError,
     ZeroStepsError,
 )
@@ -115,10 +116,14 @@ class MonitorSeries:
     max_deviation: float
 
 
-def _check_steps(steps) -> int:
+def _grid(t0, t1, steps) -> tuple[int, float]:
+    """Step count and length of the grid t0 + k (t1 - t0) / steps, each checked."""
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ZeroStepsError(f"steps must be a positive integer, got {steps!r}")
-    return int(steps)
+    dt = (t1 - t0) / int(steps)
+    if not np.all(np.isfinite([t0, t1, dt])):
+        raise InvalidParameterError(f"time bounds must be finite, got t0={t0!r}, t1={t1!r}")
+    return int(steps), dt
 
 
 @dataclass(frozen=True)
@@ -265,14 +270,14 @@ def evolve_schrodinger(
     ----------
     d_of_t : matrix, SpectralDecomposition, or AffineSource
         The spatial operator source, of any sign: a negative mode grows as
-        cosh until the blow-up bound, a zero mode moves freely. A constant
-        source is diagonalized once, D = V diag(w) V^dagger, and a chunk of
-        steps of every state is one real (k, 2n) table of c = cos(sqrt(w) t)
-        and s = sin(sqrt(w) t) / sqrt(w) times weights folded from V^dagger
-        Psi0, (1/lam +- lam w) / 2 and V^T. An AffineSource is asked the
-        midpoints of a chunk of steps in one call, one stacked eigensolve
-        diagonalizes it there, and the field map
-        exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states (each
+        cosh until the blow-up bound, a zero mode moves freely. A constant source
+        is diagonalized once, D = V diag(w) V^dagger; the mode coordinates x, y of
+        a state's halves flow to c x + i s (beta y - alpha x) and c y + i s (alpha y
+        - beta x), with c = cos(sqrt(w) t), s = sin(sqrt(w) t) / sqrt(w) and alpha,
+        beta = (1/lam +- lam w) / 2, through D's basis-change pair (FFTs for a
+        large lattice). An AffineSource is asked the midpoints of a chunk of steps
+        in one call, one stacked eigensolve diagonalizes it there, and the field
+        map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states (each
         a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
         Initial doubled state(s); their common lam fixes the packing.
@@ -291,15 +296,14 @@ def evolve_schrodinger(
         propagator is the exact field map, built on first read; for
         time-dependent D it is the ordered product of the step maps.
 
-    Raises DimensionMismatchError for an empty list, a state whose size
-    does not match D or the first state, or a malformed source,
-    LambdaMismatchError for states of different lam, and NonFiniteStateError
-    at the first step (recorded or not) at which a state leaves the blow-up
-    bound. Steps are formed and tested in chunks, so a source error at a
-    later step of the same chunk is raised first.
+    Raises InvalidParameterError for a non-finite t0, t1 or step,
+    DimensionMismatchError for an empty list, a state whose size does not match
+    D or the first state, or a malformed source, LambdaMismatchError for states
+    of different lam, and NonFiniteStateError at the first step (recorded or
+    not) at which a state leaves the blow-up bound. Steps are formed and tested
+    in chunks, so a source error at a later step of the same chunk is raised first.
     """
-    steps = _check_steps(steps)
-    dt = (t1 - t0) / steps
+    steps, dt = _grid(t0, t1, steps)
     states = psi0 if isinstance(psi0, list) else [psi0]
     if not states:
         raise DimensionMismatchError("no states to evolve")
@@ -310,26 +314,25 @@ def evolve_schrodinger(
     if not isinstance(d_of_t, AffineSource):
         spec = _constant(d_of_t, spectral=True)
         _check_state_size(n, spec.n)
-        w, v = spec.eigenvalues, spec.eigenvectors
+        w = spec.eigenvalues
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
-            # the (c or s, upper or lower, state, mode) weights of the table's
-            # columns, from x = V^dagger upper0 and y = V^dagger lower0
-            x, y = np.stack([y0[:, :n], y0[:, n:]]) @ v.conj()
+            # each state's mode coordinates, (upper, lower), on c (start) and on s (rate)
+            start = spec.coordinates(y0.reshape(m, 2, n))
+            x, y = start[:, 0], start[:, 1]
             alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
-            coef = np.array([[x, y], [1j * (beta * y - alpha * x), 1j * (alpha * y - beta * x)]])
-            weights = np.multiply(
-                coef.transpose(0, 3, 2, 1)[..., None], v.T[:, None, None], order="C"
-            ).reshape(2 * n, 2 * n * m)
-        # a mode no state excites has zero weights, so its flow is never read:
+            rate = 1j * np.stack([beta * y - alpha * x, alpha * y - beta * x], axis=1)
+        # a mode no state excites has zero coordinates, so its flow is never read:
         # flowing it as w = 0 keeps an unread cosh from overflowing into inf * 0
-        w_flow = np.where(np.any((x != 0) | (y != 0), axis=0), w, 0.0)
+        w_flow = np.where(np.any(start != 0, axis=(0, 1)), w, 0.0)
 
         def advance(k, _):
-            table = np.concatenate(_flow(w_flow, k * dt), axis=1)
-            return (table @ weights.view(float)).view(complex).reshape(k.size, m, 2 * n)
+            c, s = (f[:, None, None] for f in _flow(w_flow, k * dt))
+            z = c * start
+            z += s * rate
+            return spec.synthesize(z.reshape(-1, n)).reshape(k.size, m, 2 * n)
 
-        # a chunk's table is 2n entries a step, whatever the number of states
-        kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 2 * n, advance, [()], ())
+        # a step's coordinates and states are 2n entries a state each
+        kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 4 * n * m, advance, [()], ())
         # built on first read from D's spectral data unless the samples hold it
         full = lambda: _field_map(spec, lam, steps * dt)
         props = None
@@ -434,12 +437,11 @@ def evolve_field(
     psi_dot), as stepping would; a source error at a later time in the same
     chunk is raised first.
 
-    Raises DimensionMismatchError for an empty list, a state whose size does
-    not match D, a constant D that is not one (n, n) operator, or a
-    malformed AffineSource.
+    Raises InvalidParameterError for a non-finite t0, t1 or step, and
+    DimensionMismatchError for an empty list, a state whose size does not match
+    D, a constant D that is not one (n, n) operator, or a malformed AffineSource.
     """
-    steps = _check_steps(steps)
-    dt = (t1 - t0) / steps
+    steps, dt = _grid(t0, t1, steps)
     constant = not isinstance(d_of_t, AffineSource)
     d = _constant(d_of_t, spectral=False) if constant else d_of_t.terms
     states = f0 if isinstance(f0, list) else [f0]
@@ -527,11 +529,11 @@ def drift_report(
     traj, traj2 : FieldTrajectory
         The monitored pair; traj2 defaults to traj (self products).
     d_spec : matrix, SpectralDecomposition, or AffineSource
-        The operator source, in the forms the integrators take. A constant
-        (n, n) source is diagonalized once; an AffineSource makes
-        ``solution_inner`` instantaneous, on D(t) at each sample time, and
-        is queried at all of them in one call, after the trajectory's size
-        is checked against its terms. Every sample is one batch.
+        The operator source, in the forms the integrators take. A constant (n, n)
+        source is diagonalized once; an AffineSource makes ``solution_inner``
+        instantaneous, on D(t) at each sample time, and is queried at all of them
+        in one call, after the trajectory's size is checked against its terms.
+        Chunks of _CHUNK_ENTRIES // (2n) samples (psi, psi_dot) bound the temporaries.
 
     Returns the two monitors ``(solution_inner, kg_inner)``: the positive
     product under ``spec`` and the indefinite product at packing ``lam``.
@@ -546,13 +548,17 @@ def drift_report(
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
-    if isinstance(d_spec, AffineSource):
+    stacked = isinstance(d_spec, AffineSource)
+    if stacked:
         _check_state_size(traj.n, d_spec.terms.shape[-1])  # before the source is asked
         d_at = hermitian_eigendecompose(d_spec.at(traj.times))
     else:
         d_at = _constant(d_spec, spectral=True)
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
-    sol_values = _field_inner(*data, d_at, spec)
+    rows, sol_values = max(1, _CHUNK_ENTRIES // max(1, 2 * traj.n)), np.empty(len(traj), complex)
+    for at in (slice(i, i + rows) for i in range(0, len(traj), rows)):
+        d = SpectralDecomposition(d_at.eigenvalues[at], d_at.eigenvectors[at]) if stacked else d_at
+        sol_values[at] = _field_inner(*(a[at] for a in data), d, spec)
     kg_values = 2j * lam * (
         np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
         - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)

@@ -246,10 +246,7 @@ def _field_inner(
             f"spec length {spec.n} does not match mode count {d_spec.n}"
         )
     w = _require_positive(d_spec.eigenvalues, "inner product")
-    # rows times conj(V) are V^dagger psi; a row against its own basis is a (1, n) matrix
-    vc = np.conj(d_spec.eigenvectors)
-    coords = (lambda x: x @ vc) if vc.ndim == 2 else (lambda x: (x[..., None, :] @ vc)[..., 0, :])
-    c1, c2, d1, d2 = map(coords, (psi1, psi2, dot1, dot2))
+    c1, c2, d1, d2 = map(d_spec.coordinates, (psi1, psi2, dot1, dot2))
     lp = spec.l_plus_coeff
     lm = spec.l_minus_coeff
     total = (

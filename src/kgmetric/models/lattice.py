@@ -34,6 +34,7 @@ TWO_PI = 2.0 * np.pi
 BOX_LENGTH = TWO_PI
 # fewest sites a lattice may have
 MIN_SITES = 2
+FFT_MIN_SITES = 64  # fewest sites at which d_spec's FFTs beat dense basis changes
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,10 @@ class KleinGordonLattice:
 
     @cached_property
     def d_spec(self) -> SpectralDecomposition:
-        return SpectralDecomposition(
-            eigenvalues=self.omega_sq, eigenvectors=self.modes
-        )
+        """D's spectral data; its basis changes are FFTs from FFT_MIN_SITES sites on."""
+        if self.sites < FFT_MIN_SITES:
+            return SpectralDecomposition(eigenvalues=self.omega_sq, eigenvectors=self.modes)
+        return _PlaneWaves(self)
 
     @cached_property
     def d_matrix(self) -> np.ndarray:
@@ -109,6 +111,22 @@ class KleinGordonLattice:
         if hits.size == 0:
             raise InvalidParameterError(f"mode label {j} not on this lattice")
         return int(hits[0])
+
+
+class _PlaneWaves(SpectralDecomposition):
+    """A lattice's omega_sq and modes, column c the 1/sqrt(N) DFT vector of bin
+    mode_indices[c] % sites: its pair is an FFT gathered or scattered at the bins."""
+
+    def __init__(self, lattice: KleinGordonLattice):
+        super().__init__(eigenvalues=lattice.omega_sq, eigenvectors=lattice.modes)
+        self._bins = lattice.mode_indices % lattice.sites
+        self._columns = np.argsort(self._bins)  # the column at each bin
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft(x, norm="ortho")[..., self._bins]
+
+    def synthesize(self, z: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(z[..., self._columns], norm="ortho")
 
 
 def _check_eps(eps: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import InvalidParameterError, NonPositiveSpectrumError, NotHermitianError
 from ..evolution import AffineSource
 from ..inner_products import _check_state_size
-from ..spectral import SpectralDecomposition
+from ..spectral import SpectralDecomposition, _as_array
 from ..two_component import FieldState
 
 ALL_POSITIVE = "all_positive"
@@ -189,8 +189,8 @@ class WdwFrwModel:
         stack, bit for bit, for a 1-D array. Equal to diag(omega_sq(alpha0)) at
         alpha0, up to rounding; elsewhere its eigenvalues are Rayleigh-Ritz
         upper bounds on the lowest N exact w_n(alpha)."""
-        d = self.anchored.at(np.atleast_1d(np.asarray(alpha, dtype=float)))
-        return d if np.ndim(alpha) else d[0]
+        d = self.anchored.at(np.atleast_1d(a := _as_array(alpha, "alpha")))
+        return d if a.ndim else d[0]
 
 
 @cache

@@ -49,6 +49,15 @@ class SpectralDecomposition:
         """Reassemble the operator from its spectral data."""
         return operator_power(self, 1.0)
 
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Mode coordinates x conj(V) of rows x; a stack's members act on rows stacked alike."""
+        vc = self.eigenvectors.conj()
+        return x @ vc if vc.ndim == 2 else (x[..., None, :] @ vc)[..., 0, :]
+
+    def synthesize(self, z: np.ndarray) -> np.ndarray:
+        """Rows z V^T from mode coordinates z of one operator, inverse to ``coordinates``."""
+        return z @ self.eigenvectors.T
+
 
 @dataclass
 class BiorthonormalSystem:
@@ -113,10 +122,10 @@ def _as_hermitian(matrix, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.
 def _require_positive(eigenvalues, what: str) -> np.ndarray:
     """Eigenvalues as floats; NonPositiveSpectrumError on the first spectrum not all > 0."""
     w = np.asarray(eigenvalues, dtype=float)
-    if np.min(w) <= 0.0:
+    if not np.all(w > 0.0):
         low = np.min(w, axis=-1).ravel()
         raise NonPositiveSpectrumError(
-            f"{what} needs a strictly positive spectrum (min eigenvalue {low[low <= 0.0][0]:.3e})"
+            f"{what} needs a strictly positive spectrum (min eigenvalue {low[~(low > 0.0)][0]:.3e})"
         )
     return w
 

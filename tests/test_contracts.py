@@ -62,6 +62,7 @@ from kgmetric.models import (
 D2 = np.diag([1.0, 2.0])
 POSITIVE = SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2, dtype=complex))
 NON_POSITIVE = SpectralDecomposition(np.array([-1.0, 2.0]), np.eye(2, dtype=complex))
+NAN_SPECTRUM = SpectralDecomposition(np.array([np.nan, 1.0]), np.eye(2))
 SPEC = InnerProductSpec.uniform(2)
 F2 = FieldState(psi=np.ones(2), psi_dot=np.ones(2))
 F3 = FieldState(psi=np.ones(3), psi_dot=np.ones(3))
@@ -176,6 +177,13 @@ CASES = [
         for tol in (-1.0, np.nan, np.inf)
     ),
     row("eigen_system", NonPositiveSpectrumError, lambda: eigen_system(NON_POSITIVE, 1.0)),
+    # a NaN eigenvalue is not positive either
+    row("eta_plus-nan", NonPositiveSpectrumError, lambda: eta_plus(NAN_SPECTRUM, 1.0)),
+    row("solution_inner-nan", NonPositiveSpectrumError,
+        lambda: solution_inner(F2, F2, NAN_SPECTRUM, SPEC)),
+    row("operator_power-nan", NonPositiveSpectrumError,
+        lambda: operator_power(NAN_SPECTRUM, -0.5)),
+    row("eigen_system-nan", NonPositiveSpectrumError, lambda: eigen_system(NAN_SPECTRUM, 1.0)),
     # a non-Hermitian or non-finite D
     row("hermitian_eigendecompose", NotHermitianError,
         lambda: hermitian_eigendecompose(NON_HERMITIAN)),
@@ -257,6 +265,22 @@ CASES = [
         row(f"{name}-{case}", DimensionMismatchError, lambda run=run, source=source: run(source()))
         for name, run in SOURCE_ROUTES.items()
         for case, source in MALFORMED_SOURCES.items()
+    ),
+    # d_anchored's alpha is read by the one array reader
+    row("d_anchored-string", DimensionMismatchError, lambda: WdwFrwModel().d_anchored("ab")),
+    row("d_anchored-none", DimensionMismatchError, lambda: WdwFrwModel().d_anchored(None)),
+    # a time bound that is not finite, refused before any step
+    *(
+        row(f"{name}-{bound}-{value}", InvalidParameterError,
+            lambda run=run, times=times: run(*times))
+        for name, run in {
+            "evolve_schrodinger": lambda t0, t1: evolve_schrodinger(D2, pack(F2, 1.0), t0, t1, 4),
+            "evolve_field": lambda t0, t1: evolve_field(D2, F2, t0, t1, 10),
+        }.items()
+        for bound, value, times in (
+            ("t0", "nan", (np.nan, 1.0)), ("t1", "nan", (0.0, np.nan)),
+            ("t0", "inf", (-np.inf, 1.0)), ("t1", "inf", (0.0, np.inf)),
+        )
     ),
     # a parameter or argument outside its allowed values
     row("SignAssignment", InvalidParameterError, lambda: SignAssignment([1, 2])),

@@ -455,32 +455,30 @@ def test_closed_form_matches_stepped_constant_operator():
     ids=["lattice-64", "lattice-17-allow-complex", "negative-mode"],
 )
 def test_closed_form_phases_match_full_formula(source, allow_complex):
-    # states are a real table times folded weights, bit for bit, chunk by
+    # states are flowed mode coordinates, synthesized, bit for bit, chunk by
     # chunk as the loop forms them: per mode w of D, c = cos(sqrt(w) t) and
-    # s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for w < 0), weighted by
-    # x = V^dagger upper0 and y = V^dagger lower0 on c and by
+    # s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for w < 0) weight the
+    # coordinates x, y of upper0 and lower0 on c and
     # i (beta y - alpha x, alpha y - beta x) on s, alpha, beta = (1/lam +- lam w) / 2,
-    # times V^T
+    # and D's synthesize turns them into rows
     n, steps, t1, lam = source.n, 200, 2.0, 0.8
     rng = generator(12, "evo:phases")
     s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), lam)
     result = evolve_schrodinger(source, s0, 0.0, t1, steps)
-    w, v = source.eigenvalues, source.eigenvectors
-    x, y = np.stack([s0.upper[None], s0.lower[None]]) @ v.conj()
+    w = source.eigenvalues
+    on_c = source.coordinates(s0.vector.reshape(1, 2, n))[0]  # upper, lower
+    x, y = on_c
     alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
-    first = [x[0], y[0]]  # upper, lower
-    second = [1j * (beta * y[0] - alpha * x[0]), 1j * (alpha * y[0] - beta * x[0])]
-    weights = np.ascontiguousarray(
-        np.block([[f[:, None] * v.T for f in part] for part in (first, second)])
-    )
+    on_s = np.stack([1j * (beta * y - alpha * x), 1j * (alpha * y - beta * x)])
     rate = np.sqrt(np.abs(w))
-    rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (2 * n)
+    rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (4 * n)
     for lo in range(1, steps + 1, chunk):
         k = np.arange(lo, min(lo + chunk, steps + 1))
         phase = np.multiply.outer(k * (t1 / steps), rate)
         c = np.where(w > 0, np.cos(phase), np.cosh(phase))
-        table = np.hstack([c, np.where(w > 0, np.sin(phase), np.sinh(phase)) / rate])
-        rows.append((table @ weights.view(float)).view(complex))
+        s = np.where(w > 0, np.sin(phase), np.sinh(phase)) / rate
+        coords = c[:, None] * on_c + s[:, None] * on_s
+        rows.append(source.synthesize(coords.reshape(-1, n)).reshape(k.size, 2 * n))
     np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
     # cosh columns only where a mode is negative
     assert np.array_equal(c, np.cos(phase)) == bool(np.all(w > 0))

@@ -25,7 +25,9 @@ from kgmetric.errors import (
 )
 from kgmetric.inner_products import _field_inner
 from kgmetric.models.lattice import (
+    FFT_MIN_SITES,
     KleinGordonLattice,
+    _PlaneWaves,
     _band_limited_rows,
     _kg_gram,
     _lattice_solution,
@@ -160,6 +162,33 @@ def test_lattice_modes_are_orthonormal_and_complete():
     np.testing.assert_allclose(
         lattice.omega_sq, lattice.wavenumbers**2 + lattice.mu**2, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("sites", [2, 3, 17, 64, 128])
+def test_lattice_basis_pair_is_the_dense_products(sites):
+    # the FFT pair keeps the dense spectral data; its x conj(V) and z V^T are
+    # FFTs. The dense modes round their phase x k, which reaches about pi N,
+    # so against the DFT matrix with its phase reduced mod N first the pair
+    # holds 1e-14, and against the dense products it is off by no more than
+    # their own rounding besides. d_spec takes it from FFT_MIN_SITES sites on
+    lattice = KleinGordonLattice(sites=sites, mu=1.0)
+    pair, v = _PlaneWaves(lattice), lattice.modes
+    assert isinstance(lattice.d_spec, _PlaneWaves) == (sites >= FFT_MIN_SITES)
+    assert np.array_equal(pair.eigenvalues, lattice.omega_sq)
+    assert np.array_equal(pair.eigenvectors, v)
+    phase = np.outer(np.arange(sites), lattice.mode_indices) % sites
+    exact = np.exp(2j * np.pi * phase / sites) / np.sqrt(sites)
+    rng = generator(sites, "models:fft-pair")
+    for shape in ((sites,), (5, sites), (2, 3, sites)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for got, dense, want in (
+            (pair.coordinates(x), x @ v.conj(), x @ exact.conj()),
+            (pair.synthesize(x), x @ v.T, x @ exact.T),
+        ):
+            assert got.shape == shape
+            scale = maxabs(want)
+            assert maxabs(got - want) <= 1e-14 * scale
+            assert maxabs(got - dense) <= maxabs(dense - want) + 1e-14 * scale
 
 
 def test_lattice_mode_solution_solves_equation():

@@ -202,6 +202,24 @@ def test_operator_power_sign_rules():
             operator_power(indef, gamma)
 
 
+def test_dense_basis_pair_is_the_plain_products():
+    # coordinates is x conj(V), synthesize z V^T, bit for bit; a stack's
+    # members each act on their own row, as (1, n) rows
+    rng = generator(5, "spectral:pair")
+    spec = hermitian_eigendecompose(random_hermitian(rng, 6))
+    v = spec.eigenvectors
+    x = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    np.testing.assert_array_equal(spec.coordinates(x), x @ v.conj())
+    np.testing.assert_array_equal(spec.synthesize(x), x @ v.T)
+    np.testing.assert_array_equal(spec.coordinates(x[0]), x[0] @ v.conj())
+    stack = hermitian_eigendecompose(np.stack([random_hermitian(rng, 6) for _ in range(4)]))
+    vc = stack.eigenvectors.conj()
+    np.testing.assert_array_equal(stack.coordinates(x), (x[:, None, :] @ vc)[:, 0, :])
+    each = np.stack([row @ member for row, member in zip(x, vc)])
+    assert maxabs(stack.coordinates(x) - each) <= 1e-14 * maxabs(each)
+    assert maxabs(spec.synthesize(spec.coordinates(x)) - x) <= 1e-14 * maxabs(x)
+
+
 def test_biorthonormal_identity_basis():
     eye = np.eye(4, dtype=complex)
     ortho, complete = check_biorthonormal(BiorthonormalSystem(eye, eye, np.ones(4)))
