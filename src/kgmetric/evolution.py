@@ -6,8 +6,8 @@ Two integrators:
   list. Its evolution is the field flow of psi'' + D psi = 0 in the
   packing's coordinates, built from the per-mode factors of ``_flow``,
   entire in D's eigenvalues, so no doubled eigensystem is formed and D may
-  have any sign. A constant D is sampled exactly, its mode coordinates
-  flowed a chunk of steps at once and synthesized; a time-dependent D is
+  have any sign. A constant D is sampled exactly, per-mode flow factors times
+  mode coordinates, synthesized a chunk at once; a time-dependent D is
   stepped by midpoint-rule field maps exp(-i dt H(D(t_mid))), second order,
   acting on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
@@ -120,9 +120,11 @@ def _grid(t0, t1, steps) -> tuple[int, float]:
     """Step count and length of the grid t0 + k (t1 - t0) / steps, each checked."""
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ZeroStepsError(f"steps must be a positive integer, got {steps!r}")
-    dt = (t1 - t0) / int(steps)
-    if not np.all(np.isfinite([t0, t1, dt])):
+    if not np.all(np.isfinite([t0, t1])):
         raise InvalidParameterError(f"time bounds must be finite, got t0={t0!r}, t1={t1!r}")
+    dt = (float(t1) - float(t0)) / int(steps)  # Python floats overflow to inf quietly
+    if not np.isfinite(dt):
+        raise InvalidParameterError(f"step (t1 - t0) / steps overflows, t0={t0!r}, t1={t1!r}")
     return int(steps), dt
 
 
@@ -189,8 +191,8 @@ def _guard_block(times: np.ndarray, *parts: np.ndarray) -> None:
 
 def _flow(w: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Field-flow factors c = cos(sqrt(w) t) and s = sin(sqrt(w) t) / sqrt(w)
-    of modes w (..., n) at times t (as t[..., None]), entire in w: cosh and
-    sinh where w < 0, c = 1 and s = t where w = 0."""
+    of modes w at times t, w broadcast against t[..., None], entire in w: cosh
+    and sinh where w < 0, c = 1 and s = t where w = 0."""
     t = np.asarray(t, dtype=float)[..., None]
     if np.all(w > 0):
         r = np.sqrt(w)
@@ -271,14 +273,14 @@ def evolve_schrodinger(
     d_of_t : matrix, SpectralDecomposition, or AffineSource
         The spatial operator source, of any sign: a negative mode grows as
         cosh until the blow-up bound, a zero mode moves freely. A constant source
-        is diagonalized once, D = V diag(w) V^dagger; the mode coordinates x, y of
-        a state's halves flow to c x + i s (beta y - alpha x) and c y + i s (alpha y
-        - beta x), with c = cos(sqrt(w) t), s = sin(sqrt(w) t) / sqrt(w) and alpha,
-        beta = (1/lam +- lam w) / 2, through D's basis-change pair (FFTs for a
-        large lattice). An AffineSource is asked the midpoints of a chunk of steps
-        in one call, one stacked eigensolve diagonalizes it there, and the field
-        map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the m states (each
-        a matrix-vector product), then U(t, t0).
+        is diagonalized once, D = V diag(w) V^dagger; per mode, a chunk of k steps
+        is a real (k, 2) table of c = cos(sqrt(w) t), s = sin(sqrt(w) t) / sqrt(w)
+        times the states' coordinates x, y from D's basis-change pair (FFTs for a
+        lattice): x, y on c, i (beta y - alpha x), i (alpha y - beta x) on s, alpha,
+        beta = (1/lam +- lam w) / 2; the pair synthesizes the rows. An AffineSource
+        is asked the midpoints of a chunk of steps in one call, one stacked eigensolve
+        diagonalizes it there, and the field map exp(-i dt H(D_mid)) steps one
+        (2n, m + 2n) block: the m states (each a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
         Initial doubled state(s); their common lam fixes the packing.
     steps : int
@@ -296,9 +298,9 @@ def evolve_schrodinger(
         propagator is the exact field map, built on first read; for
         time-dependent D it is the ordered product of the step maps.
 
-    Raises InvalidParameterError for a non-finite t0, t1 or step,
-    DimensionMismatchError for an empty list, a state whose size does not match
-    D or the first state, or a malformed source, LambdaMismatchError for states
+    Raises InvalidParameterError for a non-finite t0 or t1 or an overflowing
+    step, DimensionMismatchError for an empty list, a state whose size does not
+    match D or the first state, or a malformed source, LambdaMismatchError for states
     of different lam, and NonFiniteStateError at the first step (recorded or
     not) at which a state leaves the blow-up bound. Steps are formed and tested
     in chunks, so a source error at a later step of the same chunk is raised first.
@@ -316,22 +318,24 @@ def evolve_schrodinger(
         _check_state_size(n, spec.n)
         w = spec.eigenvalues
         with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
-            # each state's mode coordinates, (upper, lower), on c (start) and on s (rate)
-            start = spec.coordinates(y0.reshape(m, 2, n))
-            x, y = start[:, 0], start[:, 1]
+            # each state's mode coordinates, upper and lower: start on c, rate on s
+            start = spec.coordinates(y0.reshape(2 * m, n))
+            x, y = start[0::2], start[1::2]
             alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
             rate = 1j * np.stack([beta * y - alpha * x, alpha * y - beta * x], axis=1)
+            # per mode, the (2, 2m) coordinates that its (c, s) pair weighs
+            coef = np.stack([start, rate.reshape(2 * m, n)], axis=1).transpose(2, 1, 0).copy()
         # a mode no state excites has zero coordinates, so its flow is never read:
         # flowing it as w = 0 keeps an unread cosh from overflowing into inf * 0
-        w_flow = np.where(np.any(start != 0, axis=(0, 1)), w, 0.0)
+        w_flow = np.where(np.any(start != 0, axis=0), w, 0.0)[:, None, None]
 
         def advance(k, _):
-            c, s = (f[:, None, None] for f in _flow(w_flow, k * dt))
-            z = c * start
-            z += s * rate
+            # per mode, the chunk's real (k, 2) table of c, s times its coordinates
+            table = np.concatenate(_flow(w_flow, k * dt), axis=-1)
+            z = (table @ coef.view(float)).view(complex).transpose(1, 2, 0)
             return spec.synthesize(z.reshape(-1, n)).reshape(k.size, m, 2 * n)
 
-        # a step's coordinates and states are 2n entries a state each
+        # a step's flowed coordinates and its rows are 2n entries a state each
         kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 4 * n * m, advance, [()], ())
         # built on first read from D's spectral data unless the samples hold it
         full = lambda: _field_map(spec, lam, steps * dt)
@@ -437,7 +441,7 @@ def evolve_field(
     psi_dot), as stepping would; a source error at a later time in the same
     chunk is raised first.
 
-    Raises InvalidParameterError for a non-finite t0, t1 or step, and
+    Raises InvalidParameterError for a non-finite t0 or t1 or an overflowing step, and
     DimensionMismatchError for an empty list, a state whose size does not match
     D, a constant D that is not one (n, n) operator, or a malformed AffineSource.
     """

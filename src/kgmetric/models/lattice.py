@@ -34,7 +34,6 @@ TWO_PI = 2.0 * np.pi
 BOX_LENGTH = TWO_PI
 # fewest sites a lattice may have
 MIN_SITES = 2
-FFT_MIN_SITES = 64  # fewest sites at which d_spec's FFTs beat dense basis changes
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,6 @@ class KleinGordonLattice:
 
     @cached_property
     def d_spec(self) -> SpectralDecomposition:
-        """D's spectral data; its basis changes are FFTs from FFT_MIN_SITES sites on."""
-        if self.sites < FFT_MIN_SITES:
-            return SpectralDecomposition(eigenvalues=self.omega_sq, eigenvectors=self.modes)
         return _PlaneWaves(self)
 
     @cached_property

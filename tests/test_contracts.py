@@ -269,7 +269,7 @@ CASES = [
     # d_anchored's alpha is read by the one array reader
     row("d_anchored-string", DimensionMismatchError, lambda: WdwFrwModel().d_anchored("ab")),
     row("d_anchored-none", DimensionMismatchError, lambda: WdwFrwModel().d_anchored(None)),
-    # a time bound that is not finite, refused before any step
+    # a time bound that is not finite, or a step that overflows, refused before any step
     *(
         row(f"{name}-{bound}-{value}", InvalidParameterError,
             lambda run=run, times=times: run(*times))
@@ -280,6 +280,7 @@ CASES = [
         for bound, value, times in (
             ("t0", "nan", (np.nan, 1.0)), ("t1", "nan", (0.0, np.nan)),
             ("t0", "inf", (-np.inf, 1.0)), ("t1", "inf", (0.0, np.inf)),
+            ("step", "overflow", (-1e308, 1e308)),
         )
     ),
     # a parameter or argument outside its allowed values
@@ -320,6 +321,14 @@ CASES = [
 def test_input_contract_raises_its_error(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_overflowing_step_is_named():
+    # finite bounds whose step overflows are not reported as non-finite bounds
+    for run in (lambda: evolve_field(D2, F2, -1e308, 1e308, 10),
+                lambda: evolve_schrodinger(D2, pack(F2, 1.0), -1e308, 1e308, 4)):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            run()
 
 
 def test_state_size_checked_before_source_is_asked():

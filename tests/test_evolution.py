@@ -456,9 +456,9 @@ def test_closed_form_matches_stepped_constant_operator():
 )
 def test_closed_form_phases_match_full_formula(source, allow_complex):
     # states are flowed mode coordinates, synthesized, bit for bit, chunk by
-    # chunk as the loop forms them: per mode w of D, c = cos(sqrt(w) t) and
-    # s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for w < 0) weight the
-    # coordinates x, y of upper0 and lower0 on c and
+    # chunk as the loop forms them: per mode w of D, a real (k, 2) table of
+    # c = cos(sqrt(w) t) and s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for
+    # w < 0) times the coordinates x, y of upper0 and lower0 on c and
     # i (beta y - alpha x, alpha y - beta x) on s, alpha, beta = (1/lam +- lam w) / 2,
     # and D's synthesize turns them into rows
     n, steps, t1, lam = source.n, 200, 2.0, 0.8
@@ -466,19 +466,21 @@ def test_closed_form_phases_match_full_formula(source, allow_complex):
     s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), lam)
     result = evolve_schrodinger(source, s0, 0.0, t1, steps)
     w = source.eigenvalues
-    on_c = source.coordinates(s0.vector.reshape(1, 2, n))[0]  # upper, lower
+    on_c = source.coordinates(s0.vector.reshape(2, n))  # upper, lower
     x, y = on_c
     alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
     on_s = np.stack([1j * (beta * y - alpha * x), 1j * (alpha * y - beta * x)])
-    rate = np.sqrt(np.abs(w))
+    # per mode, its (c, s) rows against the (upper, lower) coordinates they weigh
+    weighed = np.stack([on_c, on_s], axis=1).transpose(2, 1, 0).copy()
+    rate = np.sqrt(np.abs(w))[:, None]
     rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (4 * n)
     for lo in range(1, steps + 1, chunk):
         k = np.arange(lo, min(lo + chunk, steps + 1))
-        phase = np.multiply.outer(k * (t1 / steps), rate)
-        c = np.where(w > 0, np.cos(phase), np.cosh(phase))
-        s = np.where(w > 0, np.sin(phase), np.sinh(phase)) / rate
-        coords = c[:, None] * on_c + s[:, None] * on_s
-        rows.append(source.synthesize(coords.reshape(-1, n)).reshape(k.size, 2 * n))
+        phase = rate * (k * (t1 / steps))
+        c = np.where(w[:, None] > 0, np.cos(phase), np.cosh(phase))
+        s = np.where(w[:, None] > 0, np.sin(phase), np.sinh(phase)) / rate
+        coords = (np.stack([c, s], axis=-1) @ weighed.view(float)).view(complex)
+        rows.append(source.synthesize(coords.transpose(1, 2, 0).reshape(-1, n)).reshape(-1, 2 * n))
     np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
     # cosh columns only where a mode is negative
     assert np.array_equal(c, np.cos(phase)) == bool(np.all(w > 0))

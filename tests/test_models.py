@@ -25,9 +25,7 @@ from kgmetric.errors import (
 )
 from kgmetric.inner_products import _field_inner
 from kgmetric.models.lattice import (
-    FFT_MIN_SITES,
     KleinGordonLattice,
-    _PlaneWaves,
     _band_limited_rows,
     _kg_gram,
     _lattice_solution,
@@ -170,10 +168,9 @@ def test_lattice_basis_pair_is_the_dense_products(sites):
     # FFTs. The dense modes round their phase x k, which reaches about pi N,
     # so against the DFT matrix with its phase reduced mod N first the pair
     # holds 1e-14, and against the dense products it is off by no more than
-    # their own rounding besides. d_spec takes it from FFT_MIN_SITES sites on
+    # their own rounding besides
     lattice = KleinGordonLattice(sites=sites, mu=1.0)
-    pair, v = _PlaneWaves(lattice), lattice.modes
-    assert isinstance(lattice.d_spec, _PlaneWaves) == (sites >= FFT_MIN_SITES)
+    pair, v = lattice.d_spec, lattice.modes
     assert np.array_equal(pair.eigenvalues, lattice.omega_sq)
     assert np.array_equal(pair.eigenvectors, v)
     phase = np.outer(np.arange(sites), lattice.mode_indices) % sites

@@ -58,8 +58,8 @@ RUNS = {
     "kg-64-csv": (
         "kg", "--sites", "64", "--a", "-0.7", "--seed", "5", "--format", "csv", "--out", DATA,
     ),
-    # an odd lattice on the FFT pair: labels -32..32, so its bins j mod N hold no Nyquist bin
-    "kg-65": ("kg", "--sites", "65", "--a", "0.5", "--seed", "4", "--out", DATA),
+    # an odd lattice: labels -8..8, so its FFT bins j mod N hold no Nyquist bin
+    "kg-17": ("kg", "--sites", "17", "--a", "0.5", "--seed", "4", "--out", DATA),
     **{
         f"wdw-universe{i}": (
             "wdw", "--mass", m, "--kappa", k, "--alpha0", a,
