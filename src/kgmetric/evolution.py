@@ -25,15 +25,24 @@ marching loop, ``_march``: each supplies only how a chunk of steps advances
 the state. The loop forms the states of a chunk of steps under
 ``np.errstate``, tests them against the blow-up bound together (a negative
 mode of D grows exponentially) and raises at the first step past it,
-recorded or not; it keeps every sample_every-th step and the last. A source
-error at a later step of a chunk is therefore raised before a blow-up
-earlier in it.
+recorded or not. A source error at a later step of a chunk is therefore
+raised before a blow-up earlier in it. Only then does it hand the chunk's
+kept states (every sample_every-th step and the last) to a sink. The
+integrators' sink, ``_store``, writes them into one array; the constant-D
+closed form is one builder, ``_closed_form``, that marches into any sink.
 
 ``drift_report`` is the one function that turns a trajectory into drift
 numbers, for every report: it follows the positive product
 ``solution_inner`` (instantaneous when D depends on time) and the indefinite
-``kg_inner`` against their t0 values. The paper's frozen product reads only
-t0 data, so there is nothing of it to follow.
+``kg_inner`` against their t0 values, both by one chunk monitor,
+``_drift_monitor``, a bounded chunk of samples at a time. The paper's frozen
+product reads only t0 data, so there is nothing of it to follow.
+``_closed_form_drift`` is the streamed route for a constant D and a pair of
+states: it gives drift_report's numbers for the closed-form trajectory
+without holding it, each chunk being synthesized, guarded, unpacked and
+measured by the same monitor, then dropped. So the monitor still reads
+synthesized states, after the basis-change pair's round trip, never the
+flowed mode coordinates.
 
 Every entry point (both integrators and ``drift_report``) reads its operator
 source one of two ways. An ``AffineSource`` D(t) = sum_j c_j(t) B_j, the one
@@ -53,6 +62,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    KgMetricError,
     NonFiniteStateError,
     ZeroStepsError,
 )
@@ -222,39 +232,89 @@ def _field_map(spec: SpectralDecomposition, lam: float, t) -> np.ndarray:
 _CHUNK_ENTRIES = 2**14
 
 
-def _march(y0, t0, dt, steps, sample_every, width, advance, parts, record):
+def _store(steps: int, sample_every, y0: np.ndarray, record):
+    """The usual sink of ``_march``: the part ``record`` of the state at every
+    sample_every-th step (below 1 counts as 1) and at the last, written into
+    one array sized up front. Returns those step numbers (0 first), the array
+    and the sink."""
+    kept = np.append(np.arange(0, steps, max(1, int(sample_every))), steps)
+    rows = np.empty((kept.size, *y0[record].shape), dtype=y0.dtype)
+
+    def sink(i, states):
+        rows[i : i + len(states)] = states[(slice(None), *record)]
+
+    return kept, rows, sink
+
+
+def _march(y0, t0, dt, kept, width, advance, parts, sink):
     """The one marching loop of every integrator.
 
     advance(k, y) returns the states after the consecutive steps k, stacked
     along a new leading axis, given y, the state after step k[0] - 1. The
-    steps go in chunks of about _CHUNK_ENTRIES / width, under
-    ``np.errstate``: each chunk's states are tested against the blow-up
-    bound together, the index tuples ``parts`` picking the parts of a state
-    to test, in order. So a source error at a later step of a chunk is
-    raised before a blow-up earlier in it. The part ``record`` of the state
-    is kept at every sample_every-th step (below 1 counts as 1) and the last.
-
-    Returns the kept step numbers (0 first), the kept parts (written into one
-    array sized up front) and the final state.
+    steps, up to kept[-1], go in chunks of about _CHUNK_ENTRIES / width: each
+    chunk's states are formed under ``np.errstate`` and tested against the
+    blow-up bound together, the index tuples ``parts`` picking the parts of a
+    state to test, in order. So a source error at a later step of a chunk is
+    raised before a blow-up earlier in it. Only then are the chunk's states
+    at the step numbers in ``kept`` (ascending, 0 first, the last step last)
+    handed to sink(i, states), i being the position of states[0] in kept;
+    y0 goes first, alone. The sink may store them (``_store``) or measure
+    and drop them. Returns the final state.
     """
-    sample_every = max(1, int(sample_every))
-    kept = np.append(np.arange(0, steps, sample_every), steps)
-    rows = np.empty((kept.size, *y0[record].shape), dtype=y0.dtype)
-    rows[0] = y0[record]
-    i = 1
-    y = y0
+    sink(0, y0[None])
+    steps, i, y = int(kept[-1]), 1, y0
     chunk = max(1, _CHUNK_ENTRIES // width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, steps + 1, chunk):
-            k = np.arange(lo, min(lo + chunk, steps + 1))
+    for lo in range(1, steps + 1, chunk):
+        k = np.arange(lo, min(lo + chunk, steps + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
             block = advance(k, y)
-            y = block[-1]
             _guard_block(t0 + k * dt, *(block[(slice(None), *p)] for p in parts))
-            sampled = block[(slice(-lo % sample_every, None, sample_every), *record)]
-            rows[i : i + len(sampled)] = sampled
-            i += len(sampled)
-    rows[-1] = y[record]  # the last step, also off the sampling grid
-    return kept, rows, y
+        y = block[-1]
+        j = int(np.searchsorted(kept, k[-1], side="right"))
+        at = kept[i:j] - lo
+        sink(i, block if at.size == k.size else block[at])
+        i = j
+    return y
+
+
+def _stack_states(states: list) -> tuple[float, np.ndarray]:
+    """The common lam of doubled states and their (m, 2n) stack, each checked
+    against the first; DimensionMismatchError for an empty list."""
+    if not states:
+        raise DimensionMismatchError("no states to evolve")
+    for s in states[1:]:
+        _check_pair(states[0], s)
+    return states[0].lam, np.stack([s.vector for s in states])
+
+
+def _closed_form(spec: SpectralDecomposition, y0, lam, t0, dt, kept, sink):
+    """March the (m, 2n) doubled states y0 over the kept steps of length dt
+    by ``evolve_schrodinger``'s closed form for the constant D that ``spec``
+    resolves, into ``sink``; DimensionMismatchError if the states' size is
+    not D's. Returns the final states."""
+    m, n = y0.shape[0], y0.shape[1] // 2
+    _check_state_size(n, spec.n)
+    w = spec.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
+        # each state's mode coordinates, upper and lower: start on c, rate on s
+        start = spec.coordinates(y0.reshape(2 * m, n))
+        x, y = start[0::2], start[1::2]
+        alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
+        rate = 1j * np.stack([beta * y - alpha * x, alpha * y - beta * x], axis=1)
+        # per mode, the (2, 2m) coordinates that its (c, s) pair weighs
+        coef = np.stack([start, rate.reshape(2 * m, n)], axis=1).transpose(2, 1, 0).copy()
+    # a mode no state excites has zero coordinates, so its flow is never read:
+    # flowing it as w = 0 keeps an unread cosh from overflowing into inf * 0
+    w_flow = np.where(np.any(start != 0, axis=0), w, 0.0)[:, None, None]
+
+    def advance(k, _):
+        # per mode, the chunk's real (k, 2) table of c, s times its coordinates
+        table = np.concatenate(_flow(w_flow, k * dt), axis=-1)
+        z = (table @ coef.view(float)).view(complex).transpose(1, 2, 0)
+        return spec.synthesize(z.reshape(-1, n)).reshape(k.size, m, 2 * n)
+
+    # a step's flowed coordinates and its rows are 2n entries a state each
+    return _march(y0, t0, dt, kept, 4 * n * m, advance, [()], sink)
 
 
 def evolve_schrodinger(
@@ -306,37 +366,12 @@ def evolve_schrodinger(
     in chunks, so a source error at a later step of the same chunk is raised first.
     """
     steps, dt = _grid(t0, t1, steps)
-    states = psi0 if isinstance(psi0, list) else [psi0]
-    if not states:
-        raise DimensionMismatchError("no states to evolve")
-    for s in states[1:]:
-        _check_pair(states[0], s)
-    lam, n, m = states[0].lam, states[0].n, len(states)
-    y0 = np.stack([s.vector for s in states])
+    lam, y0 = _stack_states(psi0 if isinstance(psi0, list) else [psi0])
+    m, n = y0.shape[0], y0.shape[1] // 2
     if not isinstance(d_of_t, AffineSource):
         spec = _constant(d_of_t, spectral=True)
-        _check_state_size(n, spec.n)
-        w = spec.eigenvalues
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows
-            # each state's mode coordinates, upper and lower: start on c, rate on s
-            start = spec.coordinates(y0.reshape(2 * m, n))
-            x, y = start[0::2], start[1::2]
-            alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
-            rate = 1j * np.stack([beta * y - alpha * x, alpha * y - beta * x], axis=1)
-            # per mode, the (2, 2m) coordinates that its (c, s) pair weighs
-            coef = np.stack([start, rate.reshape(2 * m, n)], axis=1).transpose(2, 1, 0).copy()
-        # a mode no state excites has zero coordinates, so its flow is never read:
-        # flowing it as w = 0 keeps an unread cosh from overflowing into inf * 0
-        w_flow = np.where(np.any(start != 0, axis=0), w, 0.0)[:, None, None]
-
-        def advance(k, _):
-            # per mode, the chunk's real (k, 2) table of c, s times its coordinates
-            table = np.concatenate(_flow(w_flow, k * dt), axis=-1)
-            z = (table @ coef.view(float)).view(complex).transpose(1, 2, 0)
-            return spec.synthesize(z.reshape(-1, n)).reshape(k.size, m, 2 * n)
-
-        # a step's flowed coordinates and its rows are 2n entries a state each
-        kept, rows, _ = _march(y0, t0, dt, steps, sample_every, 4 * n * m, advance, [()], ())
+        kept, rows, store = _store(steps, sample_every, y0, ())
+        _closed_form(spec, y0, lam, t0, dt, kept, store)
         # built on first read from D's spectral data unless the samples hold it
         full = lambda: _field_map(spec, lam, steps * dt)
         props = None
@@ -361,9 +396,8 @@ def evolve_schrodinger(
         y0 = np.concatenate([y0.T, np.eye(2 * n, dtype=complex)], axis=1)
         part = np.index_exp[:, :m]
         record = np.index_exp[...] if store_propagators else part
-        kept, rows, y = _march(
-            y0, t0, dt, steps, sample_every, 2 * n * (2 * n + m), advance, [part], record
-        )
+        kept, rows, store = _store(steps, sample_every, y0, record)
+        y = _march(y0, t0, dt, kept, 2 * n * (2 * n + m), advance, [part], store)
         props = np.ascontiguousarray(rows[:, :, m:]) if store_propagators else None
         full = np.ascontiguousarray(y[:, m:])
         rows = np.ascontiguousarray(rows[:, :, :m].swapaxes(1, 2))
@@ -487,10 +521,8 @@ def evolve_field(
             prev = row
         return block
 
-    kept, rows, _ = _march(
-        y0, t0, dt, steps, sample_every, (2 * n) ** 2, advance,
-        [np.index_exp[:n], np.index_exp[n:]], (),
-    )
+    kept, rows, store = _store(steps, sample_every, y0, ())
+    _march(y0, t0, dt, kept, (2 * n) ** 2, advance, [np.index_exp[:n], np.index_exp[n:]], store)
     times = t0 + kept * dt
     trajs = [
         FieldTrajectory(
@@ -552,19 +584,74 @@ def drift_report(
     if other.n != traj.n or len(other) != len(traj):
         raise DimensionMismatchError("trajectories must share shape and sampling")
 
-    stacked = isinstance(d_spec, AffineSource)
-    if stacked:
+    if isinstance(d_spec, AffineSource):
         _check_state_size(traj.n, d_spec.terms.shape[-1])  # before the source is asked
         d_at = hermitian_eigendecompose(d_spec.at(traj.times))
     else:
         d_at = _constant(d_spec, spectral=True)
+    measure, series = _drift_monitor(d_at, spec, lam, len(traj))
     data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
-    rows, sol_values = max(1, _CHUNK_ENTRIES // max(1, 2 * traj.n)), np.empty(len(traj), complex)
+    rows = max(1, _CHUNK_ENTRIES // max(1, 2 * traj.n))
     for at in (slice(i, i + rows) for i in range(0, len(traj), rows)):
+        measure(at, *(a[at] for a in data))
+    return series()
+
+
+def _drift_monitor(d_at: SpectralDecomposition, spec, lam: float, samples: int):
+    """The one chunk monitor of ``drift_report`` and ``_closed_form_drift``.
+
+    Returns measure(at, psi1, dot1, psi2, dot2), which takes the field data
+    of the samples at the slice ``at`` (each (k, n)) and writes both products
+    there: ``solution_inner`` under ``spec`` on D, which is d_at, or its
+    members at ``at`` if d_at is a stack of one per sample, and ``kg_inner``
+    at packing ``lam``. series() then returns the two MonitorSeries.
+    """
+    values = np.empty((2, samples), dtype=complex)
+    stacked = d_at.eigenvalues.ndim > 1
+
+    def measure(at, psi1, dot1, psi2, dot2):
         d = SpectralDecomposition(d_at.eigenvalues[at], d_at.eigenvectors[at]) if stacked else d_at
-        sol_values[at] = _field_inner(*(a[at] for a in data), d, spec)
-    kg_values = 2j * lam * (
-        np.sum(np.conj(traj.psis) * other.psi_dots, axis=1)
-        - np.sum(np.conj(traj.psi_dots) * other.psis, axis=1)
-    )
-    return tuple(MonitorSeries(v, *_deviations(v)) for v in (sol_values, kg_values))
+        values[0, at] = _field_inner(psi1, dot1, psi2, dot2, d, spec)
+        values[1, at] = 2j * lam * (
+            np.sum(np.conj(psi1) * dot2, axis=-1) - np.sum(np.conj(dot1) * psi2, axis=-1)
+        )
+
+    def series() -> tuple[MonitorSeries, MonitorSeries]:
+        return tuple(MonitorSeries(v, *_deviations(v)) for v in values)
+
+    return measure, series
+
+
+def _closed_form_drift(
+    d, s1: TwoComponentState, s2: TwoComponentState, t0: float, t1: float, steps: int, spec
+) -> tuple[MonitorSeries, MonitorSeries]:
+    """drift_report(field_trajectory(r1), d, spec, field_trajectory(r2), lam)
+    of r1, r2 = evolve_schrodinger(d, [s1, s2], t0, t1, steps), a constant d,
+    every step kept, without holding the trajectory.
+
+    The closed form runs as in ``evolve_schrodinger``: each chunk of steps is
+    flowed, synthesized and guarded by ``_march``, and only then unpacked to
+    field data and measured by ``drift_report``'s chunk monitor, so the
+    monitor reads synthesized states, never the flowed coordinates. A chunk
+    is dropped once measured. Raises what the two calls raise, in their
+    order: an input the monitor refuses at t0 (a non-positive spectrum, a
+    spec of the wrong length) is refused after a march that stores nothing,
+    so a blow-up comes first.
+    """
+    steps, dt = _grid(t0, t1, steps)
+    lam, y0 = _stack_states([s1, s2])
+    spec_d = _constant(d, spectral=True)
+    kept, n = np.arange(steps + 1), y0.shape[1] // 2
+    measure, series = _drift_monitor(spec_d, spec, lam, kept.size)
+
+    def sink(i, states):
+        psi, dot = _field_data(states[..., :n], states[..., n:], lam)
+        measure(slice(i, i + len(states)), psi[:, 0], dot[:, 0], psi[:, 1], dot[:, 1])
+
+    try:
+        sink(0, y0[None])
+    except KgMetricError:  # refused after the march, as on the stored route
+        _closed_form(spec_d, y0, lam, t0, dt, kept, lambda i, states: None)
+        raise
+    _closed_form(spec_d, y0, lam, t0, dt, kept, sink)
+    return series()

@@ -125,9 +125,8 @@ def build_L(
             f"spec length {spec.n} does not match mode count {d_spec.n}"
         )
     v = d_spec.eigenvectors
-    l_plus = (v * spec.l_plus_coeff) @ v.conj().T
-    l_minus = (v * spec.l_minus_coeff) @ v.conj().T
-    return l_plus, l_minus
+    vh = v.conj().T
+    return (v * spec.l_plus_coeff) @ vh, (v * spec.l_minus_coeff) @ vh
 
 
 def eta_tilde_plus(

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kgmetric
-from kgmetric.cli import RunConfig, _build_parser, main
+from kgmetric.cli import RunConfig, _build_parser, _render_json, main
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian
 from kgmetric.spectral import hermitian_eigendecompose
@@ -399,3 +400,33 @@ def test_overflowing_alpha_aborts_without_runtime_warnings(argv, stderr_start, e
     assert proc.stderr.count("\n") == 1
     (check,) = json.loads(proc.stdout)["checks"]
     assert check["name"] == error
+
+
+def test_render_json_empty_containers_and_unknown_types():
+    assert _render_json([]) == _render_json(()) == _render_json(np.array([])) == "[]"
+    assert _render_json({}) == "{}"
+    nested = _render_json({"a": [], "b": {}})
+    assert nested == '{\n  "a": [],\n  "b": {}\n}'
+    assert json.loads(nested) == {"a": [], "b": {}}
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        _render_json(1j)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        _render_json([1.0, object()])
+
+
+def test_kg_report_memory_stays_bounded(capsys):
+    # the invariance monitor streams through the closed form, a chunk of steps
+    # at a time, and each dense check frees its N x N temporaries: one
+    # 128-site report peaks at no more than 10 N x N complex arrays (2.6 MB),
+    # where holding the trajectory took about 24
+    argv = ["kg", "--sites", "128", "--a", "0.5", "--seed", "3"]
+    assert run(argv, capsys)[0] == 0  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 10 * 128 * 128 * 16

@@ -33,10 +33,16 @@ from kgmetric.evolution import (
     _CHUNK_ENTRIES,
     BLOWUP_LIMIT,
     _affine_increments,
+    _closed_form_drift,
     _field_map,
     _flow,
 )
-from kgmetric.models.lattice import KleinGordonLattice, kg_mode_solution
+from kgmetric.models.lattice import (
+    KleinGordonLattice,
+    kg_band_limited_solution,
+    kg_mode_solution,
+    kg_relativistic_spec,
+)
 from kgmetric.models.wdw import WdwFrwModel
 from kgmetric.rng import generator, random_positive_hermitian, random_state
 from kgmetric.spectral import SpectralDecomposition, hermitian_eigendecompose
@@ -756,6 +762,55 @@ def test_field_route_overflow_raises_without_warnings(value):
         for source in (np.array([[value]]), scaled([[value]], np.ones_like)):
             with pytest.raises(NonFiniteStateError):
                 evolve_field(source, f0, 0.0, 1.0, 10)
+
+
+def stored_drift(d, s1, s2, t0, t1, steps, spec):
+    """The stored route that _closed_form_drift streams: the whole trajectory,
+    unpacked, then drift_report."""
+    res1, res2 = evolve_schrodinger(d, [s1, s2], t0, t1, steps)
+    traj1, traj2 = field_trajectory(res1), field_trajectory(res2)
+    return drift_report(traj1, d, spec, traj2=traj2, lam=s1.lam)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("sites", [16, 17, 64, 128])
+def test_streamed_drift_matches_stored_route(sites, a):
+    # the kg report's invariance monitor, measured chunk by chunk through the
+    # closed form, against the stored trajectory on the same states; an odd
+    # lattice also takes an odd step count, so the last chunk is partial
+    lattice = KleinGordonLattice(sites=sites, mu=5.0)
+    relspec = kg_relativistic_spec(lattice, 1.0 + a, 1.0 - a)
+    rng = generator(sites, "evo:streamed")
+    s1, s2 = (
+        pack(kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False), 0.8)
+        for _ in range(2)
+    )
+    args = (lattice.d_spec, s1, s2, 0.0, 10.0, 200 + sites % 2, relspec)
+    stored, streamed = stored_drift(*args), _closed_form_drift(*args)
+    for want, got in zip(stored, streamed):
+        assert got.values.shape == want.values.shape == (201 + sites % 2,)
+        assert maxabs(got.values - want.values) <= 1e-14 * maxabs(want.values)
+        assert abs(got.max_deviation - want.max_deviation) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "t1, spec_n, error",
+    [
+        (40.0, 3, NonFiniteStateError),  # the negative mode blows up first
+        (1.0, 3, NonPositiveSpectrumError),  # stays bounded; the monitor refuses it
+        (1.0, 2, LengthMismatchError),
+    ],
+)
+def test_streamed_drift_raises_like_stored_route(t1, spec_n, error):
+    d = np.diag([-1.0, 2.0, 3.0])
+    s1 = pack(FieldState(np.array([1.0, 0.5, 0.2]), np.zeros(3)), 1.0)
+    s2 = pack(FieldState(np.array([0.3, 1.0, 0.0]), np.array([0.1, 0.0, 1.0])), 1.0)
+    args = (d, s1, s2, 0.0, t1, 400, InnerProductSpec.uniform(spec_n))
+    with pytest.raises(error) as stored:
+        stored_drift(*args)
+    with pytest.raises(error) as streamed:
+        _closed_form_drift(*args)
+    assert str(streamed.value) == str(stored.value)
 
 
 def test_field_route_memory_stays_flat_in_steps():
