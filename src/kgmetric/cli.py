@@ -25,11 +25,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -185,19 +185,22 @@ def _fmt17(x: float) -> str:
     return s
 
 
+# how each leaf renders, by kind: subclasses are tested in this order (bool
+# before int), the listed types themselves found by one exact-type lookup
+_JSON_KINDS = (
+    ((float, np.float64, np.floating), lambda x: _fmt17(x) if math.isfinite(x) else "null"),
+    ((bool, np.bool_), lambda b: "true" if b else "false"),
+    ((int, np.integer), lambda i: str(int(i))),
+    ((str,), encode_basestring_ascii),  # what json.dumps does with a str
+    ((type(None),), lambda _: "null"),
+)
+_JSON_LEAVES = {t: leaf for kinds, leaf in _JSON_KINDS for t in kinds}
+
+
 def _render_json(obj, indent: int = 0) -> str:
-    # floats first: they are most of a data file (np.float64 is a float)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return _fmt17(x) if math.isfinite(x) else "null"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if bool(obj) else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
@@ -211,10 +214,13 @@ def _render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         rows = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(k))}: {_render_json(v, indent + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + rows + "\n" + pad + "}"
+    for kinds, leaf in _JSON_KINDS:
+        if isinstance(obj, kinds):
+            return leaf(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -596,13 +602,13 @@ def _kg_pair_deviations(lattice: KleinGordonLattice, relspec, cfg: RunConfig) ->
     """Largest relative deviations over 20 random pairs of the family product
     from the coefficient product, and of its a = 0 member from the projection
     form. The 40 states are one (40, sites) draw (the stream of 40 single
-    draws) and each route runs once on it; the stacks are freed on return."""
+    draws) and each route runs once on it, both members of the family from
+    one Gram call; the stacks are freed on return."""
     rng = generator(cfg.seed, "kg:pairs")
     psi, dot = _band_limited_rows(lattice, np.inf, rng, 0.0, False, (40,))
     pair = (psi[0::2], dot[0::2], psi[1::2], dot[1::2])
-    fam = np.diagonal(_kg_gram(*pair, lattice, cfg.a))
+    fam, w_sym = np.diagonal(_kg_gram(*pair, lattice, [cfg.a, 0.0]), axis1=1, axis2=2)
     ref = _field_inner(*pair, lattice.d_spec, relspec)
-    w_sym = np.diagonal(_kg_gram(*pair, lattice, 0.0))
     w_proj = _woodard_rows(*pair, lattice)
     fam_dev = np.max(np.abs(fam - ref) / np.maximum(np.abs(ref), 1.0))
     wood_dev = np.max(np.abs(w_sym - w_proj) / np.maximum(np.abs(w_proj), 1.0))

@@ -6,10 +6,10 @@ Two integrators:
   list. Its evolution is the field flow of psi'' + D psi = 0 in the
   packing's coordinates, built from the per-mode factors of ``_flow``,
   entire in D's eigenvalues, so no doubled eigensystem is formed and D may
-  have any sign. A constant D is sampled exactly, per-mode flow factors times
-  mode coordinates, synthesized a chunk at once; a time-dependent D is
-  stepped by midpoint-rule field maps exp(-i dt H(D(t_mid))), second order,
-  acting on the states and on U(t, t0) together.
+  have any sign. A constant D is sampled exactly, per-mode flow factors (one
+  table a run) times mode coordinates, synthesized a chunk at once; a
+  time-dependent D is stepped by midpoint-rule field maps exp(-i dt
+  H(D(t_mid))), second order, acting on the states and on U(t, t0) together.
 * ``evolve_field`` integrates psi'' + D(t) psi = 0 by classical fixed-step
   RK4 on y = (psi, psi_dot), for one state or a list riding as the columns
   of one block: an independent route used to cross-check the doubled
@@ -30,6 +30,13 @@ raised before a blow-up earlier in it. Only then does it hand the chunk's
 kept states (every sample_every-th step and the last) to a sink. The
 integrators' sink, ``_store``, writes them into one array; the constant-D
 closed form is one builder, ``_closed_form``, that marches into any sink.
+It evaluates ``_flow`` at the offsets dt, 2 dt, ... of one chunk once, and
+starts each later chunk from the coordinates flowed to the step before it,
+at offset b from t0, by the group law c(a + b) = c(a) c(b) - w s(a) s(b),
+s(a + b) = s(a) c(b) + c(a) s(b), with c(b), s(b) evaluated afresh: n (chunk
++ chunks) transcendental evaluations a run, not n steps, and no rounding
+carried from chunk to chunk. The law holds at every sign of w, as ``_flow``
+is entire.
 
 ``drift_report`` is the one function that turns a trajectory into drift
 numbers, for every report: it follows the positive product
@@ -37,12 +44,15 @@ numbers, for every report: it follows the positive product
 ``kg_inner`` against their t0 values, both by one chunk monitor,
 ``_drift_monitor``, a bounded chunk of samples at a time. The paper's frozen
 product reads only t0 data, so there is nothing of it to follow.
-``_closed_form_drift`` is the streamed route for a constant D and a pair of
-states: it gives drift_report's numbers for the closed-form trajectory
-without holding it, each chunk being synthesized, guarded, unpacked and
-measured by the same monitor, then dropped. So the monitor still reads
-synthesized states, after the basis-change pair's round trip, never the
-flowed mode coordinates.
+The monitor takes a chunk's field data as one stack [[psi1, psi2], [dot1,
+dot2]], changes its basis in one ``coordinates`` call and forms the positive
+product from the coordinates by ``_coordinate_inner``, the kernel that
+``solution_inner`` also uses. ``_closed_form_drift`` is the streamed route for
+a constant D and a pair of states: it gives drift_report's numbers for the
+closed-form trajectory without holding it, each chunk being synthesized,
+guarded, unpacked once into the monitor's stack and measured, then dropped.
+So the monitor reads synthesized states, after the basis-change pair's
+round trip, never the flowed mode coordinates.
 
 Every entry point (both integrators and ``drift_report``) reads its operator
 source one of two ways. An ``AffineSource`` D(t) = sum_j c_j(t) B_j, the one
@@ -67,7 +77,7 @@ from .errors import (
     ZeroStepsError,
 )
 from .spectral import SpectralDecomposition, _as_array, _as_square, hermitian_eigendecompose
-from .inner_products import _check_state_size, _field_inner
+from .inner_products import _check_state_size, _coordinate_inner, _row_dot
 from .two_component import FieldState, TwoComponentState, _check_pair, _field_data, _nonzero_lam
 
 BLOWUP_LIMIT = 1e12
@@ -291,7 +301,8 @@ def _closed_form(spec: SpectralDecomposition, y0, lam, t0, dt, kept, sink):
     """March the (m, 2n) doubled states y0 over the kept steps of length dt
     by ``evolve_schrodinger``'s closed form for the constant D that ``spec``
     resolves, into ``sink``; DimensionMismatchError if the states' size is
-    not D's. Returns the final states."""
+    not D's. The first chunk builds the flow table, under the march's
+    ``np.errstate``, and every chunk reads it. Returns the final states."""
     m, n = y0.shape[0], y0.shape[1] // 2
     _check_state_size(n, spec.n)
     w = spec.eigenvalues
@@ -306,11 +317,21 @@ def _closed_form(spec: SpectralDecomposition, y0, lam, t0, dt, kept, sink):
     # a mode no state excites has zero coordinates, so its flow is never read:
     # flowing it as w = 0 keeps an unread cosh from overflowing into inf * 0
     w_flow = np.where(np.any(start != 0, axis=0), w, 0.0)[:, None, None]
+    table = None  # per mode, the real (chunk, 2) table of c, s at dt, 2 dt, ...
 
     def advance(k, _):
-        # per mode, the chunk's real (k, 2) table of c, s times its coordinates
-        table = np.concatenate(_flow(w_flow, k * dt), axis=-1)
-        z = (table @ coef.view(float)).view(complex).transpose(1, 2, 0)
+        nonlocal table
+        if table is None:  # the first chunk, from t0, builds the table
+            table = np.concatenate(_flow(w_flow, k * dt), axis=-1)
+            base = coef
+        else:
+            # per mode, the coordinates on c and s flowed exactly to step
+            # k[0] - 1, by the group law c(a + b) = c(a) c(b) - w s(a) s(b),
+            # s(a + b) = s(a) c(b) + c(a) s(b)
+            c, s = _flow(w_flow, [(k[0] - 1) * dt])
+            on_c, on_s = coef[:, :1], coef[:, 1:]
+            base = np.concatenate([c * on_c + s * on_s, c * on_s - w_flow * s * on_c], axis=1)
+        z = (table[:, : k.size] @ base.view(float)).view(complex).transpose(1, 2, 0)
         return spec.synthesize(z.reshape(-1, n)).reshape(k.size, m, 2 * n)
 
     # a step's flowed coordinates and its rows are 2n entries a state each
@@ -335,12 +356,14 @@ def evolve_schrodinger(
         cosh until the blow-up bound, a zero mode moves freely. A constant source
         is diagonalized once, D = V diag(w) V^dagger; per mode, a chunk of k steps
         is a real (k, 2) table of c = cos(sqrt(w) t), s = sin(sqrt(w) t) / sqrt(w)
-        times the states' coordinates x, y from D's basis-change pair (FFTs for a
-        lattice): x, y on c, i (beta y - alpha x), i (alpha y - beta x) on s, alpha,
-        beta = (1/lam +- lam w) / 2; the pair synthesizes the rows. An AffineSource
-        is asked the midpoints of a chunk of steps in one call, one stacked eigensolve
-        diagonalizes it there, and the field map exp(-i dt H(D_mid)) steps one
-        (2n, m + 2n) block: the m states (each a matrix-vector product), then U(t, t0).
+        at t = dt, ..., k dt, built once a run, times the states' coordinates x, y
+        from D's basis-change pair (FFTs for a lattice): x, y on c, i (beta y -
+        alpha x), i (alpha y - beta x) on s, alpha, beta = (1/lam +- lam w) / 2,
+        each chunk's flowed to the step before it by the flow's group law; the
+        pair synthesizes the rows. An AffineSource is asked the midpoints of a
+        chunk of steps in one call, one stacked eigensolve diagonalizes it there,
+        and the field map exp(-i dt H(D_mid)) steps one (2n, m + 2n) block: the
+        m states (each a matrix-vector product), then U(t, t0).
     psi0 : TwoComponentState, or a list of m of them
         Initial doubled state(s); their common lam fixes the packing.
     steps : int
@@ -590,31 +613,34 @@ def drift_report(
     else:
         d_at = _constant(d_spec, spectral=True)
     measure, series = _drift_monitor(d_at, spec, lam, len(traj))
-    data = (traj.psis, traj.psi_dots, other.psis, other.psi_dots)
+    data = (traj.psis, other.psis, traj.psi_dots, other.psi_dots)
     rows = max(1, _CHUNK_ENTRIES // max(1, 2 * traj.n))
     for at in (slice(i, i + rows) for i in range(0, len(traj), rows)):
-        measure(at, *(a[at] for a in data))
+        chunk = np.stack([a[at] for a in data])
+        measure(at, chunk.reshape(2, 2, *chunk.shape[1:]))
     return series()
 
 
 def _drift_monitor(d_at: SpectralDecomposition, spec, lam: float, samples: int):
     """The one chunk monitor of ``drift_report`` and ``_closed_form_drift``.
 
-    Returns measure(at, psi1, dot1, psi2, dot2), which takes the field data
-    of the samples at the slice ``at`` (each (k, n)) and writes both products
-    there: ``solution_inner`` under ``spec`` on D, which is d_at, or its
-    members at ``at`` if d_at is a stack of one per sample, and ``kg_inner``
-    at packing ``lam``. series() then returns the two MonitorSeries.
+    Returns measure(at, fields), which takes the field data of the samples at
+    the slice ``at`` as one (2, 2, k, n) stack [[psi1, psi2], [dot1, dot2]] and
+    writes both products there: ``solution_inner`` under ``spec`` on D, which
+    is d_at, or its members at ``at`` if d_at is a stack of one per sample,
+    from the stack's coordinates in one basis change (``_coordinate_inner``),
+    and ``kg_inner`` at packing ``lam`` on the field data itself. series()
+    then returns the two MonitorSeries.
     """
     values = np.empty((2, samples), dtype=complex)
     stacked = d_at.eigenvalues.ndim > 1
 
-    def measure(at, psi1, dot1, psi2, dot2):
+    def measure(at, fields):
         d = SpectralDecomposition(d_at.eigenvalues[at], d_at.eigenvectors[at]) if stacked else d_at
-        values[0, at] = _field_inner(psi1, dot1, psi2, dot2, d, spec)
-        values[1, at] = 2j * lam * (
-            np.sum(np.conj(psi1) * dot2, axis=-1) - np.sum(np.conj(dot1) * psi2, axis=-1)
-        )
+        _check_state_size(fields.shape[-1], d.n)
+        values[0, at] = _coordinate_inner(d.coordinates(fields), d, spec)
+        (psi1, psi2), (dot1, dot2) = fields
+        values[1, at] = 2j * lam * (_row_dot(psi1.conj(), dot2) - _row_dot(dot1.conj(), psi2))
 
     def series() -> tuple[MonitorSeries, MonitorSeries]:
         return tuple(MonitorSeries(v, *_deviations(v)) for v in values)
@@ -631,12 +657,12 @@ def _closed_form_drift(
 
     The closed form runs as in ``evolve_schrodinger``: each chunk of steps is
     flowed, synthesized and guarded by ``_march``, and only then unpacked to
-    field data and measured by ``drift_report``'s chunk monitor, so the
-    monitor reads synthesized states, never the flowed coordinates. A chunk
-    is dropped once measured. Raises what the two calls raise, in their
-    order: an input the monitor refuses at t0 (a non-positive spectrum, a
-    spec of the wrong length) is refused after a march that stores nothing,
-    so a blow-up comes first.
+    field data, once, into the monitor's stack, and measured by
+    ``drift_report``'s chunk monitor, so the monitor reads synthesized
+    states, never the flowed coordinates. A chunk is dropped once measured.
+    Raises what the two calls raise, in their order: an input the monitor
+    refuses at t0 (a non-positive spectrum, a spec of the wrong length) is
+    refused after a march that stores nothing, so a blow-up comes first.
     """
     steps, dt = _grid(t0, t1, steps)
     lam, y0 = _stack_states([s1, s2])
@@ -645,8 +671,8 @@ def _closed_form_drift(
     measure, series = _drift_monitor(spec_d, spec, lam, kept.size)
 
     def sink(i, states):
-        psi, dot = _field_data(states[..., :n], states[..., n:], lam)
-        measure(slice(i, i + len(states)), psi[:, 0], dot[:, 0], psi[:, 1], dot[:, 1])
+        rows = states.swapaxes(0, 1)  # (state, step, 2n)
+        measure(slice(i, i + len(states)), np.stack(_field_data(rows[..., :n], rows[..., n:], lam)))
 
     try:
         sink(0, y0[None])

@@ -234,26 +234,48 @@ def _field_inner(
     """solution_inner on field data stacked along leading axes.
 
     Each of psi1, dot1, psi2, dot2 is (..., n), the pairs sharing their
-    leading shape, as d_spec does if stacked; the result has that shape.
+    leading shape, as d_spec does if stacked; the result has that shape. The
+    four take one basis change, as the stack [[psi1, psi2], [dot1, dot2]],
+    and ``_coordinate_inner`` forms the product from their coordinates.
     """
     n1, n2 = psi1.shape[-1], psi2.shape[-1]
     if n1 != n2:
         raise DimensionMismatchError(f"state sizes differ: {n1} vs {n2}")
     _check_state_size(n1, d_spec.n)
+    fields = np.stack([psi1, psi2, dot1, dot2]).reshape(2, 2, *np.shape(psi1))
+    return _coordinate_inner(d_spec.coordinates(fields), d_spec, spec)
+
+
+def _coordinate_inner(coords: np.ndarray, d_spec: SpectralDecomposition, spec) -> np.ndarray:
+    """The one kernel of solution_inner, on the (2, 2, ..., n) mode coordinates
+    [[c1, c2], [d1, d2]] of [[psi1, psi2], [dot1, dot2]] in d_spec's basis:
+
+        (1/2) sum_n [ lp c1* c2 + (lp / w) d1* d2 + i (lm / sqrt(w)) (c1* d2 - d1* c2) ]
+
+    with lp, lm the L+, L- coefficients of ``spec`` and w the eigenvalues,
+    which must be positive. Each coordinate of the first state is conjugated
+    once, and each sum is one product against its weight vector.
+    """
     if spec.n != d_spec.n:
         raise LengthMismatchError(
             f"spec length {spec.n} does not match mode count {d_spec.n}"
         )
     w = _require_positive(d_spec.eigenvalues, "inner product")
-    c1, c2, d1, d2 = map(d_spec.coordinates, (psi1, psi2, dot1, dot2))
+    (c1, c2), (d1, d2) = coords
+    e1, f1 = np.conj(c1), np.conj(d1)
     lp = spec.l_plus_coeff
-    lm = spec.l_minus_coeff
     total = (
-        np.sum(lp * np.conj(c1) * c2, axis=-1)
-        + np.sum((lp / w) * np.conj(d1) * d2, axis=-1)
-        + 1j * np.sum((lm / np.sqrt(w)) * (np.conj(c1) * d2 - np.conj(d1) * c2), axis=-1)
+        _row_dot(e1 * c2, lp)
+        + _row_dot(f1 * d2, lp / w)
+        + 1j * _row_dot(e1 * d2 - f1 * c2, spec.l_minus_coeff / np.sqrt(w))
     )
     return 0.5 * total
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n x[..., n] y[..., n], the leading axes broadcast, as one batched
+    matrix product (np.vecdot would need numpy 2)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def solution_inner(

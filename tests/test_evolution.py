@@ -462,11 +462,12 @@ def test_closed_form_matches_stepped_constant_operator():
 )
 def test_closed_form_phases_match_full_formula(source, allow_complex):
     # states are flowed mode coordinates, synthesized, bit for bit, chunk by
-    # chunk as the loop forms them: per mode w of D, a real (k, 2) table of
+    # chunk as the loop forms them: per mode w of D, one real table of
     # c = cos(sqrt(w) t) and s = sin(sqrt(w) t) / sqrt(w) (cosh and sinh for
-    # w < 0) times the coordinates x, y of upper0 and lower0 on c and
-    # i (beta y - alpha x, alpha y - beta x) on s, alpha, beta = (1/lam +- lam w) / 2,
-    # and D's synthesize turns them into rows
+    # w < 0) at t = dt, 2 dt, ... for the run, times the coordinates x, y of
+    # upper0 and lower0 on c and i (beta y - alpha x, alpha y - beta x) on s,
+    # alpha, beta = (1/lam +- lam w) / 2, each chunk's flowed to the step
+    # before it by the group law; D's synthesize turns them into rows
     n, steps, t1, lam = source.n, 200, 2.0, 0.8
     rng = generator(12, "evo:phases")
     s0 = pack(FieldState(psi=random_state(rng, n), psi_dot=random_state(rng, n)), lam)
@@ -478,14 +479,25 @@ def test_closed_form_phases_match_full_formula(source, allow_complex):
     on_s = np.stack([1j * (beta * y - alpha * x), 1j * (alpha * y - beta * x)])
     # per mode, its (c, s) rows against the (upper, lower) coordinates they weigh
     weighed = np.stack([on_c, on_s], axis=1).transpose(2, 1, 0).copy()
-    rate = np.sqrt(np.abs(w))[:, None]
+    rate, dt = np.sqrt(np.abs(w))[:, None], t1 / steps
+
+    def flow(t):
+        phase = rate * t
+        c = np.where(w[:, None] > 0, np.cos(phase), np.cosh(phase))
+        return phase, c, np.where(w[:, None] > 0, np.sin(phase), np.sinh(phase)) / rate
+
     rows, chunk = [s0.vector[None]], _CHUNK_ENTRIES // (4 * n)
+    phase, c, s = flow(np.arange(1, min(chunk, steps) + 1) * dt)
+    table = np.stack([c, s], axis=-1)
     for lo in range(1, steps + 1, chunk):
         k = np.arange(lo, min(lo + chunk, steps + 1))
-        phase = rate * (k * (t1 / steps))
-        c = np.where(w[:, None] > 0, np.cos(phase), np.cosh(phase))
-        s = np.where(w[:, None] > 0, np.sin(phase), np.sinh(phase)) / rate
-        coords = (np.stack([c, s], axis=-1) @ weighed.view(float)).view(complex)
+        # c(a + b) = c(a) c(b) - w s(a) s(b), s(a + b) = s(a) c(b) + c(a) s(b)
+        _, cb, sb = (f[..., None] for f in flow(np.array([(lo - 1) * dt])))
+        at_c, at_s = weighed[:, :1], weighed[:, 1:]
+        base = np.concatenate(
+            [cb * at_c + sb * at_s, cb * at_s - w[:, None, None] * sb * at_c], axis=1
+        )
+        coords = (table[:, : k.size] @ base.view(float)).view(complex)
         rows.append(source.synthesize(coords.transpose(1, 2, 0).reshape(-1, n)).reshape(-1, 2 * n))
     np.testing.assert_array_equal(result.state_matrix, np.concatenate(rows))
     # cosh columns only where a mode is negative
@@ -531,6 +543,80 @@ def test_closed_form_unexcited_negative_mode_stays_bounded():
     psi = field_trajectory(result).psis[-1]
     assert psi[0] == 0.0
     assert abs(psi[1] - np.cos(1000.0)) <= 1e-12
+
+
+def direct_flow_rows(spec, states, t1, steps):
+    """Every step's doubled rows of the closed form from 0 to t1, with the flow
+    factors evaluated directly at each k dt (an unexcited mode flowing as
+    w = 0, as in the closed form), as (steps + 1, m, 2n); row 0 is the
+    states' round trip through the basis-change pair."""
+    lam, m, n, w = states[0].lam, len(states), spec.n, spec.eigenvalues
+    start = spec.coordinates(np.stack([s.vector for s in states]).reshape(2 * m, n))
+    x, y = start[0::2], start[1::2]
+    alpha, beta = (1 / lam + lam * w) / 2, (1 / lam - lam * w) / 2
+    rate = 1j * np.stack([beta * y - alpha * x, alpha * y - beta * x], axis=1).reshape(2 * m, n)
+    with np.errstate(over="ignore"):  # an unread cosh or sinh may overflow
+        w_flow = np.where(np.any(start != 0, axis=0), w, 0.0)
+        c, s = _flow(w_flow, np.arange(steps + 1) * (t1 / steps))
+    z = c[:, None] * start + s[:, None] * rate
+    return spec.synthesize(z.reshape(-1, n)).reshape(steps + 1, m, 2 * n)
+
+
+def lattice_pair(sites, mu):
+    lattice = KleinGordonLattice(sites=sites, mu=mu)
+    rng = generator(sites, "evo:group-law")
+    states = [
+        pack(kg_band_limited_solution(lattice, np.inf, rng, positive_energy=False), 0.8)
+        for _ in range(2)
+    ]
+    return lattice.d_spec, states
+
+
+def mixed_sign_pair():
+    # a negative, a zero and two positive modes, all excited
+    rng = generator(18, "evo:group-law")
+    v = hermitian_eigendecompose(random_positive_hermitian(rng, 4)).eigenvectors
+    spec = SpectralDecomposition(np.array([-0.5, 0.0, 1.0, 3.0]), v)
+    states = [pack(FieldState(random_state(rng, 4), random_state(rng, 4)), 1.3) for _ in range(2)]
+    return spec, states
+
+
+def unexcited_negative_pair():
+    # the negative mode is not excited, so its cosh, past overflow by t = 710,
+    # is never read; the zero mode drifts as t
+    spec = SpectralDecomposition(np.array([-1.0, 0.0, 1.0]), np.eye(3, dtype=complex))
+    states = [
+        pack(FieldState(np.array([0.0, 1.0, 0.5]), np.array([0.0, 0.2, -1.0])), 1.0),
+        pack(FieldState(np.array([0.0, -0.3, 1.0]), np.array([0.0, 0.0, 0.4])), 1.0),
+    ]
+    return spec, states
+
+
+@pytest.mark.parametrize(
+    "make, t1, steps",
+    [
+        (lambda: lattice_pair(17, 0.5), 10.0, 301),
+        (lambda: lattice_pair(64, 1.0), 10.0, 200),
+        (lambda: lattice_pair(128, 5.0), 10.0, 200),
+        (mixed_sign_pair, 20.0, 3000),
+        (unexcited_negative_pair, 1000.0, 3000),
+    ],
+    ids=["lattice-17", "lattice-64", "lattice-128", "negative-and-zero", "unexcited-negative"],
+)
+def test_closed_form_group_law_matches_direct_flow(make, t1, steps):
+    # one flow table a run, each chunk flowed to the step before it by the
+    # group law, against the flow evaluated directly at every step of a run
+    # of several chunks. Both round the phase sqrt(|w|) t, so they may part by
+    # about eps per radian of it: the bound, set before the first run, is
+    # 1e-15 (1 + phase) relative to the largest entry
+    spec, states = make()
+    m, n = len(states), spec.n
+    assert steps > 2 * (_CHUNK_ENTRIES // (4 * n * m))
+    got = np.stack([r.state_matrix for r in evolve_schrodinger(spec, states, 0.0, t1, steps)], 1)
+    np.testing.assert_array_equal(got[0], np.stack([s.vector for s in states]))
+    want = direct_flow_rows(spec, states, t1, steps)[1:]
+    phase = np.sqrt(np.max(np.abs(spec.eigenvalues))) * t1
+    assert maxabs(got[1:] - want) <= 1e-15 * (1.0 + phase) * maxabs(want)
 
 
 D_LIST = random_positive_hermitian(generator(15, "evo:list"), 5)

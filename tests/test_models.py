@@ -165,8 +165,7 @@ def test_lattice_modes_are_orthonormal_and_complete():
 @pytest.mark.parametrize("sites", [2, 3, 17, 64, 128])
 def test_lattice_basis_pair_is_the_dense_products(sites):
     # the FFT pair keeps the dense spectral data; its x conj(V) and z V^T are
-    # FFTs. The dense modes round their phase x k, which reaches about pi N,
-    # so against the DFT matrix with its phase reduced mod N first the pair
+    # FFTs. Against the DFT matrix with its phase reduced mod N first the pair
     # holds 1e-14, and against the dense products it is off by no more than
     # their own rounding besides
     lattice = KleinGordonLattice(sites=sites, mu=1.0)
@@ -186,6 +185,21 @@ def test_lattice_basis_pair_is_the_dense_products(sites):
             scale = maxabs(want)
             assert maxabs(got - want) <= 1e-14 * scale
             assert maxabs(got - dense) <= maxabs(dense - want) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("sites", [2, 3, 17, 128, 1024])
+def test_lattice_modes_are_the_integer_phase_dft(sites):
+    # each entry is exp(2 pi i ((m j) mod N) / N) / sqrt(N) to 1e-15 of
+    # 1/sqrt(N), per real and imaginary part, at every size: the reference
+    # takes the integer phase in extended precision (bound set before the
+    # first run; the rounded phase x k was 9.5e-14 off at 128 sites)
+    lattice = KleinGordonLattice(sites=sites, mu=1.0)
+    phase = np.outer(np.arange(sites), lattice.mode_indices) % sites
+    angle = 2 * np.arccos(np.longdouble(-1)) * phase.astype(np.longdouble) / sites
+    norm = np.sqrt(np.longdouble(sites))
+    v = lattice.modes
+    for got, want in ((v.real, np.cos(angle) / norm), (v.imag, np.sin(angle) / norm)):
+        assert float(np.max(np.abs(got - want))) * np.sqrt(sites) <= 1e-15
 
 
 def test_lattice_mode_solution_solves_equation():
