@@ -112,6 +112,12 @@ class SignAssignment:
         return self.sigma.shape[0]
 
 
+def _check_spec_length(spec: InnerProductSpec, d_spec: SpectralDecomposition) -> None:
+    """A spec has one coefficient pair per mode of D (LengthMismatchError)."""
+    if spec.n != d_spec.n:
+        raise LengthMismatchError(f"spec length {spec.n} does not match mode count {d_spec.n}")
+
+
 def build_L(
     spec: InnerProductSpec, d_spec: SpectralDecomposition
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +126,7 @@ def build_L(
     L+- = (1/2) sum_n (|a_n+|^2 +- |a_n-|^2) |v_n><v_n| in the eigenbasis of
     d_spec. L+ is positive by construction; L- may have either sign.
     """
-    if spec.n != d_spec.n:
-        raise LengthMismatchError(
-            f"spec length {spec.n} does not match mode count {d_spec.n}"
-        )
+    _check_spec_length(spec, d_spec)
     v = d_spec.eigenvectors
     vh = v.conj().T
     return (v * spec.l_plus_coeff) @ vh, (v * spec.l_minus_coeff) @ vh
@@ -256,10 +259,7 @@ def _coordinate_inner(coords: np.ndarray, d_spec: SpectralDecomposition, spec) -
     which must be positive. Each coordinate of the first state is conjugated
     once, and each sum is one product against its weight vector.
     """
-    if spec.n != d_spec.n:
-        raise LengthMismatchError(
-            f"spec length {spec.n} does not match mode count {d_spec.n}"
-        )
+    _check_spec_length(spec, d_spec)
     w = _require_positive(d_spec.eigenvalues, "inner product")
     (c1, c2), (d1, d2) = coords
     e1, f1 = np.conj(c1), np.conj(d1)

@@ -99,10 +99,6 @@ class KleinGordonLattice:
         return _PlaneWaves(self)
 
     @cached_property
-    def d_matrix(self) -> np.ndarray:
-        return (self.modes * self.omega_sq) @ self.modes.conj().T
-
-    @cached_property
     def d_half(self) -> np.ndarray:
         return (self.modes * self.omegas) @ self.modes.conj().T
 

@@ -46,7 +46,7 @@ from kgmetric.errors import (
     SingularPropagatorError,
     ZeroLambdaError,
 )
-from kgmetric.evolution import FieldTrajectory
+from kgmetric.evolution import FieldTrajectory, _closed_form_drift
 from kgmetric.rng import generator, random_state
 from kgmetric.models import (
     KleinGordonLattice,
@@ -331,7 +331,7 @@ def test_overflowing_step_is_named():
             run()
 
 
-def test_state_size_checked_before_source_is_asked():
+def test_state_size_checked_before_source_is_asked(monkeypatch):
     # a 3-mode state against 2-mode terms is refused before any coefficient
     # query (or, on the midpoint route and in drift_report, any eigensolve of
     # the queried times)
@@ -350,6 +350,21 @@ def test_state_size_checked_before_source_is_asked():
         with pytest.raises(DimensionMismatchError):
             run()
         assert calls == []
+    # a constant 3 x 3 D, as a matrix or as spectral data, against 2-site
+    # states is refused by every entry point before any eigensolve
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    s2 = pack(F2, 1.0)
+    for d3 in (np.diag([1.0, 2.0, 3.0]), SpectralDecomposition(np.arange(1.0, 4.0), np.eye(3))):
+        for run in (
+            lambda: evolve_schrodinger(d3, s2, 0.0, 1.0, 10),
+            lambda: evolve_field(d3, F2, 0.0, 1.0, 10),
+            lambda: drift_report(TRAJ2, d3, SPEC),
+            lambda: _closed_form_drift(d3, s2, s2, 0.0, 1.0, 10, SPEC),
+        ):
+            with pytest.raises(DimensionMismatchError, match="state size 2 does not match"):
+                run()
+            assert calls == []
 
 
 def test_evolve_field_returns_one_trajectory_per_state():

@@ -141,7 +141,7 @@ def test_field_route_lattice_mode_phase():
     j = 2
     f0 = kg_mode_solution(lattice, eps=1, j=j, t=0.0)
     omega = lattice.omegas[lattice.column_of(j)]
-    traj = evolve_field(lattice.d_matrix, f0, 0.0, 5.0, 5000)
+    traj = evolve_field(lattice.d_spec.matrix(), f0, 0.0, 5.0, 5000)
     f = traj.state(-1)
     want = kg_mode_solution(lattice, eps=1, j=j, t=5.0)
     assert maxabs(f.psi - want.psi) <= 1e-6

@@ -147,8 +147,8 @@ def test_lattice_smallest_case_spectrum():
     lattice = KleinGordonLattice(sites=2, mu=1.0)
     assert set(lattice.mode_indices.tolist()) == {0, -1}
     np.testing.assert_allclose(np.sort(lattice.omega_sq), [1.0, 2.0], atol=1e-12)
-    # d_matrix reproduces the spectral data
-    w = np.linalg.eigvalsh(lattice.d_matrix)
+    # d_spec.matrix() reproduces the spectral data
+    w = np.linalg.eigvalsh(lattice.d_spec.matrix())
     np.testing.assert_allclose(w, np.sort(lattice.omega_sq), atol=1e-12)
 
 
@@ -207,7 +207,7 @@ def test_lattice_mode_solution_solves_equation():
     for eps in (1, -1):
         f = kg_mode_solution(lattice, eps, j=1, t=0.6)
         # second derivative of exp(-i eps omega t) phi is -omega^2 psi
-        accel = -lattice.d_matrix @ f.psi
+        accel = -lattice.d_spec.matrix() @ f.psi
         omega = lattice.omegas[lattice.column_of(1)]
         assert maxabs(accel + omega**2 * f.psi) <= 1e-12
         assert maxabs(f.psi_dot + 1j * eps * omega * f.psi) <= 1e-12
